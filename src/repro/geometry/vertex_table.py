@@ -21,6 +21,7 @@ without pickling coordinate buffers.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 from repro.geometry.columnar import (
@@ -116,13 +117,17 @@ class VertexTable:
         )
         offsets = np.zeros(len(shapes) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        vertices = np.empty((int(offsets[-1]), dim), dtype=np.float64)
         for i, shape in enumerate(shapes):
             if shape.dim != dim:
                 raise ValueError(
                     f"mixed dimensionality: shape {i} is {shape.dim}-D, expected {dim}-D"
                 )
-            vertices[offsets[i] : offsets[i + 1]] = shape.vertices
+        coordinates = chain.from_iterable(
+            chain.from_iterable(shape.vertices for shape in shapes)
+        )
+        vertices = np.fromiter(
+            coordinates, dtype=np.float64, count=int(offsets[-1]) * dim
+        ).reshape(-1, dim)
         kinds = np.fromiter(
             (KIND_CODES[shape.kind] for shape in shapes),
             dtype=np.int64,

@@ -1,11 +1,11 @@
-"""Exact-geometry refinement kernels (scalar + numpy-vectorized twins).
+"""Exact-geometry refinement kernels (scalar forms + batched numpy twins).
 
 The refinement predicate is Euclidean: ``shape_distance(a, b) <=
 epsilon``, evaluated on *squared* distances throughout.  Three kernel
-families, each with a scalar canonical form and a vectorized numpy twin
+families, each with a scalar canonical form and a batched numpy twin
 that mirrors the scalar arithmetic **operation for operation**, so the
-object, columnar and compiled refinement backends reach bit-identical
-decisions (the same discipline the MBR kernels follow):
+object and columnar refinement backends reach bit-identical decisions
+(the same discipline the MBR kernels follow):
 
 - :func:`repro.geometry.shapes.box_gap_sq` /
   :func:`box_gap_sq_batch` — squared Euclidean gap between closed
@@ -13,22 +13,38 @@ decisions (the same discipline the MBR kernels follow):
   interior-rectangle **true-hit** shortcut;
 - :func:`repro.geometry.shapes.segment_distance_sq` /
   :func:`min_cross_sq` — Ericson's clamped closest-point between
-  segments, minimised over the full segment cross product of a pair;
-- :func:`repro.geometry.shapes.polygon_contains` — boundary-inclusive
-  point-in-polygon ray casting (scalar in every backend: it runs at
-  most twice per indeterminate pair).
+  segments, minimised over the full segment cross product of every
+  candidate pair in one pass;
+- :func:`repro.geometry.shapes.polygon_contains` /
+  :func:`polygons_contain` — boundary-inclusive point-in-polygon: a
+  point is inside when it lies on some edge or crosses an odd number.
+
+The batched kernels walk a flat ``(pair, segment pair)`` index space in
+chunks of :data:`CHUNK_SEGMENT_PAIRS`, so every temporary stays the
+same size however many vertices a pair carries; a pair may straddle
+chunk edges.
 """
 
 from __future__ import annotations
 
 from repro.geometry.columnar import require_numpy
+from repro.geometry.shapes import KIND_CODES
 
 try:  # pragma: no cover - numpy import guarded like columnar.py
     import numpy as np
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["box_gap_sq_batch", "min_cross_sq", "segments_array"]
+__all__ = [
+    "CHUNK_SEGMENT_PAIRS",
+    "box_gap_sq_batch",
+    "min_cross_sq",
+    "polygons_contain",
+    "segment_table",
+]
+
+#: Segment pairs (or point/edge pairs) evaluated per vectorised step.
+CHUNK_SEGMENT_PAIRS = 1 << 15
 
 
 def box_gap_sq_batch(lo_a, hi_a, lo_b, hi_b):
@@ -43,25 +59,75 @@ def box_gap_sq_batch(lo_a, hi_a, lo_b, hi_b):
     return (gap * gap).sum(axis=1)
 
 
-def segments_array(shape):
-    """A shape's boundary as an ``(n, 4)`` float64 segment array."""
-    require_numpy()
-    return np.asarray(shape.segments(), dtype=np.float64).reshape(-1, 4)
+def segment_table(vertices, offsets, kinds):
+    """2-D boundaries of CSR vertex rows as a segment table + CSR offsets.
 
-
-def min_cross_sq(segs_a, segs_b) -> float:
-    """Minimum squared distance over the segment cross product.
-
-    The numpy twin of looping :func:`~repro.geometry.shapes.segment_distance_sq`
-    over all ``n * m`` segment pairs; every intermediate is computed
-    with the same operations in the same order, so the minimum is the
-    same float the scalar loop finds.
+    The table is ``(4, S)``: rows ``x1, y1, x2, y2``, one column per
+    segment.  Object ``i`` owns columns ``seg_offsets[i]:seg_offsets[i +
+    1]``, in the order :meth:`~repro.geometry.shapes.Shape.segments`
+    lists them: a point is one zero-length segment, a linestring joins
+    consecutive vertices, a polygon also closes its ring, and a box
+    ``(lo, hi)`` walks its four corners from ``lo``.
     """
     require_numpy()
-    A = segs_a[:, None, :]
-    B = segs_b[None, :, :]
-    ax, ay, bx, by = A[..., 0], A[..., 1], A[..., 2], A[..., 3]
-    cx, cy, dx, dy = B[..., 0], B[..., 1], B[..., 2], B[..., 3]
+    starts = offsets[:-1]
+    counts = offsets[1:] - starts
+    box = kinds == KIND_CODES["box"]
+    stays = box | (kinds == KIND_CODES["point"])
+    nseg = np.where(box, 4, counts - (kinds == KIND_CODES["linestring"]))
+    seg_offsets = np.zeros(len(kinds) + 1, dtype=np.int64)
+    np.cumsum(nseg, out=seg_offsets[1:])
+    owner = np.repeat(np.arange(len(kinds)), nseg)
+    local = np.arange(int(seg_offsets[-1])) - seg_offsets[owner]
+    first = starts[owner]
+    # Box columns are placeholders here, filled from corners below.
+    head = np.where(box[owner], first, first + local)
+    tail = np.where(stays[owner], head, head + 1)
+    # A polygon's last edge closes the ring back to its first vertex.
+    closing = (kinds[owner] == KIND_CODES["polygon"]) & (local == counts[owner] - 1)
+    tail[closing] = first[closing]
+    segs = np.stack(
+        [vertices[head, 0], vertices[head, 1], vertices[tail, 0], vertices[tail, 1]]
+    )
+    lo, hi = vertices[starts[box]], vertices[starts[box] + 1]
+    xs = np.stack([lo[:, 0], hi[:, 0], hi[:, 0], lo[:, 0]])  # corner k, box j
+    ys = np.stack([lo[:, 1], lo[:, 1], hi[:, 1], hi[:, 1]])
+    sides = seg_offsets[:-1][box] + np.arange(4)[:, None]
+    segs[:, sides] = np.stack([xs, ys, np.roll(xs, -1, 0), np.roll(ys, -1, 0)])
+    return segs, seg_offsets
+
+
+def _chunks(work):
+    """Walk the flat index space of per-pair ``work`` counts in chunks.
+
+    Yields ``(p0, p1, starts, pair, local)``: the chunk covers pairs
+    ``p0:p1``; ``starts`` are the positions where each of them begins
+    inside the chunk (a ``reduceat`` index), and ``pair`` / ``local``
+    name, per element, its pair and its offset within that pair's work.
+    Every ``work`` entry must be positive.
+    """
+    bounds = np.zeros(len(work) + 1, dtype=np.int64)
+    np.cumsum(work, out=bounds[1:])
+    total = int(bounds[-1])
+    for lo in range(0, total, CHUNK_SEGMENT_PAIRS):
+        hi = min(lo + CHUNK_SEGMENT_PAIRS, total)
+        p0 = int(np.searchsorted(bounds, lo, side="right")) - 1
+        p1 = int(np.searchsorted(bounds, hi, side="left"))
+        begin = np.maximum(bounds[p0:p1], lo)
+        end = np.minimum(bounds[p0 + 1 : p1 + 1], hi)
+        pair = np.repeat(np.arange(p0, p1), end - begin)
+        local = np.arange(lo, hi) - bounds[pair]
+        yield p0, p1, begin - lo, pair, local
+
+
+def _segment_distance_sq(ax, ay, bx, by, cx, cy, dx, dy):
+    """Elementwise :func:`~repro.geometry.shapes.segment_distance_sq`.
+
+    Every element takes the scalar form's branch and computes it with
+    the same operations in the same order, so it is the same float.
+    Guards for zero-length segments and parallel pairs run only when a
+    chunk holds one.
+    """
     d1x = bx - ax
     d1y = by - ay
     d2x = dx - cx
@@ -74,34 +140,79 @@ def min_cross_sq(segs_a, segs_b) -> float:
     c = d1x * rx + d1y * ry
     b = d1x * d2x + d1y * d2y
 
-    safe_a = np.where(a > 0.0, a, 1.0)
-    safe_e = np.where(e > 0.0, e, 1.0)
+    point_a = a <= 0.0
+    point_e = e <= 0.0
+    degenerate = bool(point_a.any() or point_e.any())
+    safe_a = np.where(point_a, 1.0, a) if degenerate else a
+    safe_e = np.where(point_e, 1.0, e) if degenerate else e
     denom = a * e - b * b
-    safe_denom = np.where(denom != 0.0, denom, 1.0)
-
-    s_gen = np.clip((b * f - c * e) / safe_denom, 0.0, 1.0)
-    s_gen = np.where(denom != 0.0, s_gen, 0.0)
+    parallel = denom == 0.0
+    if parallel.any():
+        s_gen = np.clip((b * f - c * e) / np.where(parallel, 1.0, denom), 0.0, 1.0)
+        s_gen = np.where(parallel, 0.0, s_gen)
+    else:
+        s_gen = np.clip((b * f - c * e) / denom, 0.0, 1.0)
     t_num = b * s_gen + f
+    below = t_num < 0.0
+    above = t_num > e
     s_low = np.clip(-c / safe_a, 0.0, 1.0)
     s_high = np.clip((b - c) / safe_a, 0.0, 1.0)
-    t_gen = np.where(
-        t_num < 0.0,
-        0.0,
-        np.where(t_num > e, 1.0, t_num / safe_e),
-    )
-    s_sel = np.where(t_num < 0.0, s_low, np.where(t_num > e, s_high, s_gen))
-
-    t_a0 = np.clip(f / safe_e, 0.0, 1.0)
-    s = np.where(a <= 0.0, 0.0, np.where(e <= 0.0, s_low, s_sel))
-    t = np.where(
-        a <= 0.0,
-        np.where(e <= 0.0, 0.0, t_a0),
-        np.where(e <= 0.0, 0.0, t_gen),
-    )
+    t = np.where(below, 0.0, np.where(above, 1.0, t_num / safe_e))
+    s = np.where(below, s_low, np.where(above, s_high, s_gen))
+    if degenerate:
+        t_a0 = np.clip(f / safe_e, 0.0, 1.0)
+        s = np.where(point_a, 0.0, np.where(point_e, s_low, s))
+        t = np.where(point_a, np.where(point_e, 0.0, t_a0), np.where(point_e, 0.0, t))
 
     gx = (ax + d1x * s) - (cx + d2x * t)
     gy = (ay + d1y * s) - (cy + d2y * t)
-    dist = gx * gx + gy * gy
-    if dist.size == 0:
-        return float("inf")
-    return float(dist.min())
+    return gx * gx + gy * gy
+
+
+def min_cross_sq(segs_a, start_a, count_a, segs_b, start_b, count_b):
+    """Per-pair minimum squared distance over each segment cross product.
+
+    Pair ``k`` crosses segments ``start_a[k]:start_a[k] + count_a[k]``
+    of segment table ``segs_a`` with the matching run of ``segs_b``.
+    The batched twin of looping
+    :func:`~repro.geometry.shapes.segment_distance_sq` over all
+    ``count_a[k] * count_b[k]`` segment pairs: the minimum of the same
+    floats is the same float.
+    """
+    require_numpy()
+    best = np.full(len(start_a), np.inf)
+    for p0, p1, starts, pair, local in _chunks(count_a * count_b):
+        row_a, row_b = np.divmod(local, count_b[pair])
+        row_a += start_a[pair]
+        row_b += start_b[pair]
+        dist = _segment_distance_sq(
+            *(column[row_a] for column in segs_a),
+            *(column[row_b] for column in segs_b),
+        )
+        np.minimum(best[p0:p1], np.minimum.reduceat(dist, starts), out=best[p0:p1])
+    return best
+
+
+def polygons_contain(segs, start, count, points):
+    """Boundary-inclusive ray casting of ``points[k]`` against ring ``k``.
+
+    Ring ``k`` is the polygon whose edges are segments
+    ``start[k]:start[k] + count[k]`` of segment table ``segs``.  The
+    decision is :func:`~repro.geometry.shapes.polygon_contains`'s:
+    inside when the point lies exactly on some edge, else when it
+    crosses an odd number of them.
+    """
+    require_numpy()
+    on_edge = np.zeros(len(start), dtype=bool)
+    crossings = np.zeros(len(start), dtype=np.int64)
+    for p0, p1, starts, pair, local in _chunks(count):
+        x1, y1, x2, y2 = (column[start[pair] + local] for column in segs)
+        x, y = points[pair, 0], points[pair, 1]
+        touch = _segment_distance_sq(x, y, x, y, x1, y1, x2, y2) == 0.0
+        spans = (y1 > y) != (y2 > y)
+        # Only spanning edges divide, and a spanning edge has y2 != y1.
+        t = (y - y1) / np.where(spans, y2 - y1, 1.0)
+        cross = spans & (x < x1 + t * (x2 - x1))
+        on_edge[p0:p1] |= np.logical_or.reduceat(touch, starts)
+        crossings[p0:p1] += np.add.reduceat(cross.astype(np.int64), starts)
+    return on_edge | (crossings % 2 == 1)

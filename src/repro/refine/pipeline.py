@@ -28,11 +28,13 @@ produces the identical list.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Sequence
 
 from repro.geometry.columnar import HAVE_NUMPY, resolve_backend
-from repro.geometry.shapes import box_gap_sq, shape_distance_sq
-from repro.geometry.vertex_table import shape_of
+from repro.geometry.shapes import KIND_CODES, box_gap_sq, shape_distance_sq
+from repro.geometry.vertex_table import VertexTable, shape_of
+from repro.refine import kernels
 from repro.stats.counters import JoinStatistics
 
 try:  # pragma: no cover - numpy import guarded like columnar.py
@@ -56,48 +58,73 @@ class MissingShapesError(ValueError):
 
 
 class _Side:
-    """Per-side refinement view: shapes plus oid-keyed lookup arrays."""
+    """Per-side refinement view: shapes plus row-indexed columnar tables.
+
+    The columnar tables come straight from one
+    :class:`~repro.geometry.vertex_table.VertexTable` per ``refine()``
+    call: MBRs by CSR reduction, 2-D boundaries as a flat segment table.
+    Interior rectangles are cached on the shapes, so they are read per
+    shape.
+    """
 
     __slots__ = (
-        "shapes",
-        "index",
-        "mbr_lo",
-        "mbr_hi",
-        "int_lo",
-        "int_hi",
-        "_segs",
+        "shapes", "index", "dim", "table", "mbr_lo", "mbr_hi",
+        "int_lo", "int_hi", "segs", "seg_offsets",
     )
 
     def __init__(self, objects: Sequence, columnar: bool):
         self.shapes = [shape_of(obj) for obj in objects]
         self.index = {obj.oid: i for i, obj in enumerate(objects)}
-        self._segs: dict[int, object] = {}
-        if columnar and self.shapes:
-            dim = self.shapes[0].dim
-            n = len(self.shapes)
-            self.mbr_lo = np.empty((n, dim), dtype=np.float64)
-            self.mbr_hi = np.empty((n, dim), dtype=np.float64)
-            self.int_lo = np.full((n, dim), np.nan, dtype=np.float64)
-            self.int_hi = np.full((n, dim), np.nan, dtype=np.float64)
-            for i, shape in enumerate(self.shapes):
-                box = shape.mbr()
-                self.mbr_lo[i] = box.lo
-                self.mbr_hi[i] = box.hi
-                interior = shape.interior_rectangle()
-                if interior is not None:
-                    self.int_lo[i] = interior.lo
-                    self.int_hi[i] = interior.hi
-        else:
-            self.mbr_lo = self.mbr_hi = self.int_lo = self.int_hi = None
+        self.dim = self.shapes[0].dim if self.shapes else 0
+        if not (columnar and self.shapes):
+            return
+        for obj, shape in zip(objects, self.shapes):
+            if shape.dim != self.dim:
+                raise ValueError(
+                    f"dimensionality mismatch: object #{obj.oid} is "
+                    f"{shape.dim}-D, object #{objects[0].oid} on the same "
+                    f"side is {self.dim}-D"
+                )
+        table = VertexTable.from_shapes(self.shapes, range(len(self.shapes)))
+        self.table = table
+        starts = table.offsets[:-1]
+        self.mbr_lo = np.minimum.reduceat(table.vertices, starts, axis=0)
+        self.mbr_hi = np.maximum.reduceat(table.vertices, starts, axis=0)
+        self.int_lo = np.full_like(self.mbr_lo, np.nan)
+        self.int_hi = np.full_like(self.mbr_hi, np.nan)
+        for i, shape in enumerate(self.shapes):
+            interior = shape.interior_rectangle()
+            if interior is not None:
+                self.int_lo[i] = interior.lo
+                self.int_hi[i] = interior.hi
+        if self.dim == 2:
+            self.segs, self.seg_offsets = kernels.segment_table(
+                table.vertices, table.offsets, table.kinds
+            )
 
-    def segments(self, i: int):
-        segs = self._segs.get(i)
-        if segs is None:
-            from repro.refine.kernels import segments_array
+    def seg_runs(self, rows):
+        """``(start, count)`` of each row's run in the segment table."""
+        start = self.seg_offsets[rows]
+        return start, self.seg_offsets[rows + 1] - start
 
-            segs = segments_array(self.shapes[i])
-            self._segs[i] = segs
-        return segs
+    def contain(self, rows, points):
+        """Whether filled shape ``rows[k]`` contains ``points[k]``.
+
+        Boxes test the closed box, polygons ray-cast their rings; the
+        other kinds are not filled and contain nothing.
+        """
+        kinds = self.table.kinds[rows]
+        inside = np.zeros(len(rows), dtype=bool)
+        box = kinds == KIND_CODES["box"]
+        lo, hi, point = self.mbr_lo[rows[box]], self.mbr_hi[rows[box]], points[box]
+        inside[box] = ((lo <= point) & (point <= hi)).all(axis=1)
+        ring = kinds == KIND_CODES["polygon"]
+        runs = self.seg_runs(rows[ring])
+        inside[ring] = kernels.polygons_contain(self.segs, *runs, points[ring])
+        return inside
+
+    def first_vertices(self, rows):
+        return self.table.vertices[self.table.offsets[rows]]
 
 
 class RefinePipeline:
@@ -120,7 +147,8 @@ class RefinePipeline:
         if not math.isfinite(epsilon) or epsilon < 0.0:
             raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
         self.epsilon = epsilon
-        self.backend = resolve_backend(backend)
+        # One batched numpy kernel serves both array backends.
+        self.backend = resolve_backend(backend, allow_compiled=False)
 
     def refine(
         self,
@@ -141,7 +169,7 @@ class RefinePipeline:
         stats.candidate_pairs += len(pairs)
         if not pairs:
             return []
-        columnar = self.backend in ("columnar", "compiled") and HAVE_NUMPY
+        columnar = self.backend == "columnar" and HAVE_NUMPY
         side_a = _Side(objects_a, columnar)
         side_b = _Side(objects_b, columnar)
         if columnar:
@@ -180,10 +208,8 @@ class RefinePipeline:
                 kept.append(pair)
         return kept
 
-    # -- columnar / compiled backend ------------------------------------
+    # -- columnar backend -----------------------------------------------
     def _refine_columnar(self, pairs, side_a, side_b, stats):
-        from repro.refine.kernels import box_gap_sq_batch
-
         eps_sq = self.epsilon * self.epsilon
         rows_a = np.fromiter(
             (side_a.index[p[0]] for p in pairs), dtype=np.int64, count=len(pairs)
@@ -191,7 +217,12 @@ class RefinePipeline:
         rows_b = np.fromiter(
             (side_b.index[p[1]] for p in pairs), dtype=np.int64, count=len(pairs)
         )
-        mbr_gap = box_gap_sq_batch(
+        if side_a.dim != side_b.dim:
+            raise ValueError(
+                f"dimensionality mismatch: object #{pairs[0][0]} is "
+                f"{side_a.dim}-D, object #{pairs[0][1]} is {side_b.dim}-D"
+            )
+        mbr_gap = kernels.box_gap_sq_batch(
             side_a.mbr_lo[rows_a],
             side_a.mbr_hi[rows_a],
             side_b.mbr_lo[rows_b],
@@ -199,49 +230,45 @@ class RefinePipeline:
         )
         alive = mbr_gap <= eps_sq
         stats.false_hit_prunes += int(len(pairs) - int(alive.sum()))
-        int_gap = box_gap_sq_batch(
+        int_gap = kernels.box_gap_sq_batch(
             side_a.int_lo[rows_a],
             side_a.int_hi[rows_a],
             side_b.int_lo[rows_b],
             side_b.int_hi[rows_b],
         )
-        true_hit = alive & (int_gap <= eps_sq)
-        stats.true_hits += int(true_hit.sum())
-        kept = []
-        if self.backend == "compiled":
-            from repro.refine.compiled import min_cross_sq_compiled as cross
-        else:
-            from repro.refine.kernels import min_cross_sq as cross
-        for k in np.flatnonzero(alive):
-            pair = pairs[k]
-            if true_hit[k]:
-                kept.append(pair)
-                continue
-            stats.exact_tests += 1
-            i = int(rows_a[k])
-            j = int(rows_b[k])
-            if self._exact_sq(side_a, i, side_b, j, cross) <= eps_sq:
-                kept.append(pair)
-        return kept
+        keep = alive & (int_gap <= eps_sq)
+        stats.true_hits += int(keep.sum())
+        exact = np.flatnonzero(alive & ~keep)
+        stats.exact_tests += len(exact)
+        if len(exact):
+            keep[exact] = self._exact_within(
+                side_a, rows_a[exact], side_b, rows_b[exact], eps_sq
+            )
+        return list(compress(pairs, keep.tolist()))
 
     @staticmethod
-    def _exact_sq(side_a, i, side_b, j, cross) -> float:
-        sa = side_a.shapes[i]
-        sb = side_b.shapes[j]
-        boxlike = ("box", "point")
-        if sa.kind in boxlike and sb.kind in boxlike:
-            return shape_distance_sq(sa, sb)
-        if sa.dim != 2:
+    def _exact_within(side_a, rows_a, side_b, rows_b, eps_sq):
+        """Exact tests of indeterminate pairs: segment pass, then containment.
+
+        Box/point pairs never get here: their interior rectangle is the
+        whole shape, so the true-hit screen decides them.
+        """
+        if side_a.dim != 2:
+            sa = side_a.shapes[rows_a[0]]
+            sb = side_b.shapes[rows_b[0]]
             raise ValueError(
                 f"exact {sa.kind}/{sb.kind} distance requires 2-D shapes, "
                 f"got {sa.dim}-D"
             )
-        best = cross(side_a.segments(i), side_b.segments(j))
-        if best > 0.0:
-            from repro.geometry.shapes import _filled_contains
-
-            if sa.filled and _filled_contains(sa, sb.vertices[0]):
-                return 0.0
-            if sb.filled and _filled_contains(sb, sa.vertices[0]):
-                return 0.0
-        return best
+        best = kernels.min_cross_sq(
+            side_a.segs, *side_a.seg_runs(rows_a),
+            side_b.segs, *side_b.seg_runs(rows_b),
+        )
+        within = best <= eps_sq
+        # Boundaries apart: a filled shape may still swallow the other whole.
+        apart = np.flatnonzero(~within)
+        if len(apart):
+            ra, rb = rows_a[apart], rows_b[apart]
+            within[apart] = side_a.contain(ra, side_b.first_vertices(rb))
+            within[apart] |= side_b.contain(rb, side_a.first_vertices(ra))
+        return within

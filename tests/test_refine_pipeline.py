@@ -31,6 +31,37 @@ def shaped_pair(n_a=40, n_b=60):
     return a, b
 
 
+def dense_pairs():
+    """Crowded polygon/polygon and polygon/linestring inputs.
+
+    ``shaped_pair`` spreads 100 shapes over the paper's 1000-unit
+    universe and yields no candidates at all; these put them in a
+    40-unit square, so true hits, exact tests and containment all run.
+    """
+    polys = list(
+        clustered_polygons(
+            40, space=40.0, n_clusters=4, radius_range=(0.5, 4.0), seed=21
+        )
+    )
+    others = list(
+        clustered_polygons(
+            50, space=40.0, n_clusters=4, radius_range=(0.5, 4.0), seed=23
+        )
+    )
+    lines = list(clustered_linestrings(60, space=40.0, n_clusters=4, seed=22))
+    return [(polys, others), (polys, lines)]
+
+
+def refine_counters(stats):
+    return (
+        stats.candidate_pairs,
+        stats.false_hit_prunes,
+        stats.true_hits,
+        stats.exact_tests,
+        stats.refined_pairs,
+    )
+
+
 def filter_refine(algorithm, objects_a, objects_b, epsilon, backend="auto"):
     """The full two-stage join: MBR filter, then exact refinement.
 
@@ -85,13 +116,30 @@ class TestOracleParityEveryAlgorithmAndBackend:
         assert_counter_identity(stats)
 
     def test_backends_agree_pair_for_pair(self):
-        objects_a, objects_b = shaped_pair()
-        results = [
-            filter_refine("TOUCH", objects_a, objects_b, EPSILON, backend)[0]
-            for backend in BACKENDS
-        ]
-        for other in results[1:]:
-            assert other == results[0]
+        # Refine keeps candidate order, but a live compiled TOUCH filter
+        # emits candidates in its own order: whole runs compare as
+        # sorted lists, the refine stage alone compares in order.
+        for objects_a, objects_b in [shaped_pair(), *dense_pairs()]:
+            runs = [
+                filter_refine("TOUCH", objects_a, objects_b, EPSILON, backend)
+                for backend in BACKENDS
+            ]
+            results = [sorted(refined) for refined, _ in runs]
+            for other in results[1:]:
+                assert other == results[0]
+            counters = [refine_counters(stats) for _, stats in runs]
+            for other in counters[1:]:
+                assert other == counters[0]
+            build = [obj.inflated(EPSILON) for obj in objects_a]
+            candidates = make_algorithm("NL").join(build, objects_b).pairs
+            refined = [
+                RefinePipeline(EPSILON, backend=backend).refine(
+                    candidates, build, objects_b
+                )
+                for backend in BACKENDS
+            ]
+            for other in refined[1:]:
+                assert other == refined[0]
 
 
 class TestAdversarialGeometry:
@@ -145,6 +193,185 @@ class TestAdversarialGeometry:
         assert refined == [(0, 0)]
         assert stats.true_hits == 1
         assert stats.exact_tests == 0
+
+
+def shaped(shape, oid=0):
+    return SpatialObject(oid, shape.mbr(), shape)
+
+
+def mbr_only(lo, hi, oid=0):
+    from repro.geometry.mbr import MBR
+
+    return SpatialObject(oid, MBR(lo, hi))
+
+
+# The big hexagon's interior rectangle sits in its middle, far from the
+# nested shapes near its lower-left edge, so only containment can keep
+# those pairs: their boundaries are more than EDGE_EPSILON apart.
+HEXAGON = Polygon(
+    [(0, 0), (30, 0), (40, 20), (30, 40), (0, 40), (-10, 20)], oid=0
+)
+TRIANGLE = Polygon([(2, 2), (6, 2), (2, 6)], oid=0)
+EDGE_TRIANGLE = Polygon([(0, 0), (4, 0), (0, 4)], oid=0)
+EDGE_EPSILON = 1.5
+
+CONTAINMENT_CASES = {
+    "polygon in polygon": ([shaped(TRIANGLE)], [shaped(HEXAGON)]),
+    "polygon around polygon": ([shaped(HEXAGON)], [shaped(TRIANGLE)]),
+    "box in polygon": ([mbr_only((3, 3), (5, 5))], [shaped(HEXAGON)]),
+    "polygon in box": ([mbr_only((0, 0), (40, 40))], [shaped(TRIANGLE)]),
+    "point on edge": (
+        [shaped(EDGE_TRIANGLE)],
+        [
+            shaped(Point([(2.0, 0.0)], oid=0), 0),
+            shaped(Point([(1.0, 3.0)], oid=1), 1),
+            shaped(Point([(0.3, 3.7)], oid=2), 2),
+        ],
+    ),
+    "point on vertex": (
+        [shaped(Point([(4.0, 0.0)], oid=0))],
+        [shaped(EDGE_TRIANGLE)],
+    ),
+    "point against linestring": (
+        [
+            shaped(Point([(1.0, 1.0)], oid=0), 0),
+            shaped(Point([(3.0, 2.0)], oid=1), 1),
+            shaped(Point([(9.0, 9.0)], oid=2), 2),
+        ],
+        [shaped(LineString([(0.0, 0.0), (2.0, 2.0), (2.0, 5.0)], oid=0))],
+    ),
+}
+NESTED_CASES = (
+    "polygon in polygon",
+    "polygon around polygon",
+    "box in polygon",
+    "polygon in box",
+)
+
+
+class TestContainmentAndEdgeCases:
+    @pytest.mark.parametrize("case", sorted(CONTAINMENT_CASES))
+    @pytest.mark.parametrize("epsilon", [0.0, EDGE_EPSILON])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_matches_oracle(self, case, epsilon, backend):
+        objects_a, objects_b = CONTAINMENT_CASES[case]
+        oracle = brute_force_exact_pairs(objects_a, objects_b, epsilon)
+        refined, stats = filter_refine("NL", objects_a, objects_b, epsilon, backend)
+        assert set(refined) == oracle
+        assert_counter_identity(stats)
+        if case in NESTED_CASES:
+            assert oracle == {(0, 0)}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nested_polygons_need_containment(self, backend):
+        # Neither screen decides the pair: it reaches the exact test and
+        # only the containment pass keeps it.
+        for case in NESTED_CASES[:3]:
+            objects_a, objects_b = CONTAINMENT_CASES[case]
+            refined, stats = filter_refine(
+                "NL", objects_a, objects_b, EDGE_EPSILON, backend
+            )
+            assert refined == [(0, 0)]
+            assert stats.exact_tests == 1
+
+
+class TestChunkBoundaries:
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_does_not_change_results(self, monkeypatch, chunk):
+        from repro.refine import kernels
+
+        for objects_a, objects_b in dense_pairs():
+            default = filter_refine("TOUCH", objects_a, objects_b, EPSILON, "columnar")
+            monkeypatch.setattr(kernels, "CHUNK_SEGMENT_PAIRS", chunk)
+            refined, stats = filter_refine(
+                "TOUCH", objects_a, objects_b, EPSILON, "columnar"
+            )
+            monkeypatch.undo()
+            assert default[1].exact_tests > 0
+            assert refined == default[0]
+            assert refine_counters(stats) == refine_counters(default[1])
+
+
+def grid_shapes(seed, n=60):
+    """Shapes of every kind on a half-unit grid.
+
+    The coarse grid makes shared vertices, parallel and collinear edges
+    and points lying exactly on edges common.
+    """
+    import random
+
+    from repro.geometry.shapes import BoxShape
+
+    rng = random.Random(seed)
+
+    def coord():
+        return rng.randrange(-8, 9) / 2
+
+    shapes = []
+    for oid in range(n):
+        x, y = coord(), coord()
+        w, h = rng.randrange(1, 4), rng.randrange(1, 4)
+        kind = oid % 4
+        if kind == 0:
+            shapes.append(Point([(x, y)], oid=oid))
+        elif kind == 1:
+            shapes.append(LineString([(x, y), (x + w, y), (coord(), coord())], oid=oid))
+        elif kind == 2:
+            lean = rng.choice((-0.5, 0.0, 0.5))
+            ring = [(x, y), (x + w, y), (x + w + lean, y + h), (x, y + h)]
+            shapes.append(Polygon(ring[: rng.choice((3, 4))], oid=oid))
+        else:
+            shapes.append(BoxShape((x, y), (x + w / 2, y + h / 2 - 0.5), oid=oid))
+    return shapes
+
+
+class TestBatchedKernelsMatchScalar:
+    """The batched kernels against the scalar loops they replace."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_float_and_decision(self, seed):
+        import numpy as np
+
+        from repro.geometry.shapes import polygon_contains, segment_distance_sq
+        from repro.geometry.vertex_table import VertexTable
+        from repro.refine import kernels
+
+        shapes = grid_shapes(seed)
+        table = VertexTable.from_shapes(shapes, range(len(shapes)))
+        segs, offsets = kernels.segment_table(table.vertices, table.offsets, table.kinds)
+
+        def runs(rows):
+            return offsets[rows], offsets[rows + 1] - offsets[rows]
+
+        for i, shape in enumerate(shapes):
+            got = segs[:, offsets[i] : offsets[i + 1]].T.tolist()
+            assert [tuple(row) for row in got] == list(shape.segments())
+
+        rows_a, rows_b = np.divmod(np.arange(len(shapes) ** 2), len(shapes))
+        best = kernels.min_cross_sq(segs, *runs(rows_a), segs, *runs(rows_b))
+        for k, (i, j) in enumerate(zip(rows_a.tolist(), rows_b.tolist())):
+            assert best[k] == min(
+                segment_distance_sq(*sa, *sb)
+                for sa in shapes[i].segments()
+                for sb in shapes[j].segments()
+            )
+
+        # Every vertex and every edge midpoint against every polygon ring.
+        probes = [v for shape in shapes for v in shape.vertices] + [
+            ((x1 + x2) / 2, (y1 + y2) / 2)
+            for shape in shapes
+            for x1, y1, x2, y2 in shape.segments()
+        ]
+        rings = [i for i, shape in enumerate(shapes) if shape.kind == "polygon"]
+        ring_rows = np.repeat(rings, len(probes))
+        points = np.array(probes * len(rings), dtype=np.float64)
+        inside = kernels.polygons_contain(segs, *runs(ring_rows), points)
+        expected = [
+            polygon_contains(shapes[i].vertices, point)
+            for i, point in zip(ring_rows.tolist(), points.tolist())
+        ]
+        assert inside.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
 
 
 coordinate = st.floats(
@@ -303,6 +530,24 @@ class TestPipelineValidation:
         stats = JoinStatistics()
         assert RefinePipeline(1.0).refine([], [], [], stats=stats) == []
         assert stats.candidate_pairs == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_mixed_dimensions_name_both(self, backend):
+        polygon = shaped(Polygon([(0, 0), (4, 0), (0, 4)], oid=0), 0)
+        point = shaped(Point([(1.0, 1.0, 0.0)], oid=1), 1)
+        line = shaped(LineString([(0.0, 0.0), (2.0, 2.0)], oid=0))
+        pipeline = RefinePipeline(1.0, backend=backend)
+        # Mixed within one side, then one side 3-D against a 2-D side.
+        for pairs, side_a, named in (
+            ([(0, 0), (1, 0)], [polygon, point], "object #1 is 3-D"),
+            ([(1, 0)], [point], "object #1 is 3-D, object #0 is 2-D"),
+        ):
+            with pytest.raises(ValueError, match="dimensionality mismatch") as info:
+                pipeline.refine(pairs, side_a, [line])
+            message = str(info.value)
+            assert "3" in message and "2" in message
+            if pipeline.backend != "object":
+                assert named in message
 
     def test_mbr_only_objects_refine_as_boxes(self):
         from repro.geometry.mbr import MBR
