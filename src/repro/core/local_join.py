@@ -335,18 +335,11 @@ def probe_assigned_nodes_compiled(
 def leaf_order_table(tree: TouchTree):
     """Dataset A as a coordinate table in leaf order, plus leaf slices.
 
-    Building the table leaf-by-leaf makes every leaf a contiguous row
-    range, so gathering the A objects under any node is a concatenation
-    of ranges rather than a scattered copy.
+    The tree builds both once (:attr:`TouchTree.leaf_table`): every leaf
+    is a contiguous row range, so gathering the A objects under any node
+    is a concatenation of ranges rather than a scattered copy.
     """
-    require_numpy()
-    objects: list[SpatialObject] = []
-    slices: dict[TouchNode, tuple[int, int]] = {}
-    for leaf in tree.leaves():
-        start = len(objects)
-        objects.extend(leaf.entities_a)
-        slices[leaf] = (start, len(objects))
-    return CoordinateTable.from_objects(objects), slices
+    return tree.leaf_table, tree.leaf_slices
 
 
 def _subtree_rows(node: TouchNode, leaf_slices: "dict[TouchNode, tuple[int, int]]"):

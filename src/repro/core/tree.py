@@ -11,6 +11,12 @@ page size" (§4.1).
 Nodes carry two entity lists: leaf nodes hold their bucket of A objects
 (``entities_a``); any node may later receive B objects (``entities_b``)
 during the assignment phase.
+
+The build runs on arrays: A is read once into a coordinate table, every
+STR level is one :func:`~repro.rtree.str_pack.str_order` call over a
+centers array, and bucket and node MBRs are ``np.minimum/maximum.reduceat``
+reductions over the grouped rows.  The tree keeps A's table in leaf
+order (``leaf_table``, ``leaf_slices``) for the columnar phases.
 """
 
 from __future__ import annotations
@@ -18,9 +24,12 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from repro.geometry.mbr import MBR, total_mbr
+import numpy as np
+
+from repro.geometry.columnar import CoordinateTable
+from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
-from repro.rtree.str_pack import str_partition
+from repro.rtree.str_pack import str_order
 from repro.stats import memory as memmodel
 
 __all__ = ["TouchNode", "TouchTree", "DEFAULT_FANOUT", "DEFAULT_PARTITIONS"]
@@ -107,6 +116,15 @@ class TouchTree:
         given.
     leaf_capacity:
         Direct bucket capacity override.
+
+    Attributes
+    ----------
+    leaf_table:
+        Dataset A as a :class:`~repro.geometry.columnar.CoordinateTable`
+        with every leaf's bucket a contiguous row range, leaves in
+        :meth:`leaves` order.
+    leaf_slices:
+        Each leaf's ``(start, stop)`` row range in ``leaf_table``.
     """
 
     def __init__(
@@ -134,37 +152,52 @@ class TouchTree:
         if leaf_capacity < 1:
             raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
 
+        objects = list(objects_a)
+        table = CoordinateTable.from_objects(objects)
         self.fanout = fanout
         self.leaf_capacity = leaf_capacity
-        self.dim = objects_a[0].mbr.dim
+        self.dim = table.dim
         self.n_objects_a = n
-        self.root = self._build(list(objects_a))
+        self.root = self._build(objects, table)
 
-    def _build(self, objects: list[SpatialObject]) -> TouchNode:
-        buckets = str_partition(
-            objects,
-            self.leaf_capacity,
-            center_of=lambda o: o.mbr.center(),
-            dim=self.dim,
-        )
+    def _build(self, objects: list[SpatialObject], table: CoordinateTable) -> TouchNode:
+        leaf_order, starts = str_order((table.lo + table.hi) / 2.0, self.leaf_capacity)
+        rows = leaf_order.tolist()
+        bounds = [*starts.tolist(), len(rows)]
+        ranges = list(zip(bounds, bounds[1:]))
+        lo, hi = _group_bounds(table.lo, table.hi, leaf_order, starts)
         nodes = [
-            TouchNode(total_mbr(o.mbr for o in bucket), level=0, entities_a=bucket)
-            for bucket in buckets
+            TouchNode(mbr, level=0, entities_a=[objects[row] for row in rows[a:b]])
+            for mbr, (a, b) in zip(_mbrs(lo, hi), ranges)
         ]
+        leaf_ranges = dict(zip(nodes, ranges))
         level = 0
         while len(nodes) > 1:
             level += 1
-            groups = str_partition(
-                nodes,
-                self.fanout,
-                center_of=lambda node: node.mbr.center(),
-                dim=self.dim,
-            )
+            order, starts = str_order((lo + hi) / 2.0, self.fanout)
+            lo, hi = _group_bounds(lo, hi, order, starts)
+            grouped = [nodes[i] for i in order.tolist()]
+            bounds = [*starts.tolist(), len(grouped)]
             nodes = [
-                TouchNode(total_mbr(n.mbr for n in group), level=level, children=group)
-                for group in groups
+                TouchNode(mbr, level=level, children=grouped[a:b])
+                for mbr, a, b in zip(_mbrs(lo, hi), bounds, bounds[1:])
             ]
-        return nodes[0]
+        root = nodes[0]
+
+        # A in leaf order: every bucket one contiguous row range, buckets
+        # in the pre-order of leaves(), so every subtree's rows are
+        # contiguous too.
+        pieces = []
+        self.leaf_slices: dict[TouchNode, tuple[int, int]] = {}
+        stop = 0
+        for node in root.iter_subtree():
+            if node.is_leaf:
+                a, b = leaf_ranges[node]
+                self.leaf_slices[node] = (stop, stop + b - a)
+                stop += b - a
+                pieces.append(leaf_order[a:b])
+        self.leaf_table = table.take(np.concatenate(pieces))
+        return root
 
     # -- inspection -------------------------------------------------------
     def iter_nodes(self) -> Iterator[TouchNode]:
@@ -201,3 +234,16 @@ class TouchTree:
             + memmodel.reference_list_bytes(self.n_objects_a)
             + memmodel.reference_list_bytes(self.assigned_b_count())
         )
+
+
+def _group_bounds(lo, hi, order, starts):
+    """Tight ``(lo, hi)`` bound of each group ``order[starts[g]:...]``."""
+    return (
+        np.minimum.reduceat(lo[order], starts, axis=0),
+        np.maximum.reduceat(hi[order], starts, axis=0),
+    )
+
+
+def _mbrs(lo, hi) -> list[MBR]:
+    """One :class:`MBR` per row of the ``(G, D)`` corner arrays."""
+    return [MBR(row_lo, row_hi) for row_lo, row_hi in zip(lo.tolist(), hi.tolist())]

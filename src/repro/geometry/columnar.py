@@ -28,6 +28,8 @@ bit-for-bit the same rule as :meth:`MBR.intersects`.
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.geometry.mbr import MBR
@@ -189,15 +191,11 @@ class CoordinateTable:
                 np.empty((0, 2 * dim), dtype=np.float64),
                 np.empty(0, dtype=np.int64),
             )
-        dim = objects[0].mbr.dim
-        coords = np.empty((len(objects), 2 * dim), dtype=np.float64)
-        ids = np.empty(len(objects), dtype=np.int64)
-        for i, obj in enumerate(objects):
-            mbr = obj.mbr
-            coords[i, :dim] = mbr.lo
-            coords[i, dim:] = mbr.hi
-            ids[i] = obj.oid
-        return cls(coords, ids)
+        mbrs = [obj.mbr for obj in objects]
+        ids = np.fromiter(
+            map(attrgetter("oid"), objects), dtype=np.int64, count=len(objects)
+        )
+        return cls(_corner_rows(mbrs, ids), ids)
 
     @classmethod
     def from_mbrs(
@@ -219,13 +217,8 @@ class CoordinateTable:
                 np.empty((0, 2 * dim), dtype=np.float64),
                 np.empty(0, dtype=np.int64),
             )
-        dim = boxes[0].dim
-        coords = np.empty((len(boxes), 2 * dim), dtype=np.float64)
-        for i, box in enumerate(boxes):
-            coords[i, :dim] = box.lo
-            coords[i, dim:] = box.hi
         id_arr = np.arange(len(boxes), dtype=np.int64) if ids is None else ids
-        return cls(coords, id_arr)
+        return cls(_corner_rows(boxes, id_arr), id_arr)
 
     # -- basic protocol ------------------------------------------------
     def __len__(self) -> int:
@@ -378,6 +371,31 @@ class CoordinateTable:
             # The attachment then lives until process exit; the segment
             # itself is still owned (and unlinked) by the publisher.
             pass
+
+
+def _corner_rows(mbrs: Sequence[MBR], ids) -> "np.ndarray":
+    """``(N, 2 * D)`` corner rows of non-empty ``mbrs``, one ``np.fromiter``.
+
+    ``ids`` name the boxes in the error raised when their
+    dimensionalities differ; without that check a flat fill would
+    silently shift every later row.
+    """
+    dim = mbrs[0].dim
+    n = len(mbrs)
+    dims = np.fromiter(map(len, map(attrgetter("lo"), mbrs)), dtype=np.int64, count=n)
+    mixed = np.flatnonzero(dims != dim)
+    if len(mixed):
+        first = int(mixed[0])
+        raise ValueError(
+            f"dimensionality mismatch: object #{ids[first]} is "
+            f"{dims[first]}-D, object #{ids[0]} on the same side is {dim}-D"
+        )
+    corners = chain.from_iterable(
+        chain.from_iterable(map(attrgetter("lo", "hi"), mbrs))
+    )
+    return np.fromiter(corners, dtype=np.float64, count=n * 2 * dim).reshape(
+        n, 2 * dim
+    )
 
 
 def require_shm() -> None:

@@ -138,10 +138,13 @@ class MBR:
         """
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        return MBR(
-            tuple(c - epsilon for c in self.lo),
-            tuple(c + epsilon for c in self.hi),
-        )
+        epsilon = float(epsilon)
+        # Valid by construction (lo - eps <= lo <= hi <= hi + eps), so the
+        # constructor's per-dimension re-validation is skipped.
+        box = object.__new__(MBR)
+        object.__setattr__(box, "lo", tuple([c - epsilon for c in self.lo]))
+        object.__setattr__(box, "hi", tuple([c + epsilon for c in self.hi]))
+        return box
 
     def translate(self, offset: Sequence[float]) -> "MBR":
         """Return the box shifted by ``offset``."""

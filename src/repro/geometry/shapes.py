@@ -114,6 +114,11 @@ def segment_distance_sq(
     compiled refinement kernels mirror this arithmetic operation for
     operation so every backend reaches the same float, which is what
     lets the parity suite demand identical refined pair sets.
+
+    Segments that properly cross (each one's endpoints strictly on
+    opposite sides of the other's line) are exactly 0 apart.  The
+    closest-point arithmetic would leave rounding residue at the
+    crossing, and at ``epsilon = 0`` that residue decides the pair.
     """
     d1x = bx - ax
     d1y = by - ay
@@ -121,6 +126,10 @@ def segment_distance_sq(
     d2y = dy - cy
     rx = ax - cx
     ry = ay - cy
+    if (d1x * (cy - ay) - d1y * (cx - ax)) * (d1x * (dy - ay) - d1y * (dx - ax)) < 0.0 and (
+        d2x * ry - d2y * rx
+    ) * (d2x * (by - cy) - d2y * (bx - cx)) < 0.0:
+        return 0.0
     a = d1x * d1x + d1y * d1y
     e = d2x * d2x + d2y * d2y
     f = d2x * rx + d2y * ry

@@ -40,6 +40,14 @@ __all__ = [
 ]
 
 
+def _radix_of(sizes):
+    """Row-major mixed-radix place values of a ``sizes`` shape."""
+    radix = np.ones(len(sizes), dtype=np.int64)
+    for d in range(len(sizes) - 2, -1, -1):
+        radix[d] = radix[d + 1] * sizes[d + 1]
+    return radix
+
+
 class ColumnarGrid:
     """Cell geometry of a uniform grid, computed in bulk.
 
@@ -77,10 +85,7 @@ class ColumnarGrid:
         self.resolution = res
         self.cell_width = np.where(extents > 0, extents / res, 0.0)
         # Mixed-radix factors: key = ((i0 * R1) + i1) * R2 + i2 ...
-        radix = np.ones(dim, dtype=np.int64)
-        for d in range(dim - 2, -1, -1):
-            radix[d] = radix[d + 1] * res[d + 1]
-        self._radix = radix
+        self._radix = _radix_of(res)
 
     @property
     def dim(self) -> int:
@@ -124,10 +129,12 @@ class ColumnarGrid:
         """Flat ``(object_index, cell_key)`` arrays, one entry per cell a
         box overlaps (PBSM's multiple assignment, vectorised).
 
-        The per-object cell blocks are enumerated with the repeat/cumsum
-        trick: every object contributes ``prod(hi - lo + 1)`` entries and
-        the within-block flat position is unravelled into per-dimension
-        offsets with integer strides — no Python loop over objects.
+        Entries come object by object, and each object's cells in
+        row-major order of its per-dimension offsets.  Objects are
+        grouped by span shape (cells covered per dimension): a group's
+        entries are its base keys plus one precomputed offset block,
+        written in a single broadcast add — constant work per entry, no
+        per-entry index arithmetic.
 
         With ``with_class_masks=True`` a third array is returned: the
         two-layer class mask of each entry, bit ``d`` set iff the cell is
@@ -139,27 +146,42 @@ class ColumnarGrid:
         lo_idx, hi_idx = self.index_ranges(table)
         spans = hi_idx - lo_idx + 1
         per_object = spans.prod(axis=1)
-        obj_idx, flat_pos = concat_ranges(
-            np.zeros(len(table), dtype=np.int64), per_object
-        )
-        if len(obj_idx) == 0:
-            if with_class_masks:
-                return obj_idx, flat_pos, flat_pos.copy()
-            return obj_idx, flat_pos
-        dim = self.dim
-        strides = np.ones_like(spans)
-        for d in range(dim - 2, -1, -1):
-            strides[:, d] = strides[:, d + 1] * spans[:, d + 1]
-        keys = np.zeros(len(obj_idx), dtype=np.int64)
-        masks = np.zeros(len(obj_idx), dtype=np.int64) if with_class_masks else None
-        for d in range(dim):
-            offset = (flat_pos // strides[obj_idx, d]) % spans[obj_idx, d]
-            keys += (lo_idx[obj_idx, d] + offset) * self._radix[d]
-            if masks is not None:
-                masks += (offset == 0).astype(np.int64) << d
+        total = int(per_object.sum())
+        obj_idx = np.repeat(np.arange(len(table), dtype=np.int64), per_object)
+        keys = np.empty(total, dtype=np.int64)
+        masks = np.empty(total, dtype=np.int64) if with_class_masks else None
+        if total:
+            block_start = np.cumsum(per_object) - per_object
+            base = self.keys_of(lo_idx)
+            # One mixed-radix code per span shape; bounded by the cell
+            # count, like the keys themselves.
+            widest = spans.max(axis=0)
+            shape_code = (spans - 1) @ _radix_of(widest)
+            by_shape = np.argsort(shape_code, kind="stable")
+            cuts = np.flatnonzero(np.diff(shape_code[by_shape])) + 1
+            for group in np.split(by_shape, cuts):
+                block_keys, block_masks = self._offset_block(spans[group[0]])
+                dest = (block_start[group, None] + np.arange(len(block_keys))).ravel()
+                keys[dest] = (base[group, None] + block_keys).ravel()
+                if masks is not None:
+                    masks[dest] = np.tile(block_masks, len(group))
         if masks is not None:
             return obj_idx, keys, masks
         return obj_idx, keys
+
+    def _offset_block(self, shape):
+        """Key offsets and class masks of a box spanning ``shape`` cells.
+
+        Row-major over the per-dimension offsets (last dimension
+        fastest), relative to the box's low-corner cell.
+        """
+        offsets = np.indices(tuple(shape.tolist()), dtype=np.int64).reshape(
+            self.dim, -1
+        )
+        block_keys = self._radix @ offsets
+        bits = np.left_shift(1, np.arange(self.dim, dtype=np.int64))
+        block_masks = bits @ (offsets == 0).astype(np.int64)
+        return block_keys, block_masks
 
     # -- reference-point deduplication ---------------------------------
     def owned_mask(self, candidate_keys, a_lo_rows, b_lo_rows):
@@ -181,77 +203,87 @@ def entry_join_candidates(
 ):
     """Co-located *entry index* pairs of two flat key arrays, chunked.
 
-    Sorts B's entries by cell key and binary-searches every A entry's
-    key window against them; yields ``(entries_a, entries_b)`` index
-    arrays into the original entry arrays, one element per (A entry,
-    B entry) pair sharing a cell.  Callers look up whatever per-entry
-    payload they carry through these indices:
-    :func:`cell_join_candidates` the object indices, the two-layer join
-    (:mod:`repro.partition.two_layer`) object indices *and* class masks.
+    Sorts B's entries by cell key (:func:`sort_entries`) and finds every
+    A entry's window of B entries with one binary search against B's
+    distinct keys; yields ``(entries_a, entries_b)`` index arrays into
+    the original entry arrays, one element per (A entry, B entry) pair
+    sharing a cell, A entries in order and each window in B's stable key
+    order.  Callers look up whatever per-entry payload they carry
+    through these indices: :func:`cell_join_candidates` the object
+    indices, the two-layer join (:mod:`repro.partition.two_layer`)
+    object indices *and* class masks.
     """
     require_numpy()
     if len(keys_a) == 0 or len(keys_b) == 0:
         return
-    order_b = np.argsort(keys_b, kind="stable")
-    keys_b_sorted = keys_b[order_b]
-    starts = np.searchsorted(keys_b_sorted, keys_a, side="left")
-    ends = np.searchsorted(keys_b_sorted, keys_a, side="right")
-    counts = ends - starts
-    if int(counts.sum()) == 0:
-        return
-    for lo_i, hi_i in chunk_boundaries(counts, chunk):
-        entry_idx, window_pos = concat_ranges(starts[lo_i:hi_i], counts[lo_i:hi_i])
-        if len(entry_idx) == 0:
-            continue
-        entry_idx += lo_i
-        yield entry_idx, order_b[window_pos]
+    yield from _key_windows(sort_entries(keys_b), keys_a, chunk)
 
 
 def sort_entries(keys):
     """Key-sort one entry set once, for repeated probing.
 
-    Returns ``(order, sorted_keys)`` — the stable argsort of ``keys``
-    and the keys in that order.  Build-once/probe-many joins sort the
-    *build* side's entries at prepare time so that each probe batch only
-    pays a binary search of its own (typically much smaller) entry set,
-    instead of the one-shot path's per-join sort-and-scan over the full
-    build side (:func:`probe_join_candidates`).
+    Returns ``(order, cell_keys, cell_bounds)``: the stable argsort of
+    ``keys``, the distinct keys in ascending order, and the boundaries
+    of their runs in ``order`` (``len(cell_keys) + 1`` of them), so the
+    entries of cell ``cell_keys[c]`` are
+    ``order[cell_bounds[c]:cell_bounds[c + 1]]``.  Build-once/probe-many
+    joins sort the *build* side's entries at prepare time so that each
+    probe batch only pays one binary search per probe entry
+    (:func:`probe_join_candidates`), instead of the one-shot path's
+    per-join sort of the full build side.
     """
     require_numpy()
     order = np.argsort(keys, kind="stable")
-    return order, keys[order]
+    sorted_keys = keys[order]
+    if len(sorted_keys) == 0:
+        return order, sorted_keys, np.zeros(1, dtype=np.int64)
+    change = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    bounds = np.concatenate(([0], change, [len(sorted_keys)])).astype(np.int64)
+    return order, sorted_keys[bounds[:-1]], bounds
 
 
 def probe_join_candidates(
-    build_order,
-    build_sorted_keys,
+    build_index,
     probe_keys,
     chunk: int = DEFAULT_CANDIDATE_CHUNK,
 ):
     """Co-located entry pairs of a presorted build side and a probe batch.
 
-    The probe twin of :func:`entry_join_candidates`: the build side was
-    key-sorted once by :func:`sort_entries`; every probe entry's key
-    window is binary-searched against it.  Yields ``(entries_build,
-    entries_probe)`` index arrays into the original entry arrays — the
-    same candidate multiset as ``entry_join_candidates(build, probe)``
-    (one element per key-sharing pair), so ``stats.comparisons`` counts
-    are identical; only the pair order differs.
+    The probe twin of :func:`entry_join_candidates`: ``build_index`` is
+    :func:`sort_entries` of the build side's keys, computed once.
+    Yields ``(entries_build, entries_probe)`` index arrays into the
+    original entry arrays — the same candidate multiset as
+    ``entry_join_candidates(build, probe)`` (one element per
+    key-sharing pair), so ``stats.comparisons`` counts are identical;
+    only the pair order differs.
     """
     require_numpy()
-    if len(build_sorted_keys) == 0 or len(probe_keys) == 0:
+    for probe_idx, build_idx in _key_windows(build_index, probe_keys, chunk):
+        yield build_idx, probe_idx
+
+
+def _key_windows(index, anchor_keys, chunk: int):
+    """``(anchor entry, indexed entry)`` pairs sharing a key, chunked.
+
+    ``index`` is :func:`sort_entries` of the indexed side.  One
+    ``searchsorted`` per anchor locates its key among the distinct
+    indexed keys; the matching run of ``order`` is its window.
+    """
+    order, cell_keys, cell_bounds = index
+    if len(cell_keys) == 0 or len(anchor_keys) == 0:
         return
-    starts = np.searchsorted(build_sorted_keys, probe_keys, side="left")
-    ends = np.searchsorted(build_sorted_keys, probe_keys, side="right")
-    counts = ends - starts
-    if int(counts.sum()) == 0:
+    pos = np.minimum(np.searchsorted(cell_keys, anchor_keys), len(cell_keys) - 1)
+    # Only anchors whose key the indexed side has go on: in a skewed
+    # join most anchor entries fall in cells the other side never uses.
+    matched = np.flatnonzero(cell_keys[pos] == anchor_keys)
+    if len(matched) == 0:
         return
+    pos = pos[matched]
+    starts = cell_bounds[pos]
+    counts = cell_bounds[pos + 1] - starts
     for lo_i, hi_i in chunk_boundaries(counts, chunk):
-        probe_idx, window_pos = concat_ranges(starts[lo_i:hi_i], counts[lo_i:hi_i])
-        if len(probe_idx) == 0:
-            continue
-        probe_idx += lo_i
-        yield build_order[window_pos], probe_idx
+        anchor_idx, window_pos = concat_ranges(starts[lo_i:hi_i], counts[lo_i:hi_i])
+        yield matched[anchor_idx + lo_i], order[window_pos]
 
 
 def grid_probe_pairs(
@@ -264,42 +296,20 @@ def grid_probe_pairs(
 ):
     """Probe-side twin of :func:`grid_join_pairs` over a prepared A side.
 
-    ``prepared_a`` is ``(obj_a, keys_a, order_a, sorted_keys_a)`` with
-    the sort computed once at prepare time; ``entries_b`` are the probe
-    batch's ``(obj_b, keys_b)`` entries.  Candidate generation, the
-    intersection test and the reference-point ownership rule are the
-    same as the one-shot join, so the returned ``(index_a, index_b)``
-    pair set matches it exactly.
+    ``prepared_a`` is ``(obj_a, keys_a, index_a)`` with ``index_a`` the
+    :func:`sort_entries` of ``keys_a``, computed once at prepare time;
+    ``entries_b`` are the probe batch's ``(obj_b, keys_b)`` entries.
+    Candidate generation, the intersection test and the reference-point
+    ownership rule are the same as the one-shot join, so the returned
+    ``(index_a, index_b)`` pair set matches it exactly.
     """
-    obj_a, keys_a, order_a, sorted_keys_a = prepared_a
+    obj_a, keys_a, index_a = prepared_a
     obj_b, keys_b = entries_b
-    comparisons = 0
-    duplicates = 0
-    dedup_checks = 0
-    out_a: list = []
-    out_b: list = []
-    a_lo, a_hi = table_a.lo, table_a.hi
-    b_lo, b_hi = table_b.lo, table_b.hi
-    for ent_a, ent_b in probe_join_candidates(order_a, sorted_keys_a, keys_b):
-        cand_a, cand_b = obj_a[ent_a], obj_b[ent_b]
-        cand_keys = keys_a[ent_a]
-        comparisons += len(cand_a)
-        hit = ((a_lo[cand_a] <= b_hi[cand_b]) & (b_lo[cand_b] <= a_hi[cand_a])).all(
-            axis=1
-        )
-        hit_a, hit_b, hit_keys = cand_a[hit], cand_b[hit], cand_keys[hit]
-        owned = grid.owned_mask(hit_keys, a_lo[hit_a], b_lo[hit_b])
-        dedup_checks += len(hit_a)
-        duplicates += len(hit_a) - int(owned.sum())
-        out_a.append(hit_a[owned])
-        out_b.append(hit_b[owned])
-    stats.comparisons += comparisons
-    stats.duplicates_suppressed += duplicates
-    stats.dedup_checks += dedup_checks
-    empty = np.empty(0, dtype=np.int64)
-    if not out_a:
-        return empty, empty
-    return np.concatenate(out_a), np.concatenate(out_b)
+    candidates = (
+        (obj_a[ent_a], obj_b[ent_b], keys_a[ent_a])
+        for ent_a, ent_b in probe_join_candidates(index_a, keys_b)
+    )
+    return _owned_hits(grid, table_a, table_b, candidates, stats)
 
 
 def cell_join_candidates(
@@ -340,22 +350,35 @@ def grid_join_pairs(
     """
     obj_a, keys_a = entries_a
     obj_b, keys_b = entries_b
+    candidates = cell_join_candidates(keys_a, obj_a, keys_b, obj_b)
+    return _owned_hits(grid, table_a, table_b, candidates, stats)
+
+
+def _owned_hits(grid, table_a, table_b, candidates, stats):
+    """Test ``(cand_a, cand_b, cell_key)`` chunks, keep owned hits.
+
+    The closed box test runs one dimension at a time on 1-D gathers of
+    single coordinate columns, so no ``(M, D)`` temporaries are held.
+    """
     comparisons = 0
     duplicates = 0
     dedup_checks = 0
     out_a: list = []
     out_b: list = []
-    a_lo, a_hi = table_a.lo, table_a.hi
-    b_lo, b_hi = table_b.lo, table_b.hi
-    for cand_a, cand_b, cand_keys in cell_join_candidates(
-        keys_a, obj_a, keys_b, obj_b
-    ):
+    dim = table_a.dim
+    a_cols, b_cols = table_a.coords, table_b.coords
+    for cand_a, cand_b, cand_keys in candidates:
         comparisons += len(cand_a)
-        hit = ((a_lo[cand_a] <= b_hi[cand_b]) & (b_lo[cand_b] <= a_hi[cand_a])).all(
-            axis=1
+        hit = a_cols[:, 0].take(cand_a) <= b_cols[:, dim].take(cand_b)
+        for d in range(dim):
+            if d:
+                hit &= a_cols[:, d].take(cand_a) <= b_cols[:, dim + d].take(cand_b)
+            hit &= b_cols[:, d].take(cand_b) <= a_cols[:, dim + d].take(cand_a)
+        hits = np.flatnonzero(hit)
+        hit_a, hit_b = cand_a[hits], cand_b[hits]
+        owned = grid.owned_mask(
+            cand_keys[hits], table_a.lo[hit_a], table_b.lo[hit_b]
         )
-        hit_a, hit_b, hit_keys = cand_a[hit], cand_b[hit], cand_keys[hit]
-        owned = grid.owned_mask(hit_keys, a_lo[hit_a], b_lo[hit_b])
         dedup_checks += len(hit_a)
         duplicates += len(hit_a) - int(owned.sum())
         out_a.append(hit_a[owned])

@@ -295,16 +295,16 @@ class PBSMJoin(SpatialJoinAlgorithm):
             table_a = CoordinateTable.from_objects(objects_a)
             grid = self._make_columnar_grid(universe)
             a_obj, a_keys = grid.entries(table_a)
-            order_a, sorted_keys_a = sort_entries(a_keys)
+            index_a = sort_entries(a_keys)
             stats.replicated_entries += len(a_obj) - len(objects_a)
             return {
                 "backend": "columnar",
                 "table_a": table_a,
                 "grid": grid,
-                "prepared_a": (a_obj, a_keys, order_a, sorted_keys_a),
+                "prepared_a": (a_obj, a_keys, index_a),
                 "n_a": len(objects_a),
                 "a_cells_bytes": memmodel.grid_cells_bytes(
-                    len(np.unique(a_keys)) if len(a_keys) else 0, len(a_obj)
+                    len(index_a[1]), len(a_obj)
                 ),
             }
         grid_a = self._make_grid(universe)

@@ -370,7 +370,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
             table_a = CoordinateTable.from_objects(objects_a)
             grid = self._make_columnar_grid(universe)
             a_obj, a_keys, a_masks = grid.entries(table_a, with_class_masks=True)
-            order_a, sorted_keys_a = sort_entries(a_keys)
+            order_a, cell_keys_a, cell_bounds_a = sort_entries(a_keys)
             stats.replicated_entries += len(a_obj) - len(objects_a)
             return {
                 "backend": "columnar",
@@ -380,8 +380,8 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
                 "a_keys": a_keys,
                 "a_masks": a_masks,
                 "order_a": order_a,
-                "sorted_keys_a": sorted_keys_a,
-                "unique_a_keys": np.unique(a_keys),
+                "cell_keys_a": cell_keys_a,
+                "cell_bounds_a": cell_bounds_a,
             }
         grid = self._make_grid(universe)
         n_classes = 1 << universe.dim
@@ -457,7 +457,12 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
         join_start = time.perf_counter()
         pairs = self._masked_batch_join(
             probe_join_candidates(
-                payload["order_a"], payload["sorted_keys_a"], b_keys
+                (
+                    payload["order_a"],
+                    payload["cell_keys_a"],
+                    payload["cell_bounds_a"],
+                ),
+                b_keys,
             ),
             (payload["a_obj"], payload["a_masks"]),
             (b_obj, b_masks),
@@ -472,7 +477,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
         # both sides, the resident coordinate tables and the class masks.
         table_bytes = payload["table_a"].nbytes + table_b.nbytes
         stats.extra["columnar_table_bytes"] = table_bytes
-        populated = len(np.union1d(payload["unique_a_keys"], b_keys))
+        populated = len(np.union1d(payload["cell_keys_a"], b_keys))
         stats.memory_bytes = (
             memmodel.grid_cells_bytes(
                 populated, len(payload["a_obj"]) + len(b_obj)

@@ -166,7 +166,10 @@ def _segment_distance_sq(ax, ay, bx, by, cx, cy, dx, dy):
 
     gx = (ax + d1x * s) - (cx + d2x * t)
     gy = (ay + d1y * s) - (cy + d2y * t)
-    return gx * gx + gy * gy
+    crossing = (
+        (d1x * (cy - ay) - d1y * (cx - ax)) * (d1x * (dy - ay) - d1y * (dx - ax)) < 0.0
+    ) & ((d2x * ry - d2y * rx) * (d2x * (by - cy) - d2y * (bx - cx)) < 0.0)
+    return np.where(crossing, 0.0, gx * gx + gy * gy)
 
 
 def min_cross_sq(segs_a, start_a, count_a, segs_b, start_b, count_b):

@@ -18,7 +18,9 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence, TypeVar
 
-__all__ = ["str_partition", "slices_of"]
+import numpy as np
+
+__all__ = ["str_partition", "str_order", "slices_of"]
 
 T = TypeVar("T")
 
@@ -37,6 +39,8 @@ def str_partition(
     dim: int,
 ) -> list[list[T]]:
     """Partition ``items`` into spatially coherent groups of ≤ ``capacity``.
+
+    A thin wrapper over :func:`str_order` for item lists.
 
     Parameters
     ----------
@@ -59,31 +63,58 @@ def str_partition(
         raise ValueError(f"capacity must be >= 1, got {capacity}")
     if not items:
         return []
-    return _tile(list(items), capacity, center_of, axis=0, dims_left=dim)
+    centers = np.array([center_of(item)[:dim] for item in items], dtype=np.float64)
+    order, starts = str_order(centers, capacity)
+    rows = order.tolist()
+    bounds = [*starts.tolist(), len(rows)]
+    return [
+        [items[row] for row in rows[lo:hi]] for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
-def _tile(
-    items: list[T],
-    capacity: int,
-    center_of: Callable[[T], Sequence[float]],
-    axis: int,
-    dims_left: int,
-) -> list[list[T]]:
-    """Recursive tiling step of STR along ``axis``."""
-    n = len(items)
+def str_order(centers, capacity: int):
+    """STR packing of ``(N, D)`` center coordinates, as index arrays.
+
+    Returns ``(order, starts)``: ``order`` lists the rows in tile order
+    and group ``g`` is ``order[starts[g]:starts[g + 1]]`` (the last one
+    runs to the end).  Every sort is a stable ``argsort`` of the float64
+    keys, so ties keep their input order, exactly as a stable sort of
+    the items by ``center[axis]`` would.
+    """
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    centers = np.asarray(centers, dtype=np.float64)
+    runs: list = []
+    _tile(centers, np.arange(len(centers)), capacity, 0, centers.shape[1], runs)
+    if not runs:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    # Each run is chopped into groups of ``capacity``; a run at or under
+    # capacity is one group.
+    starts = []
+    offset = 0
+    for run in runs:
+        starts.append(np.arange(offset, offset + len(run), capacity))
+        offset += len(run)
+    return np.concatenate(runs), np.concatenate(starts)
+
+
+def _tile(centers, rows, capacity: int, axis: int, dims_left: int, runs: list) -> None:
+    """Recursive tiling step of STR along ``axis``; appends sorted runs."""
+    n = len(rows)
     if n <= capacity:
-        return [items]
+        if n:
+            runs.append(rows)
+        return
+    rows = rows[np.argsort(centers[rows, axis], kind="stable")]
     if dims_left <= 1:
-        items.sort(key=lambda item: center_of(item)[axis])
-        return slices_of(items, capacity)
-
+        runs.append(rows)
+        return
     partitions_needed = math.ceil(n / capacity)
     slab_count = math.ceil(partitions_needed ** (1.0 / dims_left))
     slab_size = math.ceil(n / slab_count)
-
-    items.sort(key=lambda item: center_of(item)[axis])
-    groups: list[list[T]] = []
     for start in range(0, n, slab_size):
-        slab = items[start : start + slab_size]
-        groups.extend(_tile(slab, capacity, center_of, axis + 1, dims_left - 1))
-    return groups
+        _tile(
+            centers, rows[start : start + slab_size], capacity, axis + 1,
+            dims_left - 1, runs,
+        )

@@ -149,6 +149,18 @@ class TestCoordinateTable:
         assert CoordinateTable.from_objects([], dim=2).coords.shape == (0, 4)
         assert CoordinateTable.from_mbrs([], dim=2).dim == 2
 
+    def test_mixed_dimensionality_names_the_object(self):
+        objects = [
+            box_object(5, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+            box_object(6, (0.0, 0.0), (1.0, 1.0)),
+            box_object(7, (0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
+        ]
+        with pytest.raises(ValueError, match=r"#6 is 2-D.*#5 .* 3-D"):
+            CoordinateTable.from_objects(objects)
+        boxes = [MBR((0.0,), (1.0,)), MBR((0.0, 0.0), (1.0, 1.0))]
+        with pytest.raises(ValueError, match=r"#1 is 2-D.*#0 .* 1-D"):
+            CoordinateTable.from_mbrs(boxes)
+
     def test_empty_bounds_raises_named_error(self):
         table = CoordinateTable.from_mbrs([])
         with pytest.raises(ValueError, match=r"bounds\(\) of an empty table"):

@@ -25,18 +25,12 @@ from repro.validation import brute_force_exact_pairs, brute_force_pairs
 EPSILON = 3.0
 
 
-def shaped_pair(n_a=40, n_b=60):
-    a = list(clustered_polygons(n_a, seed=21))
-    b = list(clustered_linestrings(n_b, seed=22))
-    return a, b
-
-
 def dense_pairs():
     """Crowded polygon/polygon and polygon/linestring inputs.
 
-    ``shaped_pair`` spreads 100 shapes over the paper's 1000-unit
-    universe and yields no candidates at all; these put them in a
-    40-unit square, so true hits, exact tests and containment all run.
+    The shapes sit in a 40-unit square (spread over the paper's
+    1000-unit universe, 100 shapes yield no candidates at all), so true
+    hits, exact tests and containment all run.
     """
     polys = list(
         clustered_polygons(
@@ -97,29 +91,31 @@ class TestOracleParityEveryAlgorithmAndBackend:
     @pytest.mark.parametrize("algorithm", [info.name for info in available()])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_matches_brute_force_oracle(self, algorithm, backend):
-        objects_a, objects_b = shaped_pair()
-        oracle = brute_force_exact_pairs(objects_a, objects_b, EPSILON)
-        refined, stats = filter_refine(
-            algorithm, objects_a, objects_b, EPSILON, backend
-        )
-        assert set(refined) == oracle
-        assert_counter_identity(stats)
+        for objects_a, objects_b in dense_pairs():
+            oracle = brute_force_exact_pairs(objects_a, objects_b, EPSILON)
+            refined, stats = filter_refine(
+                algorithm, objects_a, objects_b, EPSILON, backend
+            )
+            assert stats.candidate_pairs > 0
+            assert set(refined) == oracle
+            assert_counter_identity(stats)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_epsilon_zero_is_exact_intersection(self, backend):
-        objects_a, objects_b = shaped_pair()
-        oracle = brute_force_exact_pairs(objects_a, objects_b, 0.0)
-        refined, stats = filter_refine(
-            "TOUCH", objects_a, objects_b, 0.0, backend
-        )
-        assert set(refined) == oracle
-        assert_counter_identity(stats)
+        for objects_a, objects_b in dense_pairs():
+            oracle = brute_force_exact_pairs(objects_a, objects_b, 0.0)
+            refined, stats = filter_refine(
+                "TOUCH", objects_a, objects_b, 0.0, backend
+            )
+            assert stats.candidate_pairs > 0
+            assert set(refined) == oracle
+            assert_counter_identity(stats)
 
     def test_backends_agree_pair_for_pair(self):
         # Refine keeps candidate order, but a live compiled TOUCH filter
         # emits candidates in its own order: whole runs compare as
         # sorted lists, the refine stage alone compares in order.
-        for objects_a, objects_b in [shaped_pair(), *dense_pairs()]:
+        for objects_a, objects_b in dense_pairs():
             runs = [
                 filter_refine("TOUCH", objects_a, objects_b, EPSILON, backend)
                 for backend in BACKENDS

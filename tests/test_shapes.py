@@ -135,6 +135,22 @@ class TestDistances:
         inner = Polygon([(4, 4), (6, 4), (6, 6), (4, 6)])
         assert shape_distance_sq(outer, inner) == 0.0
 
+    def test_off_grid_crossing_is_exactly_zero(self):
+        # Closest-point arithmetic leaves ~5e-32 of rounding residue at
+        # this crossing; at epsilon = 0 that residue would drop the pair.
+        import numpy as np
+
+        from repro.refine.kernels import min_cross_sq
+
+        a = (18.355178661916955, 1.7734692111426937, 20.551338004947493, 1.4829026768533047)
+        b = (20.222689723642464, -0.06676307744887255, 20.245935193655175, 1.6281133388944988)
+        assert segment_distance_sq(*a, *b) == 0.0
+        assert segment_distance_sq(*b, *a) == 0.0
+
+        segs = np.array([a, b], dtype=np.float64).T
+        one = np.ones(1, dtype=np.int64)
+        assert min_cross_sq(segs, 0 * one, one, segs, one, one).tolist() == [0.0]
+
     def test_segment_distance_parallel(self):
         assert segment_distance_sq(0, 0, 1, 0, 0, 2, 1, 2) == pytest.approx(4.0)
 
