@@ -21,7 +21,8 @@ from repro.core.tree import TouchNode, TouchTree
 from repro.geometry.columnar import CoordinateTable, require_numpy
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair
-from repro.geometry.compiled import FlatHierarchy, descend_ranges
+from repro.geometry.compiled import descend_ranges
+from repro.geometry.hierarchy import FlatHierarchy, descend_hierarchy
 from repro.joins.local import (
     COLUMNAR_KERNELS,
     LOCAL_KERNELS,
@@ -39,7 +40,6 @@ __all__ = [
     "join_assigned_nodes_columnar",
     "probe_assigned_nodes_columnar",
     "flatten_hierarchy",
-    "probe_assigned_nodes_compiled",
 ]
 
 
@@ -160,11 +160,12 @@ def join_assigned_nodes_columnar(
 
 
 def probe_assigned_nodes_columnar(
+    flat: FlatHierarchy,
     table_a: CoordinateTable,
-    leaf_slices: "dict[TouchNode, tuple[int, int]]",
     table_b: CoordinateTable,
     assigned: "dict[TouchNode, object]",
     stats: JoinStatistics,
+    compiled: bool = False,
 ) -> list[Pair]:
     """Probe-shaped phase 3: continue the assignment descent to the leaves.
 
@@ -172,163 +173,103 @@ def probe_assigned_nodes_columnar(
     assigned node with a fresh grid — the right shape when all of B is
     joined at once, but O(|A|) per call, which would erase the point of
     build-once/probe-many for small query batches.  Here the hierarchy
-    itself serves as the probe index: the B rows assigned to a node
-    descend *every* overlapping child (a batched range descent, not the
-    single-path assignment walk) and are batch-intersection-tested
-    against the contiguous A slices of the leaves they reach.  Leaves
+    itself serves as the probe index: every assigned B row starts at
+    its phase-2 node and descends *every* overlapping child (a range
+    descent, not the single-path assignment walk) down to the leaves,
+    whose contiguous A rows it is tested against.  All rows descend
+    together, one level per numpy pass over the flattened hierarchy
+    (:func:`~repro.geometry.hierarchy.descend_hierarchy`).  Leaves
     partition A, so the result is duplicate-free without any ownership
-    tests; the pair set equals the one-shot join's (both report exactly
-    the intersecting pairs under each assigned node) while the work per
+    tests; the pair set equals the one-shot join's while the work per
     batch is proportional to the branches the queries actually touch.
+
+    ``compiled`` routes the descent through the compiled tier's
+    :func:`~repro.geometry.compiled.descend_ranges` (same pairs and
+    counters).
     """
     require_numpy()
-    pairs: list[Pair] = []
-    ids_a, ids_b = table_a.ids, table_b.ids
-    lo_b, hi_b = table_b.lo, table_b.hi
-    comparisons = 0
-    node_tests = 0
-    for node, b_rows in assigned.items():
-        stack = [(node, np.asarray(b_rows))]
-        while stack:
-            current, rows = stack.pop()
-            if len(rows) == 0:
-                continue
-            if current.is_leaf:
-                start, stop = leaf_slices[current]
-                if stop == start:
-                    continue
-                comparisons += (stop - start) * len(rows)
-                hit = np.nonzero(
-                    (table_a.lo[start:stop, None, :] <= hi_b[rows][None, :, :]).all(
-                        axis=2
-                    )
-                    & (table_a.hi[start:stop, None, :] >= lo_b[rows][None, :, :]).all(
-                        axis=2
-                    )
-                )
-                if len(hit[0]):
-                    oid_a = ids_a[start + hit[0]]
-                    oid_b = ids_b[rows[hit[1]]]
-                    pairs.extend(zip(oid_a.tolist(), oid_b.tolist()))
-                continue
-            children = current.children
-            child_lo = np.array([c.mbr.lo for c in children])
-            child_hi = np.array([c.mbr.hi for c in children])
-            overlap = (lo_b[rows][:, None, :] <= child_hi[None, :, :]).all(axis=2) & (
-                hi_b[rows][:, None, :] >= child_lo[None, :, :]
-            ).all(axis=2)
-            node_tests += len(rows) * len(children)
-            for index, child in enumerate(children):
-                stack.append((child, rows[overlap[:, index]]))
+    blocks = [(node, rows) for node, rows in assigned.items() if len(rows)]
+    if not blocks:
+        return []
+    seeds = np.repeat(
+        [flat.index[node] for node, _ in blocks], [len(rows) for _, rows in blocks]
+    )
+    descend = descend_ranges if compiled else descend_hierarchy
+    hit_a, hit_b, comparisons, node_tests = descend(
+        flat, table_a, table_b, seeds, np.concatenate([rows for _, rows in blocks])
+    )
     stats.comparisons += comparisons
     stats.node_tests += node_tests
-    return pairs
+    return list(zip(table_a.ids[hit_a].tolist(), table_b.ids[hit_b].tolist()))
 
 
 def flatten_hierarchy(
     tree: TouchTree,
     leaf_slices: "dict[TouchNode, tuple[int, int]]",
 ) -> FlatHierarchy:
-    """Lower the TOUCH tree to flat arrays for the compiled descent.
+    """Lower the TOUCH tree to flat arrays for the range descent.
 
     Nodes are numbered in the same traversal order that built
-    ``leaf_slices`` (:func:`leaf_order_table` iterates ``tree.leaves()``,
-    which filters ``iter_nodes()``), so every subtree's A rows form one
-    contiguous ``[sub_start, sub_stop)`` range — the property the
-    true-hit shortcut emits from.  ``sub_tests`` aggregates the child
-    counts of each subtree's internal nodes, letting the shortcut charge
-    skipped node tests exactly as a full descent would.
+    ``leaf_slices`` (``tree.leaves()`` filters ``iter_nodes()``), so
+    every subtree's A rows form one contiguous ``[sub_start, sub_stop)``
+    range.  ``sub_tests`` aggregates the child counts of each subtree's
+    internal nodes, letting the compiled tier's true-hit shortcut charge
+    skipped node tests exactly as a full descent would.  The aggregates
+    are built bottom-up one tree level per numpy pass.
     """
     require_numpy()
     nodes = list(tree.iter_nodes())
     count = len(nodes)
     index = {node: position for position, node in enumerate(nodes)}
-    node_lo = np.array([node.mbr.lo for node in nodes], dtype=np.float64)
-    node_hi = np.array([node.mbr.hi for node in nodes], dtype=np.float64)
-    children_ptr = np.zeros(count + 1, dtype=np.int64)
-    child_ids: list[int] = []
-    for position, node in enumerate(nodes):
-        kids = () if node.is_leaf else node.children
-        children_ptr[position + 1] = children_ptr[position] + len(kids)
-        child_ids.extend(index[child] for child in kids)
-    children_idx = np.asarray(child_ids, dtype=np.int64)
+    corners = CoordinateTable.from_mbrs([node.mbr for node in nodes])
+    level = np.fromiter((node.level for node in nodes), np.int64, count)
+    fan = np.fromiter((len(node.children) for node in nodes), np.int64, count)
+    children_ptr = np.concatenate(([0], np.cumsum(fan)))
+    children_idx = np.fromiter(
+        (index[child] for node in nodes for child in node.children),
+        np.int64,
+        int(children_ptr[-1]),
+    )
+    leaves = np.flatnonzero(level == 0)
+    spans = np.fromiter(
+        (row for i in leaves.tolist() for row in leaf_slices[nodes[i]]),
+        np.int64,
+        2 * len(leaves),
+    )
     sub_start = np.zeros(count, dtype=np.int64)
     sub_stop = np.zeros(count, dtype=np.int64)
     sub_tests = np.zeros(count, dtype=np.int64)
-    # Pre-order puts every child after its parent, so a reverse scan is
-    # a bottom-up aggregation.
-    for position in range(count - 1, -1, -1):
-        node = nodes[position]
-        if node.is_leaf:
-            start, stop = leaf_slices[node]
-            sub_start[position], sub_stop[position] = start, stop
-            continue
-        kids = children_idx[children_ptr[position] : children_ptr[position + 1]]
-        if len(kids) == 0:  # pragma: no cover - trees never build these
-            continue
-        sub_start[position] = sub_start[kids].min()
-        sub_stop[position] = sub_stop[kids].max()
-        sub_tests[position] = sub_tests[kids].sum() + len(kids)
-        if sub_stop[position] - sub_start[position] != (
-            sub_stop[kids] - sub_start[kids]
-        ).sum():  # pragma: no cover - traversal-order regression guard
-            raise AssertionError(
-                "subtree rows are not contiguous in leaf order; "
-                "flatten_hierarchy must use the leaf_order_table traversal"
-            )
+    sub_start[leaves], sub_stop[leaves] = spans[0::2], spans[1::2]
+    # Internal nodes in pre-order own consecutive, non-empty runs of
+    # children_idx, so one reduceat per level aggregates all of them;
+    # each pass settles the level whose children the earlier passes did.
+    inner = np.flatnonzero(fan)
+    runs = children_ptr[inner]
+    for step in range(1, int(level.max()) + 1):
+        at = level[inner] == step
+        settle = inner[at]
+        sub_start[settle] = np.minimum.reduceat(sub_start[children_idx], runs)[at]
+        sub_stop[settle] = np.maximum.reduceat(sub_stop[children_idx], runs)[at]
+        sub_tests[settle] = (
+            np.add.reduceat(sub_tests[children_idx], runs)[at] + fan[settle]
+        )
+    if len(inner) and not np.array_equal(
+        np.add.reduceat((sub_stop - sub_start)[children_idx], runs),
+        (sub_stop - sub_start)[inner],
+    ):  # pragma: no cover - traversal-order regression guard
+        raise AssertionError(
+            "subtree rows are not contiguous in leaf order; "
+            "flatten_hierarchy must use the leaf_order_table traversal"
+        )
     return FlatHierarchy(
-        node_lo,
-        node_hi,
+        np.ascontiguousarray(corners.lo),
+        np.ascontiguousarray(corners.hi),
         children_ptr,
         children_idx,
         sub_start,
         sub_stop,
         sub_tests,
         index,
-    )
-
-
-def probe_assigned_nodes_compiled(
-    flat: FlatHierarchy,
-    table_a: CoordinateTable,
-    table_b: CoordinateTable,
-    assigned: "dict[TouchNode, object]",
-    stats: JoinStatistics,
-) -> list[Pair]:
-    """Compiled twin of :func:`probe_assigned_nodes_columnar`.
-
-    Every assigned B row descends the flattened hierarchy from its
-    phase-2 node in one kernel call, true-hit shortcut included; the
-    ``comparisons`` / ``node_tests`` counters equal the uncompiled
-    descent bit-for-bit (the shortcut charges skipped work from the
-    subtree aggregates).
-    """
-    require_numpy()
-    seeds: list = []
-    row_blocks: list = []
-    for node, b_rows in assigned.items():
-        b_rows = np.asarray(b_rows, dtype=np.int64)
-        if len(b_rows) == 0:
-            continue
-        seeds.append(np.full(len(b_rows), flat.index[node], dtype=np.int64))
-        row_blocks.append(b_rows)
-    if not seeds:
-        return []
-    hit_a, hit_b, comparisons, node_tests = descend_ranges(
-        flat,
-        table_a.lo,
-        table_a.hi,
-        table_b.lo,
-        table_b.hi,
-        np.concatenate(seeds),
-        np.concatenate(row_blocks),
-    )
-    stats.comparisons += comparisons
-    stats.node_tests += node_tests
-    if len(hit_a) == 0:
-        return []
-    return list(
-        zip(table_a.ids[hit_a].tolist(), table_b.ids[hit_b].tolist())
     )
 
 

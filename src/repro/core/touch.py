@@ -44,7 +44,6 @@ from repro.core.local_join import (
     join_assigned_nodes_columnar,
     leaf_order_table,
     probe_assigned_nodes_columnar,
-    probe_assigned_nodes_compiled,
 )
 from repro.core.tree import DEFAULT_FANOUT, DEFAULT_PARTITIONS, TouchTree
 from repro.geometry.columnar import (
@@ -188,8 +187,9 @@ class TouchJoin(SpatialJoinAlgorithm):
     def _build(self, objects_a, stats):
         """Phase 1 once: the hierarchy over A, reused by every probe.
 
-        The columnar leaf-order table is precomputed alongside the tree
-        so warm probes skip straight to assignment + local joins.
+        The columnar leaf-order table and the flattened hierarchy are
+        precomputed alongside the tree so warm probes skip straight to
+        assignment + range descent.
         """
         if self.local_kernel not in LOCAL_KERNELS:
             raise ValueError(f"unknown local kernel {self.local_kernel!r}")
@@ -206,9 +206,7 @@ class TouchJoin(SpatialJoinAlgorithm):
         if backend in ("columnar", "compiled"):
             table_a, leaf_slices = leaf_order_table(tree)
             payload["table_a"] = table_a
-            payload["leaf_slices"] = leaf_slices
-            if backend == "compiled":
-                payload["flat"] = flatten_hierarchy(tree, leaf_slices)
+            payload["flat"] = flatten_hierarchy(tree, leaf_slices)
         self.last_tree = tree
         return payload
 
@@ -289,30 +287,22 @@ class TouchJoin(SpatialJoinAlgorithm):
         stats.assign_seconds = time.perf_counter() - assign_start
 
         # The compiled probe runs the same range descent as the columnar
-        # one (identical pairs *and* counters), just through the
-        # flattened hierarchy and the jitted kernel.
+        # one (identical pairs *and* counters), through the jitted kernel
+        # when numba is in use.
         join_start = time.perf_counter()
-        if backend == "compiled":
-            pairs = probe_assigned_nodes_compiled(
-                payload["flat"],
-                payload["table_a"],
-                table_b,
-                assigned,
-                stats,
-            )
-        else:
-            pairs = probe_assigned_nodes_columnar(
-                payload["table_a"],
-                payload["leaf_slices"],
-                table_b,
-                assigned,
-                stats,
-            )
+        pairs = probe_assigned_nodes_columnar(
+            payload["flat"],
+            payload["table_a"],
+            table_b,
+            assigned,
+            stats,
+            compiled=backend == "compiled",
+        )
         stats.join_seconds = time.perf_counter() - join_start
 
-        table_bytes = payload["table_a"].nbytes + table_b.nbytes
-        if backend == "compiled":
-            table_bytes += payload["flat"].nbytes
+        table_bytes = (
+            payload["table_a"].nbytes + payload["flat"].nbytes + table_b.nbytes
+        )
         stats.extra["columnar_table_bytes"] = table_bytes
         stats.memory_bytes = tree.memory_bytes() + table_bytes
         self._probe_extras(tree, stats)
@@ -375,8 +365,8 @@ class TouchJoin(SpatialJoinAlgorithm):
         if compiled and self.local_kernel == "grid":
             flat = flatten_hierarchy(tree, leaf_slices)
             flat_bytes = flat.nbytes
-            pairs = probe_assigned_nodes_compiled(
-                flat, table_a, table_b, assigned, stats
+            pairs = probe_assigned_nodes_columnar(
+                flat, table_a, table_b, assigned, stats, compiled=True
             )
         else:
             pairs = join_assigned_nodes_columnar(

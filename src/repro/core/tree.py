@@ -245,5 +245,11 @@ def _group_bounds(lo, hi, order, starts):
 
 
 def _mbrs(lo, hi) -> list[MBR]:
-    """One :class:`MBR` per row of the ``(G, D)`` corner arrays."""
-    return [MBR(row_lo, row_hi) for row_lo, row_hi in zip(lo.tolist(), hi.tolist())]
+    """One :class:`MBR` per row of the ``(G, D)`` corner arrays.
+
+    The rows bound valid boxes, so they are valid by construction.
+    """
+    return [
+        MBR.trusted(tuple(row_lo), tuple(row_hi))
+        for row_lo, row_hi in zip(lo.tolist(), hi.tolist())
+    ]

@@ -68,6 +68,7 @@ __all__ = [
     "intersect_pairs",
     "sweep_pairs",
     "overlap_mask",
+    "pairs_overlap_mask",
     "axes_overlap_mask",
     "boxes_overlap_matrix",
     "concat_ranges",
@@ -553,6 +554,24 @@ def overlap_mask(table: CoordinateTable, lo, hi):
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     return (table.lo <= hi).all(axis=1) & (table.hi >= lo).all(axis=1)
+
+
+def pairs_overlap_mask(box_lo, box_hi, boxes, table: CoordinateTable, rows):
+    """Mask of the pairs ``(box boxes[k], table row rows[k])`` that overlap.
+
+    ``box_lo`` / ``box_hi`` are ``(M, D)`` corner arrays indexed by
+    ``boxes``.  Closed-box semantics.  The test runs one dimension at a
+    time on 1-D gathers of single coordinate columns, so no ``(K, D)``
+    temporaries are held.
+    """
+    dim = table.dim
+    cols = table.coords
+    mask = cols[:, 0].take(rows) <= box_hi[:, 0].take(boxes)
+    for d in range(dim):
+        if d:
+            mask &= cols[:, d].take(rows) <= box_hi[:, d].take(boxes)
+        mask &= cols[:, dim + d].take(rows) >= box_lo[:, d].take(boxes)
+    return mask
 
 
 def axes_overlap_mask(table: CoordinateTable, axes, lows, highs):

@@ -19,7 +19,9 @@ code:
   per-pair test.  Counter parity with the uncompiled descent is kept by
   charging the skipped work from precomputed subtree aggregates
   (``sub_tests`` / ``sub_stop - sub_start``), so ``comparisons`` and
-  ``node_tests`` are bit-identical to a full descent.
+  ``node_tests`` are bit-identical to a full descent.  Without numba it
+  runs the columnar probe's own numpy descent
+  (:func:`repro.geometry.hierarchy.descend_hierarchy`).
 
 Availability is auto-detected exactly like the columnar backend detects
 numpy: importable numba makes ``backend="compiled"`` resolve to the
@@ -28,13 +30,13 @@ jitted kernels, anything else degrades to the columnar path.  The
 
 - ``auto`` (default) — numba if importable, else unavailable;
 - ``force`` — report the tier available even without numba and run the
-  pure-numpy twin of each kernel (identical pairs and counters; used by
+  numpy version of each kernel (identical pairs and counters; used by
   the test suite and CI legs without numba);
 - ``off`` — report the tier unavailable even with numba installed.
 
 A numba compilation/runtime failure never breaks a join: the failing
 kernel set is disabled for the process (with a ``RuntimeWarning``) and
-every call transparently uses the numpy twin.
+every call transparently uses the numpy version.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.geometry.columnar import (
     require_numpy,
     sweep_pairs,
 )
+from repro.geometry.hierarchy import FlatHierarchy, descend_hierarchy
 
 try:  # pragma: no cover - numpy import guarded like columnar.py
     import numpy as np
@@ -70,7 +73,6 @@ __all__ = [
     "using_numba",
     "intersect_pairs_compiled",
     "sweep_pairs_compiled",
-    "FlatHierarchy",
     "descend_ranges",
 ]
 
@@ -100,9 +102,9 @@ def compiled_mode() -> str:
 def compiled_available() -> bool:
     """Whether ``backend="compiled"`` resolves to this tier.
 
-    ``force`` counts the pure-numpy twins as available (they run the
-    same algorithms, true-hit shortcut included); ``off`` always says
-    no; ``auto`` requires importable numba.
+    ``force`` counts the numpy versions as available (same pairs and
+    counters); ``off`` always says no; ``auto`` requires importable
+    numba.
     """
     if not HAVE_NUMPY:
         return False
@@ -192,106 +194,23 @@ def sweep_pairs_compiled(table_a: CoordinateTable, table_b: CoordinateTable):
 # --------------------------------------------------------------------------
 # TOUCH range descent over a flattened hierarchy
 # --------------------------------------------------------------------------
-class FlatHierarchy:
-    """A TOUCH tree lowered to flat arrays for the compiled descent.
-
-    Node order is the tree's DFS pre-order, which makes every subtree's
-    descendant leaves — and hence its A rows in the leaf-order table —
-    one contiguous range ``[sub_start, sub_stop)``.  ``sub_tests`` holds
-    the number of child-overlap tests a full descent of the subtree
-    would perform (the sum of child counts over its internal nodes):
-    the true-hit shortcut charges these precomputed aggregates so its
-    counters equal the shortcut-free descent exactly.
-
-    Built by :func:`repro.core.local_join.flatten_hierarchy`; this class
-    is purely numeric so the geometry layer stays free of tree imports.
-    """
-
-    __slots__ = (
-        "node_lo",
-        "node_hi",
-        "children_ptr",
-        "children_idx",
-        "sub_start",
-        "sub_stop",
-        "sub_tests",
-        "index",
-    )
-
-    def __init__(
-        self,
-        node_lo,
-        node_hi,
-        children_ptr,
-        children_idx,
-        sub_start,
-        sub_stop,
-        sub_tests,
-        index,
-    ) -> None:
-        self.node_lo = node_lo
-        self.node_hi = node_hi
-        self.children_ptr = children_ptr
-        self.children_idx = children_idx
-        self.sub_start = sub_start
-        self.sub_stop = sub_stop
-        self.sub_tests = sub_tests
-        #: Mapping from tree node -> flat index, for seeding descents.
-        self.index = index
-
-    def __len__(self) -> int:
-        return self.node_lo.shape[0]
-
-    @property
-    def nbytes(self) -> int:
-        """Real memory footprint of the flat arrays."""
-        return int(
-            self.node_lo.nbytes
-            + self.node_hi.nbytes
-            + self.children_ptr.nbytes
-            + self.children_idx.nbytes
-            + self.sub_start.nbytes
-            + self.sub_stop.nbytes
-            + self.sub_tests.nbytes
-        )
-
-
-def descend_ranges(
-    flat: FlatHierarchy,
-    a_lo,
-    a_hi,
-    b_lo,
-    b_hi,
-    seed_nodes,
-    query_rows,
-):
+def descend_ranges(flat: FlatHierarchy, table_a, table_b, seed_nodes, query_rows):
     """Range-descend every query from its assigned node to the leaves.
 
-    Parameters
-    ----------
-    flat:
-        The flattened hierarchy; ``a_lo`` / ``a_hi`` are the leaf-order
-        corner arrays its row ranges index into.
-    b_lo / b_hi:
-        Corner arrays of the full probe table.
-    seed_nodes / query_rows:
-        Parallel vectors: query ``query_rows[i]`` starts its descent at
-        flat node ``seed_nodes[i]`` (its phase-2 assignment).
+    Same contract as :func:`~repro.geometry.hierarchy.descend_hierarchy`
+    (``table_a`` in leaf order, query ``query_rows[i]`` of ``table_b``
+    seeded at flat node ``seed_nodes[i]``), which it runs whenever numba
+    is not in use.  The jitted kernel adds the true-hit shortcut and
+    charges the skipped work from the subtree aggregates, so the pairs
+    and the ``comparisons`` / ``node_tests`` counters are identical.
 
-    Returns ``(a_rows, b_rows, comparisons, node_tests)`` where the row
-    arrays list every intersecting (A row, B row) pair exactly once and
-    the counters equal a shortcut-free descent bit-for-bit.
+    Returns ``(a_rows, b_rows, comparisons, node_tests)``.
     """
     require_numpy()
     seed_nodes = np.ascontiguousarray(seed_nodes, dtype=np.int64)
     query_rows = np.ascontiguousarray(query_rows, dtype=np.int64)
-    empty = np.empty(0, dtype=np.int64)
-    if len(query_rows) == 0 or a_lo.shape[0] == 0:
-        return empty, empty, 0, 0
     kernels = _kernels()
-    if kernels is not None:
-        bq_lo = np.ascontiguousarray(b_lo[query_rows])
-        bq_hi = np.ascontiguousarray(b_hi[query_rows])
+    if kernels is not None and len(query_rows) and len(table_a):
         try:
             out_a, out_q, comparisons, node_tests = kernels.descend(
                 flat.node_lo,
@@ -301,89 +220,16 @@ def descend_ranges(
                 flat.sub_start,
                 flat.sub_stop,
                 flat.sub_tests,
-                np.ascontiguousarray(a_lo),
-                np.ascontiguousarray(a_hi),
-                bq_lo,
-                bq_hi,
+                np.ascontiguousarray(table_a.lo),
+                np.ascontiguousarray(table_a.hi),
+                np.ascontiguousarray(table_b.lo[query_rows]),
+                np.ascontiguousarray(table_b.hi[query_rows]),
                 seed_nodes,
             )
             return out_a, query_rows[out_q], int(comparisons), int(node_tests)
         except Exception as error:  # pragma: no cover - env dependent
             _disable_numba(error)
-    return _descend_batched(flat, a_lo, a_hi, b_lo, b_hi, seed_nodes, query_rows)
-
-
-def _descend_batched(flat, a_lo, a_hi, b_lo, b_hi, seed_nodes, query_rows):
-    """Numpy twin of the jitted descent (identical pairs and counters).
-
-    A stack of ``(node, query-row block)`` entries is processed with
-    broadcast tests; queries covering the node's MBR peel off through
-    the true-hit shortcut, the rest descend the overlapping children.
-    """
-    out_a: list = []
-    out_b: list = []
-    comparisons = 0
-    node_tests = 0
-    node_lo, node_hi = flat.node_lo, flat.node_hi
-    children_ptr, children_idx = flat.children_ptr, flat.children_idx
-    sub_start, sub_stop, sub_tests = flat.sub_start, flat.sub_stop, flat.sub_tests
-
-    stack = []
-    for seed in np.unique(seed_nodes):
-        stack.append((int(seed), query_rows[seed_nodes == seed]))
-    while stack:
-        node, rows = stack.pop()
-        if len(rows) == 0:
-            continue
-        rows_lo, rows_hi = b_lo[rows], b_hi[rows]
-        span = int(sub_stop[node] - sub_start[node])
-        # True-hit shortcut: probes covering the node MBR own the whole
-        # contiguous subtree row range without any per-pair tests.
-        cover = (rows_lo <= node_lo[node]).all(axis=1) & (
-            rows_hi >= node_hi[node]
-        ).all(axis=1)
-        if cover.any():
-            hits = rows[cover]
-            comparisons += span * len(hits)
-            node_tests += int(sub_tests[node]) * len(hits)
-            if span:
-                a_range = np.arange(sub_start[node], sub_stop[node], dtype=np.int64)
-                out_a.append(np.tile(a_range, len(hits)))
-                out_b.append(np.repeat(hits, span))
-            rows = rows[~cover]
-            if len(rows) == 0:
-                continue
-            rows_lo, rows_hi = b_lo[rows], b_hi[rows]
-        c0, c1 = int(children_ptr[node]), int(children_ptr[node + 1])
-        if c0 == c1:  # leaf: test the bucket's rows against the queries
-            if span == 0:
-                continue
-            comparisons += span * len(rows)
-            start, stop = int(sub_start[node]), int(sub_stop[node])
-            hit = np.nonzero(
-                (a_lo[start:stop, None, :] <= rows_hi[None, :, :]).all(axis=2)
-                & (a_hi[start:stop, None, :] >= rows_lo[None, :, :]).all(axis=2)
-            )
-            if len(hit[0]):
-                out_a.append(start + hit[0].astype(np.int64))
-                out_b.append(rows[hit[1]])
-            continue
-        children = children_idx[c0:c1]
-        node_tests += len(rows) * len(children)
-        overlap = (rows_lo[:, None, :] <= node_hi[children][None, :, :]).all(
-            axis=2
-        ) & (rows_hi[:, None, :] >= node_lo[children][None, :, :]).all(axis=2)
-        for position, child in enumerate(children):
-            stack.append((int(child), rows[overlap[:, position]]))
-    empty = np.empty(0, dtype=np.int64)
-    if not out_a:
-        return empty, empty, comparisons, node_tests
-    return (
-        np.concatenate(out_a),
-        np.concatenate(out_b),
-        comparisons,
-        node_tests,
-    )
+    return descend_hierarchy(flat, table_a, table_b, seed_nodes, query_rows)
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,170 @@
+"""TOUCH's tree as flat arrays, and the numpy range descent over them.
+
+:class:`FlatHierarchy` lowers the hierarchy to pre-order node arrays
+with CSR children and contiguous subtree row ranges (built by
+:func:`repro.core.local_join.flatten_hierarchy`; this module is purely
+numeric, so the geometry layer stays free of tree imports).
+
+:func:`descend_hierarchy` is the one numpy descent: columnar probes run
+it directly, and the compiled tier's :func:`~repro.geometry.compiled.descend_ranges`
+falls back to it when numba is not in use.  It is level-synchronous:
+the frontier is a pair of parallel ``(node, B row)`` arrays, and every
+step expands all internal entries to their children at once by CSR
+arithmetic, so the Python work per step is constant however many nodes
+the frontier holds.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.geometry.columnar import chunk_boundaries, concat_ranges, pairs_overlap_mask
+
+__all__ = ["CHUNK_DESCENT_PAIRS", "FlatHierarchy", "descend_hierarchy"]
+
+#: B rows seeded per descent pass, and ``(A row, B row)`` leaf candidates
+#: tested per pass, so the temporaries of one pass stay a few MB however
+#: large the probe batch is.  Each seeded row fans out into several
+#: frontier entries per level: one 32 000-box probe with ε = 5 allocated
+#: about twice the stack walk's extra memory at ``1 << 15`` and about the
+#: same at this size, while an 80-box serving batch still runs in one pass.
+CHUNK_DESCENT_PAIRS = 1 << 13
+
+
+class FlatHierarchy:
+    """A TOUCH tree lowered to flat arrays.
+
+    Node order is the tree's DFS pre-order, which makes every subtree's
+    descendant leaves — and hence its A rows in the leaf-order table —
+    one contiguous range ``[sub_start, sub_stop)``.  ``sub_tests`` holds
+    the number of child-overlap tests a full descent of the subtree
+    would perform (the sum of child counts over its internal nodes):
+    the compiled tier's true-hit shortcut charges these precomputed
+    aggregates so its counters equal the shortcut-free descent exactly.
+    """
+
+    __slots__ = (
+        "node_lo",
+        "node_hi",
+        "children_ptr",
+        "children_idx",
+        "sub_start",
+        "sub_stop",
+        "sub_tests",
+        "index",
+    )
+
+    def __init__(
+        self,
+        node_lo,
+        node_hi,
+        children_ptr,
+        children_idx,
+        sub_start,
+        sub_stop,
+        sub_tests,
+        index,
+    ) -> None:
+        self.node_lo = node_lo
+        self.node_hi = node_hi
+        self.children_ptr = children_ptr
+        self.children_idx = children_idx
+        self.sub_start = sub_start
+        self.sub_stop = sub_stop
+        self.sub_tests = sub_tests
+        #: Mapping from tree node -> flat index, for seeding descents.
+        self.index = index
+
+    def __len__(self) -> int:
+        return self.node_lo.shape[0]
+
+    @property
+    def nbytes(self) -> int:
+        """Real memory footprint of the flat arrays."""
+        return int(
+            self.node_lo.nbytes
+            + self.node_hi.nbytes
+            + self.children_ptr.nbytes
+            + self.children_idx.nbytes
+            + self.sub_start.nbytes
+            + self.sub_stop.nbytes
+            + self.sub_tests.nbytes
+        )
+
+
+def descend_hierarchy(flat: FlatHierarchy, table_a, table_b, seed_nodes, query_rows):
+    """Range-descend every query from its assigned node to the leaves.
+
+    ``table_a`` is dataset A in leaf order (the rows ``flat``'s subtree
+    ranges index); query ``query_rows[i]`` of ``table_b`` starts at flat
+    node ``seed_nodes[i]`` (its phase-2 assignment) and descends every
+    child whose MBR it overlaps.  At the leaves it reaches, it is tested
+    against the leaf's A rows.  Leaves partition A, so every intersecting
+    ``(A row, B row)`` pair is reported exactly once.
+
+    Returns ``(a_rows, b_rows, comparisons, node_tests)``: one count per
+    leaf candidate tested and one per child MBR tested.
+    """
+    seed_nodes = np.asarray(seed_nodes, dtype=np.int64)
+    query_rows = np.asarray(query_rows, dtype=np.int64)
+    out_a: list = []
+    out_b: list = []
+    comparisons = 0
+    node_tests = 0
+    for lo in range(0, len(query_rows), CHUNK_DESCENT_PAIRS):
+        hi = lo + CHUNK_DESCENT_PAIRS
+        leaves, rows, tests = _reach_leaves(
+            flat, table_b, seed_nodes[lo:hi], query_rows[lo:hi]
+        )
+        node_tests += tests
+        comparisons += _leaf_hits(flat, table_a, table_b, leaves, rows, out_a, out_b)
+    if not out_a:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, comparisons, node_tests
+    return np.concatenate(out_a), np.concatenate(out_b), comparisons, node_tests
+
+
+def _reach_leaves(flat: FlatHierarchy, table_b, nodes, rows):
+    """Descend ``(node, B row)`` entries one level per pass.
+
+    Returns the ``(leaf, B row)`` entries reached and the number of
+    child MBRs tested on the way.
+    """
+    ptr = flat.children_ptr
+    leaf_nodes: list = []
+    leaf_rows: list = []
+    tests = 0
+    while len(nodes):
+        first = ptr[nodes]
+        fan = ptr[nodes + 1] - first
+        leaf = fan == 0
+        leaf_nodes.append(nodes[leaf])
+        leaf_rows.append(rows[leaf])
+        inner = ~leaf
+        # Entry e's children are children_idx[first[e] : first[e] + fan[e]].
+        owner, slots = concat_ranges(first[inner], fan[inner])
+        tests += len(slots)
+        nodes = flat.children_idx[slots]
+        rows = rows[inner][owner]
+        keep = pairs_overlap_mask(flat.node_lo, flat.node_hi, nodes, table_b, rows)
+        nodes, rows = nodes[keep], rows[keep]
+    return np.concatenate(leaf_nodes), np.concatenate(leaf_rows), tests
+
+
+def _leaf_hits(flat: FlatHierarchy, table_a, table_b, leaves, rows, out_a, out_b):
+    """Test every reached leaf's A rows against its B row, in chunks.
+
+    A chunk holds whole ``(leaf, B row)`` entries, so it exceeds
+    :data:`CHUNK_DESCENT_PAIRS` candidates by less than one leaf.
+    Appends the hits to ``out_a`` / ``out_b`` and returns the number of
+    candidates tested.
+    """
+    start = flat.sub_start[leaves]
+    span = flat.sub_stop[leaves] - start
+    for lo, hi in chunk_boundaries(span, CHUNK_DESCENT_PAIRS):
+        entry, cand_a = concat_ranges(start[lo:hi], span[lo:hi])
+        cand_b = rows[lo:hi][entry]
+        keep = pairs_overlap_mask(table_a.lo, table_a.hi, cand_a, table_b, cand_b)
+        out_a.append(cand_a[keep])
+        out_b.append(cand_b[keep])
+    return int(span.sum())

@@ -53,6 +53,18 @@ class MBR:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    @classmethod
+    def trusted(cls, lo: tuple, hi: tuple) -> "MBR":
+        """A box from float tuples already known to be valid.
+
+        Skips the constructor's per-dimension validation, for boxes that
+        are valid by construction (inflations, bounds of valid boxes).
+        """
+        box = object.__new__(cls)
+        object.__setattr__(box, "lo", lo)
+        object.__setattr__(box, "hi", hi)
+        return box
+
     # -- immutability -------------------------------------------------
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MBR is immutable")
@@ -139,12 +151,11 @@ class MBR:
         if epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {epsilon}")
         epsilon = float(epsilon)
-        # Valid by construction (lo - eps <= lo <= hi <= hi + eps), so the
-        # constructor's per-dimension re-validation is skipped.
-        box = object.__new__(MBR)
-        object.__setattr__(box, "lo", tuple([c - epsilon for c in self.lo]))
-        object.__setattr__(box, "hi", tuple([c + epsilon for c in self.hi]))
-        return box
+        # Valid by construction: lo - eps <= lo <= hi <= hi + eps.
+        return MBR.trusted(
+            tuple([c - epsilon for c in self.lo]),
+            tuple([c + epsilon for c in self.hi]),
+        )
 
     def translate(self, offset: Sequence[float]) -> "MBR":
         """Return the box shifted by ``offset``."""

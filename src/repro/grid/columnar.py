@@ -21,6 +21,7 @@ from repro.geometry.columnar import (
     DEFAULT_CANDIDATE_CHUNK,
     chunk_boundaries,
     concat_ranges,
+    pairs_overlap_mask,
     require_numpy,
 )
 
@@ -355,26 +356,17 @@ def grid_join_pairs(
 
 
 def _owned_hits(grid, table_a, table_b, candidates, stats):
-    """Test ``(cand_a, cand_b, cell_key)`` chunks, keep owned hits.
-
-    The closed box test runs one dimension at a time on 1-D gathers of
-    single coordinate columns, so no ``(M, D)`` temporaries are held.
-    """
+    """Test ``(cand_a, cand_b, cell_key)`` chunks, keep owned hits."""
     comparisons = 0
     duplicates = 0
     dedup_checks = 0
     out_a: list = []
     out_b: list = []
-    dim = table_a.dim
-    a_cols, b_cols = table_a.coords, table_b.coords
     for cand_a, cand_b, cand_keys in candidates:
         comparisons += len(cand_a)
-        hit = a_cols[:, 0].take(cand_a) <= b_cols[:, dim].take(cand_b)
-        for d in range(dim):
-            if d:
-                hit &= a_cols[:, d].take(cand_a) <= b_cols[:, dim + d].take(cand_b)
-            hit &= b_cols[:, d].take(cand_b) <= a_cols[:, dim + d].take(cand_a)
-        hits = np.flatnonzero(hit)
+        hits = np.flatnonzero(
+            pairs_overlap_mask(table_a.lo, table_a.hi, cand_a, table_b, cand_b)
+        )
         hit_a, hit_b = cand_a[hits], cand_b[hits]
         owned = grid.owned_mask(
             cand_keys[hits], table_a.lo[hit_a], table_b.lo[hit_b]

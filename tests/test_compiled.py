@@ -2,8 +2,9 @@
 
 The container running these tests has no numba, which is exactly the
 interesting configuration: ``REPRO_COMPILED=force`` runs the tier's
-numpy twins (same algorithms, true-hit shortcut included), so every
-compiled code path is exercised and parity-pinned here; the CI
+numpy versions (for the TOUCH descent, the columnar probe's own
+frontier descent), so every compiled entry point is exercised and
+parity-pinned here; the CI
 ``compiled-parity`` job repeats the same suite with numba installed,
 where the jitted kernels must produce the same answers.
 """
@@ -17,7 +18,6 @@ np = pytest.importorskip("numpy")
 from repro.core.local_join import (
     flatten_hierarchy,
     probe_assigned_nodes_columnar,
-    probe_assigned_nodes_compiled,
 )
 from repro.core.touch import TouchJoin
 from repro.datasets import uniform_boxes
@@ -137,7 +137,8 @@ class TestRangeDescent:
         )
         join = TouchJoin(backend="columnar")
         payload = join._build(objects_a, JoinStatistics())
-        return payload["tree"], payload["table_a"], payload["leaf_slices"]
+        tree = payload["tree"]
+        return tree, payload["table_a"], tree.leaf_slices
 
     def test_flat_aggregates(self, force_compiled):
         tree, table_a, leaf_slices = self._build()
@@ -167,17 +168,17 @@ class TestRangeDescent:
                 )
             )
         )
+        flat = flatten_hierarchy(tree, leaf_slices)
         stats_ref = JoinStatistics()
         assigned_ref = assign_table_b(tree, table_b, None, stats_ref)
         want = probe_assigned_nodes_columnar(
-            table_a, leaf_slices, table_b, assigned_ref, stats_ref
+            flat, table_a, table_b, assigned_ref, stats_ref
         )
 
         stats_got = JoinStatistics()
         assigned_got = assign_table_b(tree, table_b, None, stats_got)
-        flat = flatten_hierarchy(tree, leaf_slices)
-        got = probe_assigned_nodes_compiled(
-            flat, table_a, table_b, assigned_got, stats_got
+        got = probe_assigned_nodes_columnar(
+            flat, table_a, table_b, assigned_got, stats_got, compiled=True
         )
         assert sorted(got) == sorted(want)
         assert stats_got.comparisons == stats_ref.comparisons
@@ -188,15 +189,15 @@ class TestRangeDescent:
         flat = flatten_hierarchy(tree, leaf_slices)
         universe_lo = table_a.lo.min(axis=0) - 1.0
         universe_hi = table_a.hi.max(axis=0) + 1.0
-        b_lo = universe_lo[None, :]
-        b_hi = universe_hi[None, :]
+        table_b = CoordinateTable(
+            np.concatenate([universe_lo, universe_hi])[None, :],
+            np.array([0], dtype=np.int64),
+        )
         root = flat.index[tree.root]
         hit_a, hit_b, comparisons, node_tests = descend_ranges(
             flat,
-            table_a.lo,
-            table_a.hi,
-            b_lo,
-            b_hi,
+            table_a,
+            table_b,
             np.array([root], dtype=np.int64),
             np.array([0], dtype=np.int64),
         )

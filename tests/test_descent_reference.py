@@ -1,0 +1,281 @@
+"""The frontier descent of TOUCH probes against the stack-walk probe.
+
+``reference_probe`` is the stack-based ``probe_assigned_nodes_columnar``
+that TOUCH probes ran before the descent moved onto the flattened
+hierarchy, kept here verbatim as the reference.  The level-synchronous
+descent must report the same pairs (multiplicity included) and the same
+``comparisons`` and ``node_tests``, whatever the chunk size.
+``reference_flatten`` is the per-node aggregation ``flatten_hierarchy``
+used before it became one numpy pass per level.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.assignment import assign_table_b
+from repro.core.local_join import (
+    flatten_hierarchy,
+    leaf_order_table,
+    probe_assigned_nodes_columnar,
+)
+from repro.core.touch import TouchJoin
+from repro.core.tree import TouchTree
+from repro.datasets.synthetic import clustered_boxes, uniform_boxes
+from repro.geometry import hierarchy
+from repro.geometry.columnar import CoordinateTable
+from repro.geometry.mbr import MBR
+from repro.geometry.objects import SpatialObject
+from repro.stats.counters import JoinStatistics
+
+
+# -- the reference: stack-walk probe ----------------------------------------
+
+
+def reference_probe(table_a, leaf_slices, table_b, assigned, stats):
+    pairs = []
+    ids_a, ids_b = table_a.ids, table_b.ids
+    lo_b, hi_b = table_b.lo, table_b.hi
+    comparisons = 0
+    node_tests = 0
+    for node, b_rows in assigned.items():
+        stack = [(node, np.asarray(b_rows))]
+        while stack:
+            current, rows = stack.pop()
+            if len(rows) == 0:
+                continue
+            if current.is_leaf:
+                start, stop = leaf_slices[current]
+                if stop == start:
+                    continue
+                comparisons += (stop - start) * len(rows)
+                hit = np.nonzero(
+                    (table_a.lo[start:stop, None, :] <= hi_b[rows][None, :, :]).all(
+                        axis=2
+                    )
+                    & (table_a.hi[start:stop, None, :] >= lo_b[rows][None, :, :]).all(
+                        axis=2
+                    )
+                )
+                if len(hit[0]):
+                    oid_a = ids_a[start + hit[0]]
+                    oid_b = ids_b[rows[hit[1]]]
+                    pairs.extend(zip(oid_a.tolist(), oid_b.tolist()))
+                continue
+            children = current.children
+            child_lo = np.array([c.mbr.lo for c in children])
+            child_hi = np.array([c.mbr.hi for c in children])
+            overlap = (lo_b[rows][:, None, :] <= child_hi[None, :, :]).all(axis=2) & (
+                hi_b[rows][:, None, :] >= child_lo[None, :, :]
+            ).all(axis=2)
+            node_tests += len(rows) * len(children)
+            for index, child in enumerate(children):
+                stack.append((child, rows[overlap[:, index]]))
+    stats.comparisons += comparisons
+    stats.node_tests += node_tests
+    return pairs
+
+
+def reference_flatten(tree, leaf_slices):
+    """Per-node ``(sub_start, sub_stop, sub_tests)`` in pre-order."""
+
+    def walk(node):
+        if node.is_leaf:
+            start, stop = leaf_slices[node]
+            return start, stop, 0
+        parts = [walk(child) for child in node.children]
+        return (
+            min(p[0] for p in parts),
+            max(p[1] for p in parts),
+            sum(p[2] for p in parts) + len(node.children),
+        )
+
+    return [walk(node) for node in tree.iter_nodes()]
+
+
+# -- fixtures ---------------------------------------------------------------
+
+
+def _objects(coords):
+    dim = coords.shape[1] // 2
+    return [
+        SpatialObject(oid, MBR(tuple(row[:dim]), tuple(row[dim:])))
+        for oid, row in enumerate(coords.tolist())
+    ]
+
+
+def _zero_width(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 20.0, size=(n, dim))
+    hi = lo.copy()
+    # Half the boxes are points, the rest are flat in one dimension.
+    hi[n // 2 :, 1:] += rng.uniform(0.0, 2.0, size=(n - n // 2, dim - 1))
+    return np.hstack([lo, hi])
+
+
+def _table(objects):
+    return CoordinateTable.from_objects(list(objects))
+
+
+def _compare(tree, table_b, assigned):
+    table_a, leaf_slices = leaf_order_table(tree)
+    flat = flatten_hierarchy(tree, leaf_slices)
+    want_stats, got_stats = JoinStatistics(), JoinStatistics()
+    want = reference_probe(table_a, leaf_slices, table_b, assigned, want_stats)
+    got = probe_assigned_nodes_columnar(flat, table_a, table_b, assigned, got_stats)
+    assert sorted(got) == sorted(want)
+    assert got_stats.comparisons == want_stats.comparisons
+    assert got_stats.node_tests == want_stats.node_tests
+    return got, got_stats
+
+
+@pytest.fixture(params=[None, 1, 7], ids=["chunk-default", "chunk-1", "chunk-7"])
+def chunk(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(hierarchy, "CHUNK_DESCENT_PAIRS", request.param)
+    return request.param
+
+
+# -- descent == stack walk --------------------------------------------------
+
+
+class TestDescentMatchesStackWalk:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("fanout", [2, 8])
+    def test_assigned_probe(self, chunk, dim, fanout):
+        a = uniform_boxes(300, space=20.0, dim=dim, side_range=(0.2, 2.0), seed=31)
+        b = uniform_boxes(120, space=24.0, dim=dim, side_range=(0.2, 4.0), seed=32)
+        tree = TouchTree(list(a), fanout=fanout, num_partitions=40)
+        table_b = _table(b)
+        stats = JoinStatistics()
+        assigned = assign_table_b(tree, table_b, None, stats)
+        got, _ = _compare(tree, table_b, assigned)
+        assert got
+
+    @pytest.mark.parametrize("fanout", [2, 8])
+    def test_seeds_at_root_internal_nodes_and_leaves(self, chunk, fanout):
+        a = clustered_boxes(250, space=20.0, n_clusters=6, seed=33)
+        b = uniform_boxes(90, space=20.0, side_range=(0.5, 5.0), seed=34)
+        tree = TouchTree(list(a), fanout=fanout, num_partitions=30)
+        nodes = list(tree.iter_nodes())
+        internal = [node for node in nodes if not node.is_leaf and node is not tree.root]
+        leaves = [node for node in nodes if node.is_leaf]
+        assert internal and leaves
+        rows = np.arange(90, dtype=np.int64)
+        assigned = {
+            tree.root: rows[0:30],
+            internal[len(internal) // 2]: rows[30:60],
+            leaves[len(leaves) // 3]: rows[60:80],
+            leaves[-1]: rows[80:90],
+        }
+        _compare(tree, _table(b), assigned)
+
+    def test_filtered_rows_stay_out(self, chunk):
+        a = uniform_boxes(200, space=10.0, dim=2, side_range=(0.1, 1.0), seed=35)
+        b = uniform_boxes(100, space=40.0, dim=2, side_range=(0.1, 1.0), seed=36)
+        tree = TouchTree(list(a), fanout=2, num_partitions=25)
+        table_b = _table(b)
+        stats = JoinStatistics()
+        assigned = assign_table_b(tree, table_b, None, stats)
+        assert stats.filtered > 0
+        got, _ = _compare(tree, table_b, assigned)
+        kept = {int(row) for rows in assigned.values() for row in rows}
+        assert {oid_b for _, oid_b in got} <= {int(table_b.ids[r]) for r in kept}
+
+    def test_empty_assignment(self, chunk):
+        tree = TouchTree(list(uniform_boxes(50, seed=37)), num_partitions=8)
+        got, stats = _compare(tree, _table(uniform_boxes(5, seed=38)), {})
+        assert got == [] and stats.comparisons == 0 and stats.node_tests == 0
+
+    def test_empty_row_blocks(self, chunk):
+        tree = TouchTree(list(uniform_boxes(50, seed=37)), num_partitions=8)
+        empty = np.empty(0, dtype=np.int64)
+        got, stats = _compare(
+            tree, _table(uniform_boxes(5, seed=38)), {tree.root: empty}
+        )
+        assert got == [] and stats.comparisons == 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_single_leaf_tree(self, chunk, dim):
+        a = uniform_boxes(40, space=5.0, dim=dim, side_range=(0.5, 2.0), seed=39)
+        b = uniform_boxes(30, space=5.0, dim=dim, side_range=(0.5, 2.0), seed=40)
+        tree = TouchTree(list(a), leaf_capacity=64)
+        assert tree.height == 1
+        table_b = _table(b)
+        assigned = assign_table_b(tree, table_b, None, JoinStatistics())
+        got, stats = _compare(tree, table_b, assigned)
+        assert stats.node_tests == 0 and got
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fanout", [2, 8])
+    def test_zero_width_boxes(self, chunk, dim, fanout):
+        objects_a = _objects(_zero_width(160, dim, seed=41))
+        coords_b = _zero_width(60, dim, seed=42)
+        # Some probes sit exactly on A points: closed boxes must touch.
+        coords_b[:10] = np.array([o.mbr.lo + o.mbr.lo for o in objects_a[:10]])
+        tree = TouchTree(objects_a, fanout=fanout, num_partitions=20)
+        table_b = CoordinateTable(coords_b, np.arange(60, dtype=np.int64))
+        rows = np.arange(60, dtype=np.int64)
+        got, _ = _compare(tree, table_b, {tree.root: rows})
+        assert {(i, i) for i in range(10)} <= set(got)
+
+    @pytest.mark.parametrize("fanout", [2, 8])
+    def test_probe_covering_the_universe(self, chunk, fanout):
+        a = list(uniform_boxes(150, space=20.0, dim=3, side_range=(0.2, 2.0), seed=43))
+        tree = TouchTree(a, fanout=fanout, num_partitions=20)
+        table_b = CoordinateTable(
+            np.array([[-1.0] * 3 + [21.0] * 3]), np.array([7], dtype=np.int64)
+        )
+        assigned = assign_table_b(tree, table_b, None, JoinStatistics())
+        got, stats = _compare(tree, table_b, assigned)
+        assert sorted(got) == [(obj.oid, 7) for obj in sorted(a, key=lambda o: o.oid)]
+        assert stats.comparisons == len(a)
+
+
+# -- flattened hierarchy ----------------------------------------------------
+
+
+class TestFlattenHierarchy:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("fanout", [2, 8])
+    @pytest.mark.parametrize("partitions", [1, 7, 64])
+    def test_aggregates_match_per_node_walk(self, dim, fanout, partitions):
+        objects = list(uniform_boxes(200, dim=dim, seed=44))
+        tree = TouchTree(objects, fanout=fanout, num_partitions=partitions)
+        flat = flatten_hierarchy(tree, tree.leaf_slices)
+        expected = reference_flatten(tree, tree.leaf_slices)
+        got = list(
+            zip(flat.sub_start.tolist(), flat.sub_stop.tolist(), flat.sub_tests.tolist())
+        )
+        assert got == expected
+        nodes = list(tree.iter_nodes())
+        assert [flat.index[node] for node in nodes] == list(range(len(nodes)))
+        for position, node in enumerate(nodes):
+            kids = flat.children_idx[
+                flat.children_ptr[position] : flat.children_ptr[position + 1]
+            ]
+            assert kids.tolist() == [flat.index[child] for child in node.children]
+            assert flat.node_lo[position].tolist() == list(node.mbr.lo)
+            assert flat.node_hi[position].tolist() == list(node.mbr.hi)
+
+
+# -- memory accounting ------------------------------------------------------
+
+
+class TestProbeMemoryAccounting:
+    def test_columnar_probe_counts_the_flat_hierarchy(self):
+        a = list(uniform_boxes(300, space=20.0, side_range=(0.5, 2.0), seed=45))
+        b = list(uniform_boxes(50, space=20.0, side_range=(0.5, 2.0), seed=46))
+        join = TouchJoin(backend="columnar")
+        index = join.prepare(a)
+        payload = index.payload
+        result = join.probe(index, b)
+        table_bytes = (
+            payload["table_a"].nbytes
+            + payload["flat"].nbytes
+            + CoordinateTable.from_objects(b).nbytes
+        )
+        assert payload["flat"].nbytes > 0
+        assert result.stats.extra["columnar_table_bytes"] == table_bytes
+        assert result.stats.memory_bytes == (
+            payload["tree"].memory_bytes() + table_bytes
+        )
