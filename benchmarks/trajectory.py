@@ -54,13 +54,6 @@ TRAJECTORY_ALGORITHMS = ("TOUCH", "TwoLayer-500", "PBSM-500")
 #: (figure, distribution) pairs of the tracked one-shot workloads.
 TRAJECTORY_FIGURES = (("fig9", "uniform"), ("fig11", "clustered"))
 
-#: Extra head-to-head TOUCH rows per figure: the columnar baseline vs
-#: the compiled kernel tier.  Rows are keyed by the *requested* backend
-#: so the trajectory key stays stable even on hosts where the compiled
-#: tier degrades to columnar (the resolved tier rides along as
-#: ``resolved_backend``).
-TOUCH_BACKEND_ROWS = ("compiled",)
-
 #: Queries issued against the cached index in the serve workload (the
 #: acceptance workload probes 100 times).
 SERVE_PROBES = 100
@@ -125,29 +118,6 @@ def run_figures(scale, backend: str | None) -> list[dict]:
             print(
                 f"  {record.algorithm:14s} {workload:42s} "
                 f"{wall:8.3f}s  pairs={record.result_pairs}"
-            )
-        for requested in TOUCH_BACKEND_ROWS:
-            start = time.perf_counter()
-            record = run_algorithm(
-                "TOUCH", dataset_a, dataset_b, scale.large_epsilon,
-                backend=requested,
-            )
-            wall = time.perf_counter() - start
-            resolved = record.extra.get("backend", requested)
-            rows.append(
-                {
-                    "algorithm": record.algorithm,
-                    "backend": requested,
-                    "workload": workload,
-                    "seconds": wall,
-                    "pairs": record.result_pairs,
-                    "resolved_backend": resolved,
-                }
-            )
-            print(
-                f"  {record.algorithm:14s} {workload:42s} "
-                f"{wall:8.3f}s  pairs={record.result_pairs} "
-                f"[{requested} -> {resolved}]"
             )
     return rows
 

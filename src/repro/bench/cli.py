@@ -19,11 +19,19 @@ from pathlib import Path
 from repro.bench.config import DEFAULT_SCALE, GEOMETRY_MODES, SCALES
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.reporting import print_experiment, save_json
-from repro.geometry.columnar import BACKENDS
+from repro.geometry.columnar import BACKENDS, validate_backend
 from repro.joins.registry import available
 from repro.parallel.decompose import DECOMPOSE_KINDS
 
 __all__ = ["main", "build_parser"]
+
+
+def _backend_arg(value: str) -> str:
+    """``--backend`` parser: the library's own message names the value."""
+    try:
+        return validate_backend(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,12 +45,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list", help="list experiments and scales")
 
     backend_kwargs = dict(
+        type=_backend_arg,
         choices=BACKENDS,
         default=None,
         help="geometry backend for every join of the experiment "
-        "(object | columnar | compiled | auto); compiled degrades to "
-        "columnar without numba; algorithms without a columnar port "
-        "run unchanged — used for backend ablation sweeps",
+        "(object | columnar | auto, which is columnar); algorithms "
+        "without a columnar port run unchanged — used for backend "
+        "ablation sweeps",
     )
     workers_kwargs = dict(
         type=int,

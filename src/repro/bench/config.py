@@ -211,7 +211,7 @@ DEDUP_MODES = ("reference", "partition")
 
 #: Valid values of the ``handoff`` execution option (mirrors
 #: :data:`repro.parallel.engine.HANDOFF_MODES` without importing the
-#: engine — config must stay importable without numpy).
+#: engine, which config must not drag in).
 HANDOFF_MODES = ("auto", "shm", "pickle")
 
 #: Valid values of the ``geometry`` execution option: ``"mbr"`` joins
@@ -245,9 +245,8 @@ class RunOptions:
         engine default ``"reference"``).
     backend:
         Geometry backend forwarded to backend-aware algorithms
-        (``"object"`` | ``"columnar"`` | ``"compiled"`` | ``"auto"``;
-        ``"compiled"`` degrades to columnar when numba is missing and
-        ``REPRO_COMPILED`` is not ``force``).
+        (``"object"`` | ``"columnar"`` | ``"auto"``; ``"auto"`` is
+        columnar).
     handoff:
         Worker hand-off of the multiprocess engine (``"auto"`` |
         ``"shm"`` | ``"pickle"``; engine default ``"auto"`` — shared

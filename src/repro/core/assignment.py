@@ -20,16 +20,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.geometry.columnar import CoordinateTable, require_numpy
+import numpy as np
+
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
 from repro.core.tree import TouchNode, TouchTree
 from repro.stats.counters import JoinStatistics
-
-try:  # pragma: no cover - optional dependency of the columnar path
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["locate_node", "assign_dataset_b", "assign_table_b"]
 
@@ -121,7 +118,6 @@ def assign_table_b(
     objects are also appended to each node's ``entities_b`` so the tree
     stays inspectable exactly as after a scalar assignment.
     """
-    require_numpy()
     n = len(table_b)
     assigned: dict[TouchNode, object] = {}
     if n == 0:

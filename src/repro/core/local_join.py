@@ -17,23 +17,15 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.core.tree import TouchNode, TouchTree
-from repro.geometry.columnar import CoordinateTable, require_numpy
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair
-from repro.geometry.compiled import descend_ranges
 from repro.geometry.hierarchy import FlatHierarchy, descend_hierarchy
-from repro.joins.local import (
-    COLUMNAR_KERNELS,
-    LOCAL_KERNELS,
-    grid_kernel,
-)
+from repro.joins.local import COLUMNAR_KERNELS, LOCAL_KERNELS, grid_kernel
 from repro.stats.counters import JoinStatistics
-
-try:  # pragma: no cover - optional dependency of the columnar path
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "join_assigned_nodes",
@@ -111,7 +103,6 @@ def join_assigned_nodes_columnar(
     kernel_name: str = "grid",
     cell_size_factor: float = 4.0,
     max_cells_per_dim: int = 64,
-    kernels: "dict | None" = None,
 ) -> list[Pair]:
     """Columnar Algorithm 4 driver: one batched kernel call per node.
 
@@ -123,14 +114,8 @@ def join_assigned_nodes_columnar(
     sub-tables are joined with the selected columnar kernel.  Disjoint
     single-assignment batches keep the result duplicate-free (Lemma 3),
     exactly as in the object path.
-
-    ``kernels`` selects the kernel registry (default
-    :data:`~repro.joins.local.COLUMNAR_KERNELS`; the compiled backend
-    passes :data:`~repro.joins.local.COMPILED_KERNELS`).
     """
-    require_numpy()
-    kernel_table = COLUMNAR_KERNELS if kernels is None else kernels
-    if kernel_name not in kernel_table:
+    if kernel_name not in COLUMNAR_KERNELS:
         raise ValueError(f"unknown local kernel {kernel_name!r}")
     pairs: list[Pair] = []
     ids_a, ids_b = table_a.ids, table_b.ids
@@ -143,7 +128,7 @@ def join_assigned_nodes_columnar(
         sub_a = table_a.take(a_rows)
         sub_b = table_b.take(b_rows)
         if kernel_name == "grid":
-            hit_a, hit_b = kernel_table["grid"](
+            hit_a, hit_b = COLUMNAR_KERNELS["grid"](
                 sub_a,
                 sub_b,
                 stats,
@@ -151,7 +136,7 @@ def join_assigned_nodes_columnar(
                 max_cells_per_dim=max_cells_per_dim,
             )
         else:
-            hit_a, hit_b = kernel_table[kernel_name](sub_a, sub_b, stats)
+            hit_a, hit_b = COLUMNAR_KERNELS[kernel_name](sub_a, sub_b, stats)
         if len(hit_a):
             oid_a = ids_a[a_rows[hit_a]]
             oid_b = ids_b[np.asarray(b_rows)[hit_b]]
@@ -165,7 +150,6 @@ def probe_assigned_nodes_columnar(
     table_b: CoordinateTable,
     assigned: "dict[TouchNode, object]",
     stats: JoinStatistics,
-    compiled: bool = False,
 ) -> list[Pair]:
     """Probe-shaped phase 3: continue the assignment descent to the leaves.
 
@@ -182,20 +166,14 @@ def probe_assigned_nodes_columnar(
     partition A, so the result is duplicate-free without any ownership
     tests; the pair set equals the one-shot join's while the work per
     batch is proportional to the branches the queries actually touch.
-
-    ``compiled`` routes the descent through the compiled tier's
-    :func:`~repro.geometry.compiled.descend_ranges` (same pairs and
-    counters).
     """
-    require_numpy()
     blocks = [(node, rows) for node, rows in assigned.items() if len(rows)]
     if not blocks:
         return []
     seeds = np.repeat(
         [flat.index[node] for node, _ in blocks], [len(rows) for _, rows in blocks]
     )
-    descend = descend_ranges if compiled else descend_hierarchy
-    hit_a, hit_b, comparisons, node_tests = descend(
+    hit_a, hit_b, comparisons, node_tests = descend_hierarchy(
         flat, table_a, table_b, seeds, np.concatenate([rows for _, rows in blocks])
     )
     stats.comparisons += comparisons
@@ -212,12 +190,9 @@ def flatten_hierarchy(
     Nodes are numbered in the same traversal order that built
     ``leaf_slices`` (``tree.leaves()`` filters ``iter_nodes()``), so
     every subtree's A rows form one contiguous ``[sub_start, sub_stop)``
-    range.  ``sub_tests`` aggregates the child counts of each subtree's
-    internal nodes, letting the compiled tier's true-hit shortcut charge
-    skipped node tests exactly as a full descent would.  The aggregates
-    are built bottom-up one tree level per numpy pass.
+    range.  The ranges are built bottom-up one tree level per numpy
+    pass.
     """
-    require_numpy()
     nodes = list(tree.iter_nodes())
     count = len(nodes)
     index = {node: position for position, node in enumerate(nodes)}
@@ -238,7 +213,6 @@ def flatten_hierarchy(
     )
     sub_start = np.zeros(count, dtype=np.int64)
     sub_stop = np.zeros(count, dtype=np.int64)
-    sub_tests = np.zeros(count, dtype=np.int64)
     sub_start[leaves], sub_stop[leaves] = spans[0::2], spans[1::2]
     # Internal nodes in pre-order own consecutive, non-empty runs of
     # children_idx, so one reduceat per level aggregates all of them;
@@ -250,9 +224,6 @@ def flatten_hierarchy(
         settle = inner[at]
         sub_start[settle] = np.minimum.reduceat(sub_start[children_idx], runs)[at]
         sub_stop[settle] = np.maximum.reduceat(sub_stop[children_idx], runs)[at]
-        sub_tests[settle] = (
-            np.add.reduceat(sub_tests[children_idx], runs)[at] + fan[settle]
-        )
     if len(inner) and not np.array_equal(
         np.add.reduceat((sub_stop - sub_start)[children_idx], runs),
         (sub_stop - sub_start)[inner],
@@ -268,7 +239,6 @@ def flatten_hierarchy(
         children_idx,
         sub_start,
         sub_stop,
-        sub_tests,
         index,
     )
 

@@ -54,7 +54,7 @@ from repro.geometry.columnar import (
 )
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair, SpatialJoinAlgorithm
-from repro.joins.local import COMPILED_KERNELS, LOCAL_KERNELS
+from repro.joins.local import LOCAL_KERNELS
 from repro.stats.counters import JoinStatistics
 
 __all__ = ["TouchJoin", "resolve_backend", "BACKENDS"]
@@ -87,13 +87,10 @@ class TouchJoin(SpatialJoinAlgorithm):
     max_cells_per_dim:
         Upper bound on local-grid resolution per dimension.
     backend:
-        ``"auto"`` (default: columnar when numpy is importable),
-        ``"object"`` (per-object Python loops), ``"columnar"``
-        (contiguous coordinate arrays + batched kernels) or
-        ``"compiled"`` (jitted kernels + flattened range descent with
-        the true-hit shortcut; degrades to columnar when the tier is
-        unavailable).  All produce the identical pair set; object and
-        columnar also share identical ``comparisons`` counts.
+        ``"auto"`` (default: columnar), ``"object"`` (per-object Python
+        loops) or ``"columnar"`` (contiguous coordinate arrays + batched
+        kernels).  Both produce the identical pair set and identical
+        ``comparisons`` counts.
     """
 
     name = "TOUCH"
@@ -171,10 +168,8 @@ class TouchJoin(SpatialJoinAlgorithm):
         )
         stats.build_seconds = time.perf_counter() - build_start
 
-        if backend in ("columnar", "compiled"):
-            pairs = self._execute_columnar(
-                tree, objects_b, stats, compiled=backend == "compiled"
-            )
+        if backend == "columnar":
+            pairs = self._execute_columnar(tree, objects_b, stats)
         else:
             pairs = self._execute_object(tree, objects_b, stats)
 
@@ -203,7 +198,7 @@ class TouchJoin(SpatialJoinAlgorithm):
             leaf_capacity=self.leaf_capacity,
         )
         payload = {"tree": tree, "backend": backend}
-        if backend in ("columnar", "compiled"):
+        if backend == "columnar":
             table_a, leaf_slices = leaf_order_table(tree)
             payload["table_a"] = table_a
             payload["flat"] = flatten_hierarchy(tree, leaf_slices)
@@ -225,7 +220,7 @@ class TouchJoin(SpatialJoinAlgorithm):
         """
         if payload is None or not objects_b:
             return []
-        if payload["backend"] in ("columnar", "compiled"):
+        if payload["backend"] == "columnar":
             return self._probe_table(
                 payload, CoordinateTable.from_objects(objects_b), stats
             )
@@ -276,27 +271,18 @@ class TouchJoin(SpatialJoinAlgorithm):
         """Columnar probe: batched assignment + batched range descent."""
         if payload is None or len(table_b) == 0:
             return []
-        backend = payload["backend"]
-        if backend not in ("columnar", "compiled"):
+        if payload["backend"] != "columnar":
             return self._probe(payload, table_b.to_objects(), stats)
         tree = payload["tree"]
-        stats.extra["backend"] = backend
+        stats.extra["backend"] = "columnar"
 
         assign_start = time.perf_counter()
         assigned = assign_table_b(tree, table_b, None, stats)
         stats.assign_seconds = time.perf_counter() - assign_start
 
-        # The compiled probe runs the same range descent as the columnar
-        # one (identical pairs *and* counters), through the jitted kernel
-        # when numba is in use.
         join_start = time.perf_counter()
         pairs = probe_assigned_nodes_columnar(
-            payload["flat"],
-            payload["table_a"],
-            table_b,
-            assigned,
-            stats,
-            compiled=backend == "compiled",
+            payload["flat"], payload["table_a"], table_b, assigned, stats
         )
         stats.join_seconds = time.perf_counter() - join_start
 
@@ -345,7 +331,6 @@ class TouchJoin(SpatialJoinAlgorithm):
         tree: TouchTree,
         objects_b: list[SpatialObject],
         stats: JoinStatistics,
-        compiled: bool = False,
     ) -> list[Pair]:
         # Phase 2, batched: all of B descends the tree level by level.
         assign_start = time.perf_counter()
@@ -354,39 +339,25 @@ class TouchJoin(SpatialJoinAlgorithm):
         stats.assign_seconds = time.perf_counter() - assign_start
 
         # Phase 3, batched: one columnar kernel call per assigned node.
-        # The compiled backend swaps the kernel registry for the jitted
-        # nested/sweep loops; its default "grid" kernel is replaced
-        # wholesale by the flattened range descent with the true-hit
-        # shortcut (identical pair set; the descent's comparison counters
-        # reflect the hierarchy walk rather than grid candidates).
         join_start = time.perf_counter()
         table_a, leaf_slices = leaf_order_table(tree)
-        flat_bytes = 0
-        if compiled and self.local_kernel == "grid":
-            flat = flatten_hierarchy(tree, leaf_slices)
-            flat_bytes = flat.nbytes
-            pairs = probe_assigned_nodes_columnar(
-                flat, table_a, table_b, assigned, stats, compiled=True
-            )
-        else:
-            pairs = join_assigned_nodes_columnar(
-                table_a,
-                leaf_slices,
-                table_b,
-                assigned,
-                stats,
-                kernel_name=self.local_kernel,
-                cell_size_factor=self.cell_size_factor,
-                max_cells_per_dim=self.max_cells_per_dim,
-                kernels=COMPILED_KERNELS if compiled else None,
-            )
+        pairs = join_assigned_nodes_columnar(
+            table_a,
+            leaf_slices,
+            table_b,
+            assigned,
+            stats,
+            kernel_name=self.local_kernel,
+            cell_size_factor=self.cell_size_factor,
+            max_cells_per_dim=self.max_cells_per_dim,
+        )
         stats.join_seconds = time.perf_counter() - join_start
 
         # The coordinate tables are real allocations the columnar backend
         # keeps resident for the whole join: count them (arr.nbytes), on
         # top of the shared analytic tree + local-grid model, so the
         # figure-table memory numbers stay honest across backends.
-        table_bytes = table_a.nbytes + table_b.nbytes + flat_bytes
+        table_bytes = table_a.nbytes + table_b.nbytes
         stats.extra["columnar_table_bytes"] = table_bytes
         stats.memory_bytes = (
             tree.memory_bytes()

@@ -18,10 +18,6 @@ batch kernels over it:
 - :func:`overlap_mask` / :func:`boxes_overlap_matrix` — one-box-vs-table
   and small-stack-vs-table tests used by the TOUCH assignment phase.
 
-Everything degrades gracefully: when numpy is unavailable
-(:data:`HAVE_NUMPY` is ``False``) the object code paths remain the only
-backend and importing this module stays safe.
-
 All predicates use closed-box semantics (touching boundaries intersect),
 bit-for-bit the same rule as :meth:`MBR.intersects`.
 """
@@ -32,15 +28,9 @@ from itertools import chain
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from repro.geometry.mbr import MBR
-
-try:  # pragma: no cover - exercised implicitly by every columnar test
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI images all ship numpy
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
 
 try:  # pragma: no cover - stdlib on every supported platform
     from multiprocessing import shared_memory as _shared_memory
@@ -54,9 +44,7 @@ if TYPE_CHECKING:  # avoid a runtime cycle with repro.geometry.objects
     from repro.geometry.objects import SpatialObject
 
 __all__ = [
-    "HAVE_NUMPY",
     "HAVE_SHM",
-    "require_numpy",
     "BACKENDS",
     "resolve_backend",
     "validate_backend",
@@ -82,17 +70,8 @@ __all__ = [
 DEFAULT_CANDIDATE_CHUNK = 1 << 22
 
 
-def require_numpy() -> None:
-    """Raise a clear error when a columnar API is used without numpy."""
-    if not HAVE_NUMPY:
-        raise RuntimeError(
-            "the columnar geometry backend requires numpy; install numpy "
-            "or select backend='object'"
-        )
-
-
 #: Valid values of the ``backend`` parameter of the ported algorithms.
-BACKENDS = ("auto", "object", "columnar", "compiled")
+BACKENDS = ("auto", "object", "columnar")
 
 #: Dimensionality assumed for empty tables built without an explicit
 #: ``dim`` (the library's native datasets are 3-D boxes).
@@ -108,33 +87,14 @@ def validate_backend(backend: str) -> str:
     return backend
 
 
-def resolve_backend(backend: str, allow_compiled: bool = True) -> str:
+def resolve_backend(backend: str) -> str:
     """Normalise a backend selector to an executable backend name.
 
-    ``"auto"`` picks the columnar path whenever numpy is importable and
-    falls back to the object path otherwise — it never opts into the
-    compiled tier on its own.  ``"compiled"`` resolves to itself when
-    the compiled kernels are usable (numba importable, or the
-    ``REPRO_COMPILED=force`` pure-python mode) and degrades gracefully
-    to ``"columnar"`` (then ``"object"``) when they are not.  Algorithms
-    without a compiled execution pass ``allow_compiled=False`` so an
-    explicit ``backend="compiled"`` request lands on their columnar
-    path instead of falling through to the object loops.  Explicitly
-    requesting ``"columnar"`` without numpy fails later, inside the
-    first columnar kernel, with the :func:`require_numpy` message.
+    ``"auto"`` is the columnar path; ``"object"`` and ``"columnar"``
+    resolve to themselves.
     """
     validate_backend(backend)
-    if backend == "auto":
-        return "columnar" if HAVE_NUMPY else "object"
-    if backend == "compiled":
-        if not HAVE_NUMPY:
-            return "object"
-        if not allow_compiled:
-            return "columnar"
-        from repro.geometry.compiled import compiled_available
-
-        return "compiled" if compiled_available() else "columnar"
-    return backend
+    return "columnar" if backend == "auto" else backend
 
 
 class CoordinateTable:
@@ -158,7 +118,6 @@ class CoordinateTable:
     __slots__ = ("coords", "ids", "_shm")
 
     def __init__(self, coords, ids) -> None:
-        require_numpy()
         coords = np.ascontiguousarray(coords, dtype=np.float64)
         ids = np.ascontiguousarray(ids, dtype=np.int64)
         if coords.ndim != 2 or coords.shape[1] % 2 != 0 or coords.shape[1] == 0:
@@ -185,7 +144,6 @@ class CoordinateTable:
         inferred), so empty-side joins flow through the columnar
         kernels instead of tripping a shape-inference error.
         """
-        require_numpy()
         if not objects:
             dim = DEFAULT_DIM if dim is None else dim
             return cls(
@@ -210,7 +168,6 @@ class CoordinateTable:
         Empty input yields a ``(0, 2 * dim)`` table exactly like
         :meth:`from_objects`.
         """
-        require_numpy()
         boxes = list(mbrs)
         if not boxes:
             dim = DEFAULT_DIM if dim is None else dim
@@ -322,7 +279,6 @@ class CoordinateTable:
         unlinks.  Use :meth:`shm_slice` to materialise a private row
         subset and drop the attachment immediately.
         """
-        require_numpy()
         require_shm()
         segment = _attach_segment(handle.name)
         rows, dim = handle.rows, handle.dim
@@ -401,7 +357,6 @@ def _corner_rows(mbrs: Sequence[MBR], ids) -> "np.ndarray":
 
 def require_shm() -> None:
     """Raise a clear error when the shm hand-off is used without support."""
-    require_numpy()
     if not HAVE_SHM:
         raise RuntimeError(
             "multiprocessing.shared_memory is unavailable on this platform; "
@@ -493,7 +448,6 @@ def concat_ranges(starts, counts):
     the flat ``(anchor_index, candidate_index)`` arrays in one shot,
     without a Python-level loop.
     """
-    require_numpy()
     counts = np.asarray(counts, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     total = int(counts.sum())
@@ -538,7 +492,6 @@ def intersects_many(table_a: CoordinateTable, table_b: CoordinateTable):
     Materialises |A| × |B| booleans: meant for moderate inputs and for
     validation; use :func:`intersect_pairs` for large joins.
     """
-    require_numpy()
     if table_a.dim != table_b.dim:
         raise ValueError(f"dimension mismatch: {table_a.dim} vs {table_b.dim}")
     a_lo = table_a.lo[:, None, :]
@@ -550,7 +503,6 @@ def intersects_many(table_a: CoordinateTable, table_b: CoordinateTable):
 
 def overlap_mask(table: CoordinateTable, lo, hi):
     """``(N,)`` mask of table rows intersecting the box ``(lo, hi)``."""
-    require_numpy()
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     return (table.lo <= hi).all(axis=1) & (table.hi >= lo).all(axis=1)
@@ -584,7 +536,6 @@ def axes_overlap_mask(table: CoordinateTable, axes, lows, highs):
     axes, never all — vectorised so the parallel engine can slice
     per-region coordinate blocks without a per-object Python loop.
     """
-    require_numpy()
     dim = table.dim
     mask = np.ones(len(table), dtype=bool)
     for axis, lo, hi in zip(axes, lows, highs):
@@ -599,7 +550,6 @@ def boxes_overlap_matrix(lo_rows, hi_rows, boxes_lo, boxes_hi):
     Used by the assignment phase to test a batch of B objects against
     all children of a tree node in one broadcast.
     """
-    require_numpy()
     return ((lo_rows[:, None, :] <= boxes_hi[None, :, :]).all(axis=2)) & (
         (hi_rows[:, None, :] >= boxes_lo[None, :, :]).all(axis=2)
     )
@@ -617,7 +567,6 @@ def intersect_pairs(
     processing blocks of A rows; pair order matches the object-model
     nested loop (A-major, then B).
     """
-    require_numpy()
     if table_a.dim != table_b.dim:
         raise ValueError(f"dimension mismatch: {table_a.dim} vs {table_b.dim}")
     n_a, n_b = len(table_a), len(table_b)
@@ -664,7 +613,6 @@ def sweep_pairs(
     calls against the lo-sorted opposite table and materialise them with
     :func:`concat_ranges` — no per-object Python loop.
     """
-    require_numpy()
     if table_a.dim != table_b.dim:
         raise ValueError(f"dimension mismatch: {table_a.dim} vs {table_b.dim}")
     empty = np.empty(0, dtype=np.int64)

@@ -5,9 +5,8 @@ with CSR children and contiguous subtree row ranges (built by
 :func:`repro.core.local_join.flatten_hierarchy`; this module is purely
 numeric, so the geometry layer stays free of tree imports).
 
-:func:`descend_hierarchy` is the one numpy descent: columnar probes run
-it directly, and the compiled tier's :func:`~repro.geometry.compiled.descend_ranges`
-falls back to it when numba is not in use.  It is level-synchronous:
+:func:`descend_hierarchy` is the range descent every columnar probe
+runs.  It is level-synchronous:
 the frontier is a pair of parallel ``(node, B row)`` arrays, and every
 step expands all internal entries to their children at once by CSR
 arithmetic, so the Python work per step is constant however many nodes
@@ -36,11 +35,7 @@ class FlatHierarchy:
 
     Node order is the tree's DFS pre-order, which makes every subtree's
     descendant leaves — and hence its A rows in the leaf-order table —
-    one contiguous range ``[sub_start, sub_stop)``.  ``sub_tests`` holds
-    the number of child-overlap tests a full descent of the subtree
-    would perform (the sum of child counts over its internal nodes):
-    the compiled tier's true-hit shortcut charges these precomputed
-    aggregates so its counters equal the shortcut-free descent exactly.
+    one contiguous range ``[sub_start, sub_stop)``.
     """
 
     __slots__ = (
@@ -50,7 +45,6 @@ class FlatHierarchy:
         "children_idx",
         "sub_start",
         "sub_stop",
-        "sub_tests",
         "index",
     )
 
@@ -62,7 +56,6 @@ class FlatHierarchy:
         children_idx,
         sub_start,
         sub_stop,
-        sub_tests,
         index,
     ) -> None:
         self.node_lo = node_lo
@@ -71,7 +64,6 @@ class FlatHierarchy:
         self.children_idx = children_idx
         self.sub_start = sub_start
         self.sub_stop = sub_stop
-        self.sub_tests = sub_tests
         #: Mapping from tree node -> flat index, for seeding descents.
         self.index = index
 
@@ -88,7 +80,6 @@ class FlatHierarchy:
             + self.children_idx.nbytes
             + self.sub_start.nbytes
             + self.sub_stop.nbytes
-            + self.sub_tests.nbytes
         )
 
 

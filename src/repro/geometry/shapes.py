@@ -28,8 +28,8 @@ kernel.
 
 The exact predicate is **Euclidean**: ``shape_distance(a, b) <=
 epsilon``.  All internal comparisons happen on *squared* distances
-(:func:`shape_distance_sq`), which keeps the scalar, vectorized and
-compiled refinement kernels bit-for-bit consistent.
+(:func:`shape_distance_sq`), which keeps the scalar and vectorized
+refinement kernels bit-for-bit consistent.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ def segment_distance_sq(
 ) -> float:
     """Squared minimum distance between segments (a,b) and (c,d).
 
-    Ericson's clamped closest-point computation.  The vectorized and
-    compiled refinement kernels mirror this arithmetic operation for
-    operation so every backend reaches the same float, which is what
+    Ericson's clamped closest-point computation.  The vectorized
+    refinement kernels mirror this arithmetic operation for operation
+    so every backend reaches the same float, which is what
     lets the parity suite demand identical refined pair sets.
 
     Segments that properly cross (each one's endpoints strictly on

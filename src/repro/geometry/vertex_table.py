@@ -24,11 +24,11 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from repro.geometry.columnar import (
-    HAVE_NUMPY,
     SharedTableBlock,
     _attach_segment,
-    require_numpy,
     require_shm,
 )
 from repro.geometry.shapes import (
@@ -40,11 +40,6 @@ from repro.geometry.shapes import (
     Polygon,
     Shape,
 )
-
-try:  # pragma: no cover - numpy import guarded like columnar.py
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["VertexTable", "SharedVertexHandle", "shape_of"]
 
@@ -76,7 +71,6 @@ class VertexTable:
     __slots__ = ("vertices", "offsets", "kinds", "ids", "_shm")
 
     def __init__(self, vertices, offsets, kinds, ids):
-        require_numpy()
         self.vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
         self.kinds = np.ascontiguousarray(kinds, dtype=np.int64)
@@ -103,7 +97,6 @@ class VertexTable:
     def from_shapes(
         cls, shapes: Sequence[Shape], ids: Iterable[int]
     ) -> "VertexTable":
-        require_numpy()
         if not shapes:
             return cls(
                 np.empty((0, 2), dtype=np.float64),
@@ -281,6 +274,3 @@ class SharedVertexHandle:
     def __setstate__(self, state) -> None:
         self.name, self.rows, self.total_vertices, self.dim = state
 
-
-# Re-export for callers that feature-test the hand-off.
-HAVE_VERTEX_NUMPY = HAVE_NUMPY

@@ -16,19 +16,15 @@ columnar grid join equals the object path's count bit for bit.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.geometry.columnar import (
     CoordinateTable,
     DEFAULT_CANDIDATE_CHUNK,
     chunk_boundaries,
     concat_ranges,
     pairs_overlap_mask,
-    require_numpy,
 )
-
-try:  # pragma: no cover - mirrored from repro.geometry.columnar
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = [
     "ColumnarGrid",
@@ -62,7 +58,6 @@ class ColumnarGrid:
     __slots__ = ("lo", "hi", "resolution", "cell_width", "_radix")
 
     def __init__(self, lo, hi, resolution=None, cell_size=None) -> None:
-        require_numpy()
         if (resolution is None) == (cell_size is None):
             raise ValueError("specify exactly one of resolution or cell_size")
         self.lo = np.asarray(lo, dtype=np.float64)
@@ -214,7 +209,6 @@ def entry_join_candidates(
     indices, the two-layer join (:mod:`repro.partition.two_layer`)
     object indices *and* class masks.
     """
-    require_numpy()
     if len(keys_a) == 0 or len(keys_b) == 0:
         return
     yield from _key_windows(sort_entries(keys_b), keys_a, chunk)
@@ -233,7 +227,6 @@ def sort_entries(keys):
     (:func:`probe_join_candidates`), instead of the one-shot path's
     per-join sort of the full build side.
     """
-    require_numpy()
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     if len(sorted_keys) == 0:
@@ -258,7 +251,6 @@ def probe_join_candidates(
     key-sharing pair), so ``stats.comparisons`` counts are identical;
     only the pair order differs.
     """
-    require_numpy()
     for probe_idx, build_idx in _key_windows(build_index, probe_keys, chunk):
         yield build_idx, probe_idx
 

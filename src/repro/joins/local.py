@@ -15,16 +15,9 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.geometry.columnar import (
-    CoordinateTable,
-    intersect_pairs,
-    require_numpy,
-    sweep_pairs,
-)
-from repro.geometry.compiled import (
-    intersect_pairs_compiled,
-    sweep_pairs_compiled,
-)
+import numpy as np
+
+from repro.geometry.columnar import CoordinateTable, intersect_pairs, sweep_pairs
 from repro.geometry.mbr import MBR, total_mbr
 from repro.geometry.objects import SpatialObject
 from repro.grid.columnar import ColumnarGrid, grid_join_pairs
@@ -32,24 +25,16 @@ from repro.grid.uniform import UniformGrid
 from repro.stats import memory as memmodel
 from repro.stats.counters import JoinStatistics
 
-try:  # pragma: no cover - optional dependency of the columnar kernels
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
 __all__ = [
     "nested_loop_kernel",
     "plane_sweep_kernel",
     "grid_kernel",
     "LOCAL_KERNELS",
     "COLUMNAR_KERNELS",
-    "COMPILED_KERNELS",
     "average_side_length",
     "nested_kernel_columnar",
     "sweep_kernel_columnar",
     "grid_kernel_columnar",
-    "nested_kernel_compiled",
-    "sweep_kernel_compiled",
 ]
 
 Emit = Callable[[SpatialObject, SpatialObject], None]
@@ -228,7 +213,6 @@ def nested_kernel_columnar(
     stats: JoinStatistics,
 ):
     """Batch nested loop: every pair tested via one broadcast per block."""
-    require_numpy()
     idx_a, idx_b = intersect_pairs(table_a, table_b)
     stats.comparisons += len(table_a) * len(table_b)
     return idx_a, idx_b
@@ -240,7 +224,6 @@ def sweep_kernel_columnar(
     stats: JoinStatistics,
 ):
     """Vectorised forward plane-sweep along dimension 0."""
-    require_numpy()
     idx_a, idx_b, candidates = sweep_pairs(table_a, table_b)
     stats.comparisons += candidates
     return idx_a, idx_b
@@ -261,7 +244,6 @@ def grid_kernel_columnar(
     sides without a Python loop, joins them by cell key and applies the
     reference-point rule to the intersecting candidates in one shot.
     """
-    require_numpy()
     n_a, n_b = len(table_a), len(table_b)
     empty = np.empty(0, dtype=np.int64)
     if n_a == 0 or n_b == 0:
@@ -306,45 +288,3 @@ COLUMNAR_KERNELS = {
     "grid": grid_kernel_columnar,
 }
 
-
-# --------------------------------------------------------------------------
-# Compiled kernels
-#
-# Same candidate geometry and counter semantics as the columnar registry
-# above; the nested and sweep entries dispatch to the jitted (or, without
-# numba, numpy-twin) loops of :mod:`repro.geometry.compiled`.  The grid
-# kernel is already dominated by hash-join numpy primitives, so the
-# compiled tier reuses the columnar implementation — and TOUCH replaces
-# it wholesale with the flattened range descent (see
-# :func:`repro.core.local_join.probe_assigned_nodes_compiled`).
-# --------------------------------------------------------------------------
-def nested_kernel_compiled(
-    table_a: CoordinateTable,
-    table_b: CoordinateTable,
-    stats: JoinStatistics,
-):
-    """Batch nested loop lowered to a scalar jitted double loop."""
-    require_numpy()
-    idx_a, idx_b = intersect_pairs_compiled(table_a, table_b)
-    stats.comparisons += len(table_a) * len(table_b)
-    return idx_a, idx_b
-
-
-def sweep_kernel_compiled(
-    table_a: CoordinateTable,
-    table_b: CoordinateTable,
-    stats: JoinStatistics,
-):
-    """Forward plane sweep lowered to jitted per-anchor window scans."""
-    require_numpy()
-    idx_a, idx_b, candidates = sweep_pairs_compiled(table_a, table_b)
-    stats.comparisons += candidates
-    return idx_a, idx_b
-
-
-#: Compiled kernel registry, keyed like :data:`LOCAL_KERNELS`.
-COMPILED_KERNELS = {
-    "nested": nested_kernel_compiled,
-    "sweep": sweep_kernel_compiled,
-    "grid": grid_kernel_columnar,
-}

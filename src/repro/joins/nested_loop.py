@@ -36,8 +36,7 @@ class NestedLoopJoin(SpatialJoinAlgorithm):
     Parameters
     ----------
     backend:
-        ``"auto"`` (columnar when numpy is importable), ``"object"`` or
-        ``"columnar"``.  Pair list and comparison count are identical;
+        ``"auto"`` (columnar), ``"object"`` or ``"columnar"``.  Pair list and comparison count are identical;
         only the execution strategy differs.
     """
 
@@ -58,15 +57,10 @@ class NestedLoopJoin(SpatialJoinAlgorithm):
         backend = resolve_backend(self.backend)
         stats.extra["backend"] = backend
         join_start = time.perf_counter()
-        if backend in ("columnar", "compiled") and objects_a and objects_b:
+        if backend == "columnar" and objects_a and objects_b:
             table_a = CoordinateTable.from_objects(objects_a)
             table_b = CoordinateTable.from_objects(objects_b)
-            if backend == "compiled":
-                from repro.geometry.compiled import intersect_pairs_compiled
-
-                idx_a, idx_b = intersect_pairs_compiled(table_a, table_b)
-            else:
-                idx_a, idx_b = intersect_pairs(table_a, table_b)
+            idx_a, idx_b = intersect_pairs(table_a, table_b)
             stats.comparisons += len(objects_a) * len(objects_b)
             pairs = list(
                 zip(table_a.ids[idx_a].tolist(), table_b.ids[idx_b].tolist())

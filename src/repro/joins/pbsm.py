@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.geometry.columnar import (
     CoordinateTable,
-    require_numpy,
     resolve_backend,
     validate_backend,
 )
@@ -35,11 +36,6 @@ from repro.joins.base import Pair, SpatialJoinAlgorithm
 from repro.joins.local import LOCAL_KERNELS
 from repro.stats import memory as memmodel
 from repro.stats.counters import JoinStatistics
-
-try:  # pragma: no cover - optional dependency of the columnar path
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["PBSMJoin"]
 
@@ -70,8 +66,7 @@ class PBSMJoin(SpatialJoinAlgorithm):
         Optional fixed universe; by default the union of both datasets'
         extents is used.
     backend:
-        ``"auto"`` (columnar when numpy is importable), ``"object"`` or
-        ``"columnar"``.
+        ``"auto"`` (columnar), ``"object"`` or ``"columnar"``.
     """
 
     name = "PBSM"
@@ -137,7 +132,7 @@ class PBSMJoin(SpatialJoinAlgorithm):
             universe = total_mbr(o.mbr for o in objects_a).union(
                 total_mbr(o.mbr for o in objects_b)
             )
-        backend = resolve_backend(self.backend, allow_compiled=False)
+        backend = resolve_backend(self.backend)
         stats.extra["backend"] = backend
         if backend == "columnar":
             return self._execute_columnar(objects_a, objects_b, universe, stats)
@@ -232,7 +227,6 @@ class PBSMJoin(SpatialJoinAlgorithm):
         them; the candidate pairs of every shared cell are intersection-
         tested and reference-point-deduplicated in bulk.
         """
-        require_numpy()
         build_start = time.perf_counter()
         table_a = CoordinateTable.from_objects(objects_a)
         table_b = CoordinateTable.from_objects(objects_b)
@@ -288,7 +282,7 @@ class PBSMJoin(SpatialJoinAlgorithm):
         universe = self.universe
         if universe is None:
             universe = total_mbr(o.mbr for o in objects_a)
-        backend = resolve_backend(self.backend, allow_compiled=False)
+        backend = resolve_backend(self.backend)
         if backend == "columnar":
             from repro.grid.columnar import sort_entries
 

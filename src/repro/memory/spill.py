@@ -9,9 +9,6 @@ back **consumes** it: the file is deleted as soon as the rows are
 rematerialised, so a store holds each spilled partition at most once
 and the directory empties as the join drains its spill queue.
 
-Without numpy the store degrades to pickled ``(oid, lo, hi)`` row
-tuples (``.pkl``); the lifecycle and accounting are identical.
-
 Failure handling follows the PR 7 shared-memory hygiene rules: any I/O
 problem while reading a partition back — the file deleted underneath
 us, truncation, corruption — surfaces as :class:`SpillError` naming the
@@ -23,16 +20,13 @@ successful joins and crashes leave no spill files on disk.
 from __future__ import annotations
 
 import os
-import pickle
 import shutil
 import tempfile
 
-from repro.geometry.columnar import HAVE_NUMPY
+import numpy as np
+
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
-
-if HAVE_NUMPY:  # pragma: no branch
-    import numpy as np
 
 __all__ = ["SpillError", "SpilledPartition", "SpillStore"]
 
@@ -125,23 +119,13 @@ class SpillStore:
         """Spill one partition's rows; the caller drops its references."""
         if self._closed:
             raise SpillError("spill store is closed")
-        suffix = "npy" if HAVE_NUMPY else "pkl"
-        path = os.path.join(self.directory, f"part{pid:05d}.{suffix}")
+        path = os.path.join(self.directory, f"part{pid:05d}.npy")
         try:
             with open(path, "wb") as fh:
-                if HAVE_NUMPY:
-                    for side in (objects_a, objects_b):
-                        coords, ids = _pack(side)
-                        np.save(fh, coords, allow_pickle=False)
-                        np.save(fh, ids, allow_pickle=False)
-                else:
-                    pickle.dump(
-                        [
-                            [(o.oid, o.mbr.lo, o.mbr.hi) for o in side]
-                            for side in (objects_a, objects_b)
-                        ],
-                        fh,
-                    )
+                for side in (objects_a, objects_b):
+                    coords, ids = _pack(side)
+                    np.save(fh, coords, allow_pickle=False)
+                    np.save(fh, ids, allow_pickle=False)
             file_bytes = os.path.getsize(path)
         except OSError as exc:
             raise SpillError(f"failed to spill partition {pid} to {path}: {exc}") from exc
@@ -156,22 +140,13 @@ class SpillStore:
         """Unspill one partition — and delete its file (read-once)."""
         try:
             with open(partition.path, "rb") as fh:
-                if HAVE_NUMPY:
-                    sides = []
-                    for _ in range(2):
-                        coords = np.load(fh, allow_pickle=False)
-                        ids = np.load(fh, allow_pickle=False)
-                        sides.append(_unpack(coords, ids))
-                    objects_a, objects_b = sides
-                else:
-                    rows_a, rows_b = pickle.load(fh)
-                    objects_a = [
-                        SpatialObject(oid, MBR(lo, hi)) for oid, lo, hi in rows_a
-                    ]
-                    objects_b = [
-                        SpatialObject(oid, MBR(lo, hi)) for oid, lo, hi in rows_b
-                    ]
-        except (OSError, ValueError, EOFError, pickle.UnpicklingError) as exc:
+                sides = []
+                for _ in range(2):
+                    coords = np.load(fh, allow_pickle=False)
+                    ids = np.load(fh, allow_pickle=False)
+                    sides.append(_unpack(coords, ids))
+                objects_a, objects_b = sides
+        except (OSError, ValueError, EOFError) as exc:
             raise SpillError(
                 f"failed to read spilled partition {partition.pid} back from "
                 f"{partition.path}: {exc}"

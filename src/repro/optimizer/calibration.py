@@ -59,9 +59,8 @@ DEFAULT_CALIBRATION: dict = {
     # Generic service dispatch + merge cost per probe batch.
     "probe_overhead_seconds": 0.03,
     # Object loops measured ~3x the columnar kernels across the
-    # backend-parity smokes; the compiled tier shaves ~10% when numba
-    # is importable (BENCH_PR7/PR9 compiled rows).
-    "backend_factor": {"object": 3.0, "columnar": 1.0, "compiled": 0.9, "auto": 1.0},
+    # backend-parity smokes.
+    "backend_factor": {"object": 3.0, "columnar": 1.0, "auto": 1.0},
     # Process spawn + shared-memory hand-off per worker, and how much
     # of ideal linear speedup the engine typically achieves.
     "worker_spawn_seconds": 0.35,

@@ -183,15 +183,10 @@ def score_candidates(
     Returns the full list sorted cheapest-first (no ``chosen`` flag set;
     :func:`choose_plan` marks the winner).  ``backend`` pins the
     execution backend for backend-aware algorithms; ``None`` or
-    ``"auto"`` lets the model pick the best resolvable one.
+    ``"auto"`` means columnar.
     """
     cal = calibration or DEFAULT_CALIBRATION
-    pinned_backend = backend if backend not in (None, "auto") else None
-    best_backend = (
-        resolve_backend(pinned_backend)
-        if pinned_backend is not None
-        else resolve_backend("compiled")
-    )
+    best_backend = resolve_backend(backend or "auto")
     pairs = expected_pairs(sketch_a, sketch_b, epsilon)
     scores: list[CandidateScore] = []
     for info in available():

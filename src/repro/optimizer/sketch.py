@@ -3,8 +3,8 @@
 A :class:`DatasetSketch` condenses a dataset into a few hundred bytes —
 cardinality, extent, per-dimension mean MBR sides, density, shape
 fraction and small per-dimension center histograms — computed in one
-columnar pass over the ``(N, 2D)`` coordinate block (with a pure-Python
-fallback when numpy is unavailable).  Sketches are cached process-wide
+columnar pass over the ``(N, 2D)`` coordinate block.  Sketches are
+cached process-wide
 by dataset fingerprint, so the optimizer prices a repeatedly-probed
 dataset once, not per query.
 
@@ -20,7 +20,9 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from repro.geometry.columnar import HAVE_NUMPY, CoordinateTable
+import numpy as np
+
+from repro.geometry.columnar import DEFAULT_DIM, CoordinateTable
 from repro.geometry.objects import SpatialObject
 
 __all__ = [
@@ -162,8 +164,6 @@ def _empty_sketch(dim: int, fingerprint: str) -> DatasetSketch:
 def _sketch_columnar(
     table: CoordinateTable, shape_fraction: float, fingerprint: str
 ) -> DatasetSketch:
-    import numpy as np
-
     dim = table.dim
     lo_all = table.lo.min(axis=0)
     hi_all = table.hi.max(axis=0)
@@ -200,70 +200,6 @@ def _sketch_columnar(
     )
 
 
-def _sketch_objects(
-    objects: Sequence[SpatialObject], shape_fraction: float, fingerprint: str
-) -> DatasetSketch:
-    dim = objects[0].mbr.dim
-    lo_all = list(objects[0].mbr.lo)
-    hi_all = list(objects[0].mbr.hi)
-    side_totals = [0.0] * dim
-    volume_total = 0.0
-    centers: list[tuple[float, ...]] = []
-    for obj in objects:
-        mbr = obj.mbr
-        volume = 1.0
-        for d in range(dim):
-            lo_all[d] = min(lo_all[d], mbr.lo[d])
-            hi_all[d] = max(hi_all[d], mbr.hi[d])
-            side = mbr.hi[d] - mbr.lo[d]
-            side_totals[d] += side
-            volume *= side
-        volume_total += volume
-        centers.append(
-            tuple((mbr.lo[d] + mbr.hi[d]) * 0.5 for d in range(dim))
-        )
-    n = len(objects)
-    extents = [hi_all[d] - lo_all[d] for d in range(dim)]
-    live = [d for d in range(dim) if extents[d] > 0]
-    if live:
-        # Recompute volumes over live dimensions only, mirroring the
-        # columnar path's degenerate-extent handling.
-        volume_total = 0.0
-        extent_volume = 1.0
-        for obj in objects:
-            volume = 1.0
-            for d in live:
-                volume *= obj.mbr.hi[d] - obj.mbr.lo[d]
-            volume_total += volume
-        for d in live:
-            extent_volume *= extents[d]
-        density = volume_total / extent_volume
-    else:
-        density = 0.0
-    histograms = []
-    for d in range(dim):
-        counts = [0] * HIST_BINS
-        if extents[d] > 0:
-            width = extents[d] / HIST_BINS
-            for center in centers:
-                index = int((center[d] - lo_all[d]) / width)
-                counts[min(index, HIST_BINS - 1)] += 1
-        else:
-            counts[0] = n
-        histograms.append(tuple(counts))
-    return DatasetSketch(
-        n=n,
-        dim=dim,
-        lo=tuple(lo_all),
-        hi=tuple(hi_all),
-        mean_sides=tuple(total / n for total in side_totals),
-        density=density,
-        shape_fraction=shape_fraction,
-        histograms=tuple(histograms),
-        fingerprint=fingerprint,
-    )
-
-
 def sketch_table(table: CoordinateTable) -> DatasetSketch:
     """Sketch a raw coordinate table (the MBR-batch probe fast path).
 
@@ -272,8 +208,6 @@ def sketch_table(table: CoordinateTable) -> DatasetSketch:
     object-dataset fingerprints).
     """
     import hashlib
-
-    import numpy as np
 
     digest = hashlib.sha256()
     digest.update(np.ascontiguousarray(table.lo, dtype=np.float64).tobytes())
@@ -316,7 +250,7 @@ def sketch_dataset(
     objects = dataset if isinstance(dataset, (list, tuple)) else list(dataset)
     table = None
     if fingerprint is None:
-        if objects and HAVE_NUMPY:
+        if objects:
             table = CoordinateTable.from_objects(objects)
         fingerprint = dataset_fingerprint(objects, table=table)
     with _cache_lock:
@@ -325,17 +259,11 @@ def sketch_dataset(
             _sketch_cache.move_to_end(fingerprint)
             return cached
     if not objects:
-        from repro.geometry.columnar import DEFAULT_DIM
-
         sketch = _empty_sketch(DEFAULT_DIM, fingerprint)
     else:
-        shape_fraction = _shape_fraction(objects)
-        if HAVE_NUMPY:
-            if table is None:
-                table = CoordinateTable.from_objects(objects)
-            sketch = _sketch_columnar(table, shape_fraction, fingerprint)
-        else:
-            sketch = _sketch_objects(objects, shape_fraction, fingerprint)
+        if table is None:
+            table = CoordinateTable.from_objects(objects)
+        sketch = _sketch_columnar(table, _shape_fraction(objects), fingerprint)
     with _cache_lock:
         _sketch_cache[fingerprint] = sketch
         while len(_sketch_cache) > _CACHE_CAPACITY:

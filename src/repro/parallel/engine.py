@@ -15,10 +15,9 @@ after another, :class:`ParallelChunkedJoin` actually ships them to a
    (:meth:`~repro.geometry.columnar.CoordinateTable.shm_slice`) — no
    coordinate buffer is ever pickled on this path
    (``stats.extra["pickled_coord_bytes"] == 0``).  When shared memory
-   (or numpy) is unavailable — or ``handoff="pickle"`` is forced — the
-   engine falls back to the previous per-region pickled float64
-   coordinate blocks plus int64 id vectors, and without numpy it
-   degrades further to compact ``(oid, lo, hi)`` tuples;
+   is unavailable — or ``handoff="pickle"`` is forced — the engine falls
+   back to per-region pickled float64 coordinate blocks plus int64 id
+   vectors;
 2. **worker_join** — each worker rebuilds its region's objects, runs a
    fresh algorithm instance from a picklable
    :class:`~repro.joins.registry.AlgorithmSpec`, and applies the shared
@@ -45,8 +44,8 @@ algorithm.
 With ``geometry="exact"`` the engine runs the filter-refine split
 in-worker: vertex data travels next to the coordinates (a second
 shared-memory :class:`~repro.geometry.vertex_table.VertexTable` block
-sliced by the same row indices on the shm path, sliced vertex tables or
-shape payloads on the pickle paths), and each worker refines its
+sliced by the same row indices on the shm path, a sliced vertex table
+on the pickle path), and each worker refines its
 *owned* candidate pairs locally before they travel back.  Refining
 after the ownership test keeps the merge duplicate-free and makes the
 summed refine counters count every global candidate exactly once.
@@ -73,13 +72,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
+
 from repro.geometry.columnar import (
-    HAVE_NUMPY,
     HAVE_SHM,
     CoordinateTable,
     axes_overlap_mask,
 )
-from repro.geometry.mbr import MBR, total_mbr
+from repro.geometry.mbr import total_mbr
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair, SpatialJoinAlgorithm
 from repro.joins.registry import AlgorithmSpec
@@ -198,7 +198,6 @@ class _ColumnarSlicer:
                 self.vblock = self.vtable.to_shared()
         if dedup != "partition":
             return
-        import numpy as np
 
         table, dim = self.table, self.table.dim
         self._owner_lo, self._owner_hi = [], []
@@ -220,8 +219,6 @@ class _ColumnarSlicer:
             self.vblock.close(unlink=True)
 
     def _payload(self, member, classes):
-        import numpy as np
-
         if self.block is not None:
             indices = np.flatnonzero(member).astype(np.int64, copy=False)
             if self.vblock is not None:
@@ -252,7 +249,6 @@ class _ColumnarSlicer:
             if not mask.any():
                 return None
             return self._payload(mask, None)
-        import numpy as np
 
         member = np.ones(len(table), dtype=bool)
         for coordinate, cell in enumerate(region.cells):
@@ -268,58 +264,6 @@ class _ColumnarSlicer:
         return self._payload(member, classes)
 
 
-class _ObjectSlicer:
-    """Pure-Python fallback used when numpy is unavailable."""
-
-    def __init__(
-        self,
-        objects: list[SpatialObject],
-        decomposition: Decomposition,
-        dedup: str,
-        handoff: str = "pickle",
-        exact: bool = False,
-    ) -> None:
-        self.objects = objects
-        self.decomposition = decomposition
-        self.dedup = dedup
-        self.exact = exact
-
-    def close(self) -> None:
-        """Nothing published, nothing to release."""
-
-    def _payload(self, members, classes):
-        rows = [(o.oid, o.mbr.lo, o.mbr.hi) for o in members]
-        if not self.exact:
-            return ("objects", rows, classes)
-        from repro.geometry.shapes import shape_to_payload
-
-        return ("objects", rows, classes, [shape_to_payload(o.geometry) for o in members])
-
-    def chunk(self, region):
-        if self.dedup != "partition":
-            members = [o for o in self.objects if region.touches(o.mbr)]
-            if not members:
-                return None
-            return self._payload(members, None)
-        decomposition = self.decomposition
-        members = [o for o in self.objects if decomposition.covers(region, o.mbr)]
-        if not members:
-            return None
-        classes = [decomposition.class_mask(region, o.mbr) for o in members]
-        return self._payload(members, classes)
-
-
-def _make_slicer(
-    objects: list[SpatialObject],
-    decomposition,
-    dedup: str,
-    handoff: str,
-    exact: bool = False,
-):
-    slicer = _ColumnarSlicer if HAVE_NUMPY else _ObjectSlicer
-    return slicer(objects, decomposition, dedup, handoff, exact)
-
-
 #: Valid values of the ``handoff`` selector.
 HANDOFF_MODES = ("auto", "shm", "pickle")
 
@@ -333,15 +277,14 @@ def _resolve_handoff(handoff: str) -> str:
     """Resolve ``"auto"`` against what this interpreter can actually do."""
     if handoff == "pickle":
         return "pickle"
-    usable = HAVE_NUMPY and HAVE_SHM
     if handoff == "shm":
-        if not usable:
+        if not HAVE_SHM:
             raise RuntimeError(
-                "handoff='shm' requires numpy and multiprocessing."
-                "shared_memory; use handoff='auto' to fall back"
+                "handoff='shm' requires multiprocessing.shared_memory; "
+                "use handoff='auto' to fall back"
             )
         return "shm"
-    return "shm" if usable else "pickle"
+    return "shm" if HAVE_SHM else "pickle"
 
 
 # -- worker-side code ---------------------------------------------------
@@ -359,8 +302,8 @@ def _unpack_chunk(payload):
     """Rebuild the region's objects (and class masks) inside the worker.
 
     Exact-mode payloads carry one extra element of vertex data (a shared
-    vertex-table handle, a sliced :class:`VertexTable`, or shape
-    payloads), re-attached here so the worker can refine locally.
+    vertex-table handle or a sliced :class:`VertexTable`), re-attached
+    here so the worker can refine locally.
     """
     tag = payload[0]
     if tag == "shm":
@@ -378,27 +321,15 @@ def _unpack_chunk(payload):
         _tag, handle, indices, classes = payload
         objects = CoordinateTable.shm_slice(handle, indices).to_objects()
         return objects, None if classes is None else classes.tolist()
-    if tag == "table":
-        if len(payload) == 5:
-            _tag, coords, ids, classes, vertex_slice = payload
-            objects = _with_shapes(
-                CoordinateTable(coords, ids).to_objects(), vertex_slice
-            )
-            return objects, None if classes is None else classes.tolist()
-        _tag, coords, ids, classes = payload
-        objects = CoordinateTable(coords, ids).to_objects()
+    if len(payload) == 5:
+        _tag, coords, ids, classes, vertex_slice = payload
+        objects = _with_shapes(
+            CoordinateTable(coords, ids).to_objects(), vertex_slice
+        )
         return objects, None if classes is None else classes.tolist()
-    if len(payload) == 4:
-        from repro.geometry.shapes import shape_from_payload
-
-        _tag, rows, classes, shapes = payload
-        objects = [
-            SpatialObject(oid, MBR(lo, hi), shape_from_payload(shape, oid=oid))
-            for (oid, lo, hi), shape in zip(rows, shapes)
-        ]
-        return objects, classes
-    _tag, rows, classes = payload
-    return [SpatialObject(oid, MBR(lo, hi)) for oid, lo, hi in rows], classes
+    _tag, coords, ids, classes = payload
+    objects = CoordinateTable(coords, ids).to_objects()
+    return objects, None if classes is None else classes.tolist()
 
 
 #: Per-worker spill counters surfaced in the parent's ``stats.extra``
@@ -561,8 +492,8 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
     handoff:
         How coordinate data reaches the workers.  ``"auto"`` (default):
         one shared-memory block per side with per-region index views
-        when numpy and ``multiprocessing.shared_memory`` are available,
-        else the pickle path.  ``"shm"`` forces shared memory (raises
+        when ``multiprocessing.shared_memory`` is available, else the
+        pickle path.  ``"shm"`` forces shared memory (raises
         when unavailable); ``"pickle"`` forces the per-region pickled
         buffers.  Pair sets and counters are identical either way.
     max_bytes:
@@ -755,9 +686,9 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
             if isinstance(self.spec, AlgorithmSpec):
                 backend = dict(self.spec.overrides).get("backend")
             refine = (self.refine_epsilon, backend or "auto")
-        slicer_a = _make_slicer(objects_a, decomposition, self.dedup, handoff, exact)
+        slicer_a = _ColumnarSlicer(objects_a, decomposition, self.dedup, handoff, exact)
         try:
-            slicer_b = _make_slicer(
+            slicer_b = _ColumnarSlicer(
                 objects_b, decomposition, self.dedup, handoff, exact
             )
         except BaseException:

@@ -32,9 +32,10 @@ from __future__ import annotations
 import itertools
 import time
 
+import numpy as np
+
 from repro.geometry.columnar import (
     CoordinateTable,
-    require_numpy,
     resolve_backend,
     validate_backend,
 )
@@ -47,11 +48,6 @@ from repro.joins.local import LOCAL_KERNELS
 from repro.partition.classes import full_mask, mini_join_masks
 from repro.stats import memory as memmodel
 from repro.stats.counters import JoinStatistics
-
-try:  # pragma: no cover - optional dependency of the columnar path
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["TwoLayerJoin"]
 
@@ -84,8 +80,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
         extents.  Objects outside a fixed universe clamp into the edge
         tiles on both backends.
     backend:
-        ``"auto"`` (columnar when numpy is importable), ``"object"`` or
-        ``"columnar"``.
+        ``"auto"`` (columnar), ``"object"`` or ``"columnar"``.
     """
 
     name = "TwoLayer"
@@ -157,7 +152,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
             universe = total_mbr(o.mbr for o in objects_a).union(
                 total_mbr(o.mbr for o in objects_b)
             )
-        backend = resolve_backend(self.backend, allow_compiled=False)
+        backend = resolve_backend(self.backend)
         stats.extra["backend"] = backend
         if backend == "columnar":
             return self._execute_columnar(objects_a, objects_b, universe, stats)
@@ -225,7 +220,6 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
         stats: JoinStatistics,
     ) -> list[Pair]:
         """Batched two-layer join over flat classified entry arrays."""
-        require_numpy()
         build_start = time.perf_counter()
         table_a = CoordinateTable.from_objects(objects_a)
         table_b = CoordinateTable.from_objects(objects_b)
@@ -363,7 +357,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
         universe = self.universe
         if universe is None:
             universe = total_mbr(o.mbr for o in objects_a)
-        backend = resolve_backend(self.backend, allow_compiled=False)
+        backend = resolve_backend(self.backend)
         if backend == "columnar":
             from repro.grid.columnar import sort_entries
 

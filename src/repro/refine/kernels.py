@@ -27,13 +27,9 @@ chunk edges.
 
 from __future__ import annotations
 
-from repro.geometry.columnar import require_numpy
-from repro.geometry.shapes import KIND_CODES
+import numpy as np
 
-try:  # pragma: no cover - numpy import guarded like columnar.py
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
+from repro.geometry.shapes import KIND_CODES
 
 __all__ = [
     "CHUNK_SEGMENT_PAIRS",
@@ -53,7 +49,6 @@ def box_gap_sq_batch(lo_a, hi_a, lo_b, hi_b):
     NaN rows (missing interior rectangles) propagate to NaN gaps, which
     compare ``False`` against any epsilon — exactly "no shortcut".
     """
-    require_numpy()
     gap = np.maximum(lo_a - hi_b, lo_b - hi_a)
     gap = np.maximum(gap, 0.0)
     return (gap * gap).sum(axis=1)
@@ -69,7 +64,6 @@ def segment_table(vertices, offsets, kinds):
     consecutive vertices, a polygon also closes its ring, and a box
     ``(lo, hi)`` walks its four corners from ``lo``.
     """
-    require_numpy()
     starts = offsets[:-1]
     counts = offsets[1:] - starts
     box = kinds == KIND_CODES["box"]
@@ -182,7 +176,6 @@ def min_cross_sq(segs_a, start_a, count_a, segs_b, start_b, count_b):
     ``count_a[k] * count_b[k]`` segment pairs: the minimum of the same
     floats is the same float.
     """
-    require_numpy()
     best = np.full(len(start_a), np.inf)
     for p0, p1, starts, pair, local in _chunks(count_a * count_b):
         row_a, row_b = np.divmod(local, count_b[pair])
@@ -205,7 +198,6 @@ def polygons_contain(segs, start, count, points):
     inside when the point lies exactly on some edge, else when it
     crosses an odd number of them.
     """
-    require_numpy()
     on_edge = np.zeros(len(start), dtype=bool)
     crossings = np.zeros(len(start), dtype=np.int64)
     for p0, p1, starts, pair, local in _chunks(count):

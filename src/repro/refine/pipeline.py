@@ -21,8 +21,8 @@ distance is within epsilon.  Per candidate pair, in order:
 The accounting identity ``true_hits + exact_tests == candidate_pairs -
 false_hit_prunes`` holds by construction and is pinned by the parity
 suite.  Surviving pairs are counted in ``refined_pairs`` and returned
-in candidate order, so every backend (object / columnar / compiled)
-produces the identical list.
+in candidate order, so both backends (object / columnar) produce the
+identical list.
 """
 
 from __future__ import annotations
@@ -31,16 +31,13 @@ import math
 from itertools import compress
 from typing import Sequence
 
-from repro.geometry.columnar import HAVE_NUMPY, resolve_backend
+import numpy as np
+
+from repro.geometry.columnar import resolve_backend
 from repro.geometry.shapes import KIND_CODES, box_gap_sq, shape_distance_sq
 from repro.geometry.vertex_table import VertexTable, shape_of
 from repro.refine import kernels
 from repro.stats.counters import JoinStatistics
-
-try:  # pragma: no cover - numpy import guarded like columnar.py
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
 
 __all__ = ["RefinePipeline", "MissingShapesError"]
 
@@ -137,9 +134,9 @@ class RefinePipeline:
         ``shape_distance <= epsilon`` (Euclidean).  ``0`` degenerates to
         an exact intersection test.
     backend:
-        ``"auto"`` / ``"object"`` / ``"columnar"`` / ``"compiled"`` with
-        the same resolution rules as the filter kernels.  Every backend
-        returns the identical refined list.
+        ``"auto"`` / ``"object"`` / ``"columnar"`` with the same
+        resolution rules as the filter kernels.  Every backend returns
+        the identical refined list.
     """
 
     def __init__(self, epsilon: float, backend: str = "auto"):
@@ -147,8 +144,7 @@ class RefinePipeline:
         if not math.isfinite(epsilon) or epsilon < 0.0:
             raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
         self.epsilon = epsilon
-        # One batched numpy kernel serves both array backends.
-        self.backend = resolve_backend(backend, allow_compiled=False)
+        self.backend = resolve_backend(backend)
 
     def refine(
         self,
@@ -169,7 +165,7 @@ class RefinePipeline:
         stats.candidate_pairs += len(pairs)
         if not pairs:
             return []
-        columnar = self.backend == "columnar" and HAVE_NUMPY
+        columnar = self.backend == "columnar"
         side_a = _Side(objects_a, columnar)
         side_b = _Side(objects_b, columnar)
         if columnar:

@@ -4,11 +4,11 @@ A fingerprint digests exactly what a built index depends on: the object
 ids and the MBR coordinates, in dataset order.  Two datasets with the
 same objects in the same order share a fingerprint regardless of how
 they were constructed (generator, IO round-trip, ``Dataset`` wrapper or
-plain list) and regardless of whether numpy is importable — the columnar
-fast path and the pure-Python fallback pack byte-identical streams.
+plain list): the ids and coordinates are digested as the raw int64 and
+float64 bytes of the dataset's :class:`CoordinateTable`.
 
 Exact shape payloads are digested too (position, kind code, vertex
-count, vertices — via one struct format used on every path), so a
+count, vertices — struct-packed), so a
 shape-carrying dataset never shares cache entries with the MBR-only
 dataset of the same boxes; datasets without any shapes digest exactly
 as before the filter-refine split, keeping their fingerprints stable.
@@ -20,7 +20,7 @@ import hashlib
 import struct
 from typing import Sequence
 
-from repro.geometry.columnar import HAVE_NUMPY
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.objects import SpatialObject
 
 __all__ = ["dataset_fingerprint"]
@@ -41,23 +41,10 @@ def dataset_fingerprint(
     objects = dataset if isinstance(dataset, (list, tuple)) else list(dataset)
     if not objects:
         return digest.hexdigest()
-    if HAVE_NUMPY:
-        from repro.geometry.columnar import CoordinateTable
-
-        if table is None:
-            table = CoordinateTable.from_objects(objects)
-        digest.update(table.ids.tobytes())
-        digest.update(table.coords.tobytes())
-        _digest_shapes(digest, objects)
-        return digest.hexdigest()
-    dim = objects[0].mbr.dim
-    id_pack = struct.Struct("<q").pack
-    coord_pack = struct.Struct(f"<{2 * dim}d").pack
-    for obj in objects:
-        digest.update(id_pack(obj.oid))
-    for obj in objects:
-        mbr = obj.mbr
-        digest.update(coord_pack(*mbr.lo, *mbr.hi))
+    if table is None:
+        table = CoordinateTable.from_objects(objects)
+    digest.update(table.ids.tobytes())
+    digest.update(table.coords.tobytes())
     _digest_shapes(digest, objects)
     return digest.hexdigest()
 
@@ -65,9 +52,9 @@ def dataset_fingerprint(
 def _digest_shapes(digest, objects) -> None:
     """Fold exact shape payloads into the digest (no-op without shapes).
 
-    Struct-packed on every path so numpy availability never changes the
-    digest; shaped positions are encoded explicitly so "shape on object
-    0" and "shape on object 1" never collide.
+    Little-endian struct records; shaped positions are encoded
+    explicitly so "shape on object 0" and "shape on object 1" never
+    collide.
     """
     from repro.geometry.shapes import KIND_CODES, Shape
 

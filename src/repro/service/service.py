@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.bench.config import GEOMETRY_MODES
 from repro.datasets.base import Dataset
-from repro.geometry.columnar import HAVE_NUMPY, CoordinateTable
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import BuiltIndex, JoinResult, dimensionality
@@ -134,7 +134,7 @@ class SpatialQueryService:
           raw :class:`~repro.geometry.columnar.CoordinateTable`.
 
         MBR probes flow through the vectorised columnar probe kernels
-        (object fallback without numpy) and their result pairs are
+        and their result pairs are
         ``(build oid, query position)`` with positions numbered 0..M-1
         in batch order; object probes pair ``(build oid, probe oid)``.
 
@@ -278,11 +278,11 @@ class SpatialQueryService:
         executed can never disagree on the resolved inputs.
         """
         if isinstance(probe, MBR):
-            probe = self._mbr_batch([probe])
+            probe = CoordinateTable.from_mbrs([probe])
         elif not isinstance(probe, (Dataset, CoordinateTable)):
             items = list(probe)
             if items and isinstance(items[0], MBR):
-                probe = self._mbr_batch(items)
+                probe = CoordinateTable.from_mbrs(items)
             else:
                 probe = items
         epsilon = float(epsilon)
@@ -411,13 +411,6 @@ class SpatialQueryService:
                 result, objects, probe_objects, epsilon, config.get("backend")
             )
         return result
-
-    @staticmethod
-    def _mbr_batch(boxes: "list[MBR]") -> "CoordinateTable | list[SpatialObject]":
-        """One probe batch from raw MBRs (columnar when numpy is around)."""
-        if HAVE_NUMPY:
-            return CoordinateTable.from_mbrs(boxes)
-        return [SpatialObject(i, box) for i, box in enumerate(boxes)]
 
     # -- historical spellings (thin aliases over probe()) --------------
     def query(

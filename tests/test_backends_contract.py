@@ -10,6 +10,7 @@ import pytest
 
 from repro.datasets.synthetic import clustered_boxes, uniform_boxes
 from repro.datasets.transform import inflate
+from repro.geometry.columnar import BACKENDS
 from repro.joins.registry import BACKEND_AWARE, make_algorithm
 
 #: Counters that must match bit-for-bit across backends (PBSM excepted
@@ -63,13 +64,13 @@ class TestBackendParity2D:
 
 @pytest.mark.parametrize("algorithm", PORTED)
 class TestBackendParityEdges:
-    def test_empty_inputs(self, algorithm, small_uniform_pair):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_empty_inputs(self, algorithm, backend, small_uniform_pair):
         dataset_a, _ = small_uniform_pair
-        assert make_algorithm(algorithm, backend="columnar").join([], []).pairs == []
-        assert (
-            make_algorithm(algorithm, backend="columnar").join(dataset_a, []).pairs
-            == []
-        )
+        join = make_algorithm(algorithm, backend=backend).join
+        assert join([], []).pairs == []
+        assert join(dataset_a, []).pairs == []
+        assert join([], dataset_a).pairs == []
 
     def test_touching_boundaries(self, algorithm):
         from repro.geometry.objects import box_object
@@ -87,6 +88,15 @@ class TestBackendParityEdges:
         data = list(uniform_boxes(40, seed=35, side_range=(0.0, 60.0)))
         _both(algorithm, data, data)
 
+    def test_auto_resolves_to_columnar(self, algorithm, small_uniform_pair):
+        """``auto`` runs the columnar path: same backend, pairs and counters."""
+        dataset_a, dataset_b = small_uniform_pair
+        auto = make_algorithm(algorithm, backend="auto").join(dataset_a, dataset_b)
+        col = make_algorithm(algorithm, backend="columnar").join(dataset_a, dataset_b)
+        assert auto.stats.extra["backend"] == "columnar"
+        assert auto.pair_set() == col.pair_set()
+        assert auto.stats.comparisons == col.stats.comparisons
+
 
 @pytest.mark.parametrize("kernel", ["grid", "sweep", "nested"])
 def test_touch_kernels_backend_parity(kernel, small_clustered_pair):
@@ -98,6 +108,47 @@ def test_touch_kernels_backend_parity(kernel, small_clustered_pair):
     col = TouchJoin(local_kernel=kernel, backend="columnar").join(dataset_a, dataset_b)
     assert col.pair_set() == obj.pair_set()
     assert col.stats.comparisons == obj.stats.comparisons
+
+
+@pytest.mark.parametrize("kernel", ["grid", "sweep", "nested"])
+def test_touch_fat_probes_backend_parity(kernel):
+    """Probe boxes far larger than the build side's leaves.
+
+    Most B objects are assigned to internal nodes and cover whole
+    subtrees, the case where a descent could stop early; the counters
+    must still match the object backend.
+    """
+    from repro.core.touch import TouchJoin
+
+    a = uniform_boxes(400, space=20.0, side_range=(0.5, 2.0), seed=11)
+    b = uniform_boxes(600, space=20.0, side_range=(2.0, 10.0), seed=12)
+    obj = TouchJoin(local_kernel=kernel, backend="object").join(a, b)
+    col = TouchJoin(local_kernel=kernel, backend="columnar").join(a, b)
+    assert col.pair_set() == obj.pair_set()
+    assert col.stats.comparisons == obj.stats.comparisons
+    assert col.stats.filtered == obj.stats.filtered
+
+
+@pytest.mark.parametrize(
+    "probe_side", [(0.5, 2.0), (4.0, 12.0)], ids=["thin", "fat"]
+)
+def test_touch_prepare_probe_counters_backend_parity(probe_side):
+    """Build once, probe once: pairs, comparisons and node tests agree."""
+    from repro.core.touch import TouchJoin
+
+    a = list(uniform_boxes(300, space=20.0, side_range=(0.5, 2.0), seed=15))
+    b = list(uniform_boxes(200, space=20.0, side_range=probe_side, seed=16))
+    outcomes = {}
+    for backend in ("object", "columnar"):
+        join = TouchJoin(backend=backend)
+        result = join.probe(join.prepare(a), b)
+        outcomes[backend] = (
+            result.pair_set(),
+            result.stats.comparisons,
+            result.stats.node_tests,
+        )
+    assert outcomes["columnar"] == outcomes["object"]
+    assert outcomes["object"][0], "the workload must produce pairs"
 
 
 def test_backend_recorded_in_stats(small_uniform_pair):

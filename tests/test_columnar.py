@@ -8,7 +8,7 @@ machinery against their object-model twins.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.assignment import assign_dataset_b, assign_table_b
@@ -70,6 +70,12 @@ class TestIntersectsManyProperty:
                 assert matrix[i, j] == a.intersects(b)
 
     @given(_boxes(3), _boxes(3))
+    # Identical sweep starts on both sides: the two-pass tie rule must
+    # report each of the 9 pairs exactly once.
+    @example([MBR((0.0,) * 3, (1.0,) * 3)] * 3, [MBR((0.0,) * 3, (1.0,) * 3)] * 3)
+    @example([], [MBR((0.0,) * 3, (1.0,) * 3)])
+    @example([MBR((0.0,) * 3, (1.0,) * 3)], [])
+    @example([], [])
     def test_pairs_kernels_agree_with_matrix(self, boxes_a, boxes_b):
         """intersect_pairs and sweep_pairs report exactly the matrix."""
         table_a, table_b = _table(boxes_a), _table(boxes_b)
@@ -99,6 +105,72 @@ class TestIntersectsManyProperty:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             intersects_many(_table([MBR((0,), (1,))]), _table([MBR((0, 0), (1, 1))]))
+
+
+def _random_table(n: int, seed: int, side: float = 4.0) -> CoordinateTable:
+    rng = np.random.default_rng(seed)
+    lo = rng.random((n, 3)) * 20.0
+    hi = lo + rng.random((n, 3)) * side
+    return CoordinateTable(np.hstack([lo, hi]), np.arange(n, dtype=np.int64))
+
+
+def _chunk_kwargs(chunk):
+    return {} if chunk is None else {"chunk": chunk}
+
+
+_CHUNKS = pytest.mark.parametrize(
+    "chunk", [None, 1, 97], ids=["chunk-default", "chunk-1", "chunk-97"]
+)
+
+
+class TestPairsKernelsSeeded:
+    """Both pair kernels against a per-pair object-model loop.
+
+    Random float tables (70 to 110 rows a side) complement the small integer
+    property boxes above; the chunk sizes force every block and window
+    boundary.
+    """
+
+    @staticmethod
+    def _truth(table_a, table_b):
+        mbrs_a = [table_a.mbr(i) for i in range(len(table_a))]
+        mbrs_b = [table_b.mbr(j) for j in range(len(table_b))]
+        pairs = [
+            (i, j)
+            for i, a in enumerate(mbrs_a)
+            for j, b in enumerate(mbrs_b)
+            if a.intersects(b)
+        ]
+        dim0_overlaps = sum(
+            1
+            for a in mbrs_a
+            for b in mbrs_b
+            if a.lo[0] <= b.hi[0] and b.lo[0] <= a.hi[0]
+        )
+        return pairs, dim0_overlaps
+
+    @_CHUNKS
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_intersect_pairs_in_nested_loop_order(self, seed, chunk):
+        table_a = _random_table(70, seed)
+        table_b = _random_table(110, seed + 50)
+        idx_a, idx_b = intersect_pairs(table_a, table_b, **_chunk_kwargs(chunk))
+        pairs, _ = self._truth(table_a, table_b)
+        assert pairs, "the tables must overlap for the check to mean anything"
+        assert list(zip(idx_a.tolist(), idx_b.tolist())) == pairs
+
+    @_CHUNKS
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_sweep_pairs_once_each_with_dim0_candidates(self, seed, chunk):
+        table_a = _random_table(80, seed)
+        table_b = _random_table(90, seed + 50)
+        idx_a, idx_b, candidates = sweep_pairs(
+            table_a, table_b, **_chunk_kwargs(chunk)
+        )
+        pairs, dim0_overlaps = self._truth(table_a, table_b)
+        assert pairs
+        assert sorted(zip(idx_a.tolist(), idx_b.tolist())) == pairs
+        assert candidates == dim0_overlaps
 
 
 class TestCoordinateTable:

@@ -76,18 +76,13 @@ def reference_probe(table_a, leaf_slices, table_b, assigned, stats):
 
 
 def reference_flatten(tree, leaf_slices):
-    """Per-node ``(sub_start, sub_stop, sub_tests)`` in pre-order."""
+    """Per-node ``(sub_start, sub_stop)`` in pre-order."""
 
     def walk(node):
         if node.is_leaf:
-            start, stop = leaf_slices[node]
-            return start, stop, 0
+            return leaf_slices[node]
         parts = [walk(child) for child in node.children]
-        return (
-            min(p[0] for p in parts),
-            max(p[1] for p in parts),
-            sum(p[2] for p in parts) + len(node.children),
-        )
+        return min(p[0] for p in parts), max(p[1] for p in parts)
 
     return [walk(node) for node in tree.iter_nodes()]
 
@@ -230,6 +225,20 @@ class TestDescentMatchesStackWalk:
         assert sorted(got) == [(obj.oid, 7) for obj in sorted(a, key=lambda o: o.oid)]
         assert stats.comparisons == len(a)
 
+    @pytest.mark.parametrize(
+        "probe_side", [(0.5, 2.0), (6.0, 18.0)], ids=["thin", "fat"]
+    )
+    def test_prepared_index_probe(self, chunk, probe_side):
+        # The hierarchy TOUCH's prepare() builds, with its default
+        # fanout and partitioning; fat probes cover whole subtrees.
+        a = list(uniform_boxes(300, space=20.0, side_range=(0.5, 2.0), seed=21))
+        b = uniform_boxes(200, space=20.0, side_range=probe_side, seed=77)
+        tree = TouchJoin(backend="columnar").prepare(a).payload["tree"]
+        table_b = _table(b)
+        assigned = assign_table_b(tree, table_b, None, JoinStatistics())
+        got, _ = _compare(tree, table_b, assigned)
+        assert got
+
 
 # -- flattened hierarchy ----------------------------------------------------
 
@@ -243,9 +252,7 @@ class TestFlattenHierarchy:
         tree = TouchTree(objects, fanout=fanout, num_partitions=partitions)
         flat = flatten_hierarchy(tree, tree.leaf_slices)
         expected = reference_flatten(tree, tree.leaf_slices)
-        got = list(
-            zip(flat.sub_start.tolist(), flat.sub_stop.tolist(), flat.sub_tests.tolist())
-        )
+        got = list(zip(flat.sub_start.tolist(), flat.sub_stop.tolist()))
         assert got == expected
         nodes = list(tree.iter_nodes())
         assert [flat.index[node] for node in nodes] == list(range(len(nodes)))

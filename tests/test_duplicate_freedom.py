@@ -105,8 +105,6 @@ class TestSequentialDuplicateFreedom:
 @pytest.mark.parametrize("algorithm", sorted(BACKEND_AWARE))
 class TestBackendDuplicateFreedom:
     def test_exact_multiset(self, algorithm, backend, workload):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
         objects_a, objects_b = WORKLOADS[workload]()
         result = (
             AlgorithmSpec.create(algorithm, backend=backend)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datasets.synthetic import gaussian_boxes, uniform_boxes
-from repro.geometry.columnar import HAVE_NUMPY, CoordinateTable
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.objects import box_object
 from repro.joins.nested_loop import NestedLoopJoin
 from repro.stats.estimate import (
@@ -23,18 +23,15 @@ class TestMeanSides:
         objs = [box_object(0, (0, 0), (2, 4)), box_object(1, (0, 0), (4, 0))]
         assert mean_side_lengths(objs) == (3.0, 2.0)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="columnar path needs numpy")
     def test_columnar_table_accepted(self):
         objs = [box_object(0, (0, 0), (2, 4)), box_object(1, (0, 0), (4, 0))]
         table = CoordinateTable.from_objects(objs)
         assert mean_side_lengths(table) == (3.0, 2.0)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="columnar path needs numpy")
     def test_columnar_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             mean_side_lengths(CoordinateTable.from_objects([]))
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="columnar path needs numpy")
     def test_columnar_matches_object_loop(self):
         objects = list(uniform_boxes(500, seed=7, side_range=(0.0, 25.0)))
         from_objects = mean_side_lengths(objects)

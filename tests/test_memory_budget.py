@@ -17,7 +17,6 @@ import pytest
 from repro.bench.config import RunOptions
 from repro.bench.runner import current_max_bytes, run_algorithm, use_max_bytes
 from repro.datasets.synthetic import uniform_boxes
-from repro.geometry.columnar import HAVE_NUMPY
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import dimensionality
@@ -93,6 +92,42 @@ class TestSpillStore:
         assert [(o.oid, o.mbr) for o in back_a] == [(o.oid, o.mbr) for o in a]
         assert [(o.oid, o.mbr) for o in back_b] == [(o.oid, o.mbr) for o in b]
 
+    @pytest.mark.parametrize(
+        "dim, n_a, n_b",
+        [(1, 6, 4), (2, 5, 9), (3, 7, 0), (3, 0, 7), (2, 0, 0)],
+        ids=["1d", "2d", "empty-b", "empty-a", "both-empty"],
+    )
+    def test_round_trip_is_plain_npy(self, dim, n_a, n_b):
+        """Every side spills as two pickle-free ``.npy`` arrays."""
+        import numpy as np
+
+        a = uniform_boxes(n_a, space=50.0, dim=dim, seed=11)
+        b = uniform_boxes(n_b, space=50.0, dim=dim, seed=12)
+        with SpillStore() as store:
+            part = store.write(3, a, b)
+            with open(part.path, "rb") as handle:
+                arrays = [np.load(handle, allow_pickle=False) for _ in range(4)]
+            assert [arr.dtype for arr in arrays] == [
+                np.float64, np.int64, np.float64, np.int64
+            ]
+            assert [len(arr) for arr in arrays] == [n_a, n_a, n_b, n_b]
+            back_a, back_b = store.read(part)
+        assert [(o.oid, o.mbr) for o in back_a] == [(o.oid, o.mbr) for o in a]
+        assert [(o.oid, o.mbr) for o in back_b] == [(o.oid, o.mbr) for o in b]
+
+    def test_round_trip_extreme_values(self):
+        """Ids past 32 bits, signed zeros and infinite sides survive."""
+        a = [
+            SpatialObject(2**40 + 1, MBR((-0.0, -1e300), (0.0, 1e300))),
+            SpatialObject(-5, MBR((float("-inf"), 2.5), (float("inf"), 2.5))),
+        ]
+        b = [SpatialObject(0, MBR((1e-300, -3.0), (2e-300, -2.0)))]
+        with SpillStore() as store:
+            back_a, back_b = store.read(store.write(0, a, b))
+        assert [(o.oid, o.mbr) for o in back_a] == [(o.oid, o.mbr) for o in a]
+        assert repr(back_a[0].mbr.lo[0]) == "-0.0"
+        assert [(o.oid, o.mbr) for o in back_b] == [(o.oid, o.mbr) for o in b]
+
     def test_read_once_deletes_the_file(self):
         a, b = self._objects(5, 3), self._objects(5, 4)
         with SpillStore() as store:
@@ -148,10 +183,7 @@ class TestBudgetedParity:
             assert joiner.last_spill_dir is not None
             assert not os.path.exists(joiner.last_spill_dir)
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["object"] + (["columnar"] if HAVE_NUMPY else []),
-    )
+    @pytest.mark.parametrize("backend", ["object", "columnar"])
     def test_backend_parity_under_budget(self, backend, dense_pair):
         a, b = dense_pair
         baseline = make_algorithm("TOUCH", backend=backend).join(a, b).pair_set()

@@ -13,13 +13,15 @@ import json
 
 import pytest
 
-from repro.datasets.synthetic import uniform_boxes
+from repro.datasets.synthetic import clustered_boxes, uniform_boxes
 from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
+from repro.geometry.shapes import BoxShape
 from repro.joins.registry import ALGORITHMS, available
 from repro.optimizer import (
     DEFAULT_CALIBRATION,
+    HIST_BINS,
     Plan,
     choose_plan,
     clear_sketch_cache,
@@ -41,8 +43,91 @@ def _pair(n_a=60, n_b=120, seed_a=101, seed_b=102):
     return uniform_boxes(n_a, seed=seed_a), uniform_boxes(n_b, seed=seed_b)
 
 
+def reference_sketch(objects):
+    """Per-object loop over MBRs: the sketch fields, no arrays."""
+    dim = objects[0].mbr.dim
+    lo = [min(o.mbr.lo[d] for o in objects) for d in range(dim)]
+    hi = [max(o.mbr.hi[d] for o in objects) for d in range(dim)]
+    extents = [hi[d] - lo[d] for d in range(dim)]
+    live = [d for d in range(dim) if extents[d] > 0]
+    density = 0.0
+    if live:
+        volume = 0.0
+        for obj in objects:
+            box = 1.0
+            for d in live:
+                box *= obj.mbr.hi[d] - obj.mbr.lo[d]
+            volume += box
+        extent_volume = 1.0
+        for d in live:
+            extent_volume *= extents[d]
+        density = volume / extent_volume
+    histograms = []
+    for d in range(dim):
+        counts = [0] * HIST_BINS
+        if extents[d] > 0:
+            width = extents[d] / HIST_BINS
+            for obj in objects:
+                center = (obj.mbr.lo[d] + obj.mbr.hi[d]) * 0.5
+                counts[min(int((center - lo[d]) / width), HIST_BINS - 1)] += 1
+        else:
+            counts[0] = len(objects)
+        histograms.append(tuple(counts))
+    mean_sides = tuple(
+        sum(o.mbr.hi[d] - o.mbr.lo[d] for o in objects) / len(objects)
+        for d in range(dim)
+    )
+    shaped = sum(1 for o in objects if o.geometry is not None)
+    return {
+        "n": len(objects),
+        "dim": dim,
+        "lo": tuple(lo),
+        "hi": tuple(hi),
+        "mean_sides": mean_sides,
+        "density": density,
+        "shape_fraction": shaped / len(objects),
+        "histograms": tuple(histograms),
+    }
+
+
+def _flat_in_y():
+    """Every box has the same zero-height y: one degenerate dimension."""
+    return [
+        SpatialObject(i, MBR((i * 1.25, 3.0), (i * 1.25 + 2.0, 3.0)))
+        for i in range(30)
+    ]
+
+
+def _half_shaped():
+    objects = []
+    for i in range(20):
+        shape = BoxShape((i * 2.0, i % 3 * 1.0), (i * 2.0 + 1.5, i % 3 * 1.0 + 0.5))
+        objects.append(SpatialObject(i, shape.mbr(), shape if i % 2 else None))
+    return objects
+
+
+SKETCH_DATASETS = {
+    "uniform_1d": lambda: list(uniform_boxes(50, dim=1, seed=5)),
+    "clustered_2d": lambda: list(clustered_boxes(150, dim=2, n_clusters=4, seed=7)),
+    "uniform_3d": lambda: list(uniform_boxes(120, seed=6)),
+    "flat_in_y": _flat_in_y,
+    "one_point": lambda: [SpatialObject(3, MBR((1.0, 2.0, 3.0), (1.0, 2.0, 3.0)))],
+    "half_shaped": _half_shaped,
+}
+
+
 # -- sketches ----------------------------------------------------------
 class TestSketch:
+    @pytest.mark.parametrize("dataset", sorted(SKETCH_DATASETS))
+    def test_matches_per_object_reference(self, dataset):
+        objects = SKETCH_DATASETS[dataset]()
+        sketch = sketch_dataset(objects)
+        want = reference_sketch(objects)
+        for field in ("n", "dim", "lo", "hi", "shape_fraction", "histograms"):
+            assert getattr(sketch, field) == want[field], field
+        assert sketch.mean_sides == pytest.approx(want["mean_sides"], rel=1e-12)
+        assert sketch.density == pytest.approx(want["density"], rel=1e-12)
+
     def test_deterministic_by_fingerprint(self):
         objects, _ = _pair()
         first = sketch_dataset(list(objects))

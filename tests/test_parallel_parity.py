@@ -161,27 +161,12 @@ class TestEveryBackend:
     """Backend-aware algorithms × both geometry backends × engines."""
 
     @pytest.mark.parametrize("name", sorted(BACKEND_AWARE))
-    @pytest.mark.parametrize("backend", ["object", "columnar", "compiled"])
-    def test_engine_parity(self, name, backend, monkeypatch):
-        pytest.importorskip("numpy")
+    @pytest.mark.parametrize("backend", ["object", "columnar"])
+    def test_engine_parity(self, name, backend):
         objects_a, objects_b = DATASETS["uniform"]
-        if backend != "compiled":
-            assert_engine_parity(name, objects_a, objects_b, backend=backend)
-            return
-        # The compiled leg forces the tier on (numpy twins when numba
-        # is absent).  Cached fork pools inherit the environment at
-        # creation time, so recycle them on both sides of the run.
-        from repro.parallel.engine import shutdown_pools
-
-        shutdown_pools()
-        monkeypatch.setenv("REPRO_COMPILED", "force")
-        try:
-            assert_engine_parity(name, objects_a, objects_b, backend=backend)
-        finally:
-            shutdown_pools()
+        assert_engine_parity(name, objects_a, objects_b, backend=backend)
 
     def test_backends_agree_under_the_parallel_engine(self):
-        pytest.importorskip("numpy")
         objects_a, objects_b = DATASETS["uniform"]
         results = {}
         for backend in ("object", "columnar"):

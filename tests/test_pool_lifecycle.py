@@ -19,8 +19,6 @@ from pathlib import Path
 
 import pytest
 
-pytest.importorskip("numpy")
-
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SCRIPT = """\

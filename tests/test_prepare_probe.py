@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.synthetic import clustered_boxes, uniform_boxes
-from repro.geometry.columnar import HAVE_NUMPY
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import BuiltIndex, SpatialJoinAlgorithm
@@ -59,8 +58,6 @@ class TestParity:
     @pytest.mark.parametrize("name", PREPARE_BACKENDS)
     @pytest.mark.parametrize("backend", ["object", "columnar"])
     def test_backends_agree(self, name, backend, workload):
-        if backend == "columnar" and not HAVE_NUMPY:
-            pytest.skip("columnar backend requires numpy")
         build, probe = workload
         expected = reference_pairs(name, build, probe, backend=backend)
         algorithm = make_algorithm(name, backend=backend)
@@ -130,7 +127,6 @@ class TestEdgeCases:
         assert not algorithm.supports_prepare()
         assert not algorithm.prepare(build).reusable
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="coordinate tables require numpy")
     @pytest.mark.parametrize("name", ["TOUCH", "TwoLayer-500", "PBSM-500", "NL"])
     def test_probe_with_coordinate_table(self, name, workload):
         """Raw MBR tables probe identically to the equivalent objects."""
@@ -159,8 +155,6 @@ class TestTwoLayerProbeInvariants:
     @pytest.mark.parametrize("backend", ["object", "columnar"])
     def test_probe_performs_no_dedup_checks(self, backend, workload):
         """Duplicate-freedom by construction must survive the split."""
-        if backend == "columnar" and not HAVE_NUMPY:
-            pytest.skip("columnar backend requires numpy")
         build, probe = workload
         algorithm = make_algorithm("TwoLayer-500", backend=backend)
         built = algorithm.prepare(build)

@@ -112,7 +112,7 @@ class TestOracleParityEveryAlgorithmAndBackend:
             assert_counter_identity(stats)
 
     def test_backends_agree_pair_for_pair(self):
-        # Refine keeps candidate order, but a live compiled TOUCH filter
+        # Refine keeps candidate order, but each backend's TOUCH filter
         # emits candidates in its own order: whole runs compare as
         # sorted lists, the refine stage alone compares in order.
         for objects_a, objects_b in dense_pairs():

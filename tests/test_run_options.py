@@ -20,6 +20,7 @@ from repro.bench.runner import (
     use_parallel,
 )
 from repro.datasets.synthetic import uniform_boxes
+from repro.joins.registry import BACKEND_AWARE
 from repro.service import SpatialQueryService
 
 EPS = 2.5
@@ -335,3 +336,43 @@ class TestHandoffOption:
         monkeypatch.setenv("REPRO_HANDOFF", "pickle")
         record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=2))
         assert record.extra["handoff"] == "pickle"
+
+
+class TestCompiledBackendRejected:
+    """The deleted ``compiled`` tier is refused by name at every entry point."""
+
+    LISTED = "auto, object, columnar"
+
+    def test_backend_values(self):
+        from repro.geometry.columnar import BACKENDS, resolve_backend
+
+        assert BACKENDS == ("auto", "object", "columnar")
+        assert resolve_backend("auto") == "columnar"
+
+    @pytest.mark.parametrize("name", sorted(BACKEND_AWARE))
+    def test_make_algorithm(self, name):
+        from repro.joins.registry import make_algorithm
+
+        with pytest.raises(ValueError, match="'compiled'") as info:
+            make_algorithm(name, backend="compiled")
+        assert self.LISTED in str(info.value)
+
+    def test_run_options(self):
+        with pytest.raises(ValueError, match="'compiled'") as info:
+            RunOptions(backend="compiled")
+        assert self.LISTED in str(info.value)
+
+    def test_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "compiled")
+        with pytest.raises(ValueError, match="'compiled'") as info:
+            RunOptions.from_env()
+        assert self.LISTED in str(info.value)
+
+    def test_cli(self, capsys):
+        from repro.bench.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["run", "fig13", "--backend", "compiled"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "'compiled'" in err and self.LISTED in err

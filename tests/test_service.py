@@ -9,9 +9,12 @@ import pytest
 from repro.bench.runner import run_algorithm
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import uniform_boxes
-from repro.geometry.columnar import HAVE_NUMPY
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR
+from repro.geometry.objects import SpatialObject
+from repro.geometry.shapes import BoxShape, LineString, Point, Polygon
 from repro.joins.registry import available, make_algorithm
+from repro.optimizer.sketch import sketch_dataset
 from repro.service import (
     IndexCache,
     IndexKey,
@@ -24,6 +27,85 @@ from repro.service import (
 )
 
 EPS = 2.5
+
+
+def _boxes_2d():
+    return [
+        SpatialObject(
+            i,
+            MBR(
+                (i * 1.5, (i * 7) % 11 - 0.25),
+                (i * 1.5 + 2.0, (i * 7) % 11 + 1.75),
+            ),
+        )
+        for i in range(40)
+    ]
+
+
+def _boxes_3d():
+    return [
+        SpatialObject(
+            100 + 3 * i,
+            MBR(
+                (i * 0.5, -i * 0.25, (i % 5) * 2.0),
+                (i * 0.5 + 1.0, -i * 0.25 + 0.5, (i % 5) * 2.0 + 3.125),
+            ),
+        )
+        for i in range(30)
+    ]
+
+
+def _shaped():
+    """Every shape kind, plus shapeless objects between them."""
+    objects = []
+    for i in range(24):
+        x, y = i * 3.0, (i * 5) % 7 * 1.25
+        kind = i % 5
+        if kind == 0:
+            shape = Polygon([(x, y), (x + 2, y), (x + 2.5, y + 1.5), (x, y + 2)])
+        elif kind == 1:
+            shape = LineString([(x, y), (x + 1.0, y + 0.75), (x + 2.25, y)])
+        elif kind == 2:
+            shape = Point([(x + 0.5, y + 0.5)])
+        elif kind == 3:
+            shape = BoxShape((x, y), (x + 1.5, y + 0.5))
+        else:
+            objects.append(SpatialObject(i, MBR((x, y), (x + 1.0, y + 1.0))))
+            continue
+        objects.append(SpatialObject(i, shape.mbr(), shape))
+    return objects
+
+
+def _boxes_1d():
+    return [
+        SpatialObject(7 * i, MBR((i * 0.75 - 4.0,), (i * 0.75 - 4.0 + (i % 4) * 0.5,)))
+        for i in range(25)
+    ]
+
+
+def _single_box():
+    """One box with an id past 32 bits and an extent spanning 2e6."""
+    return [SpatialObject(2**40 + 3, MBR((-1.5, -2.25, -1e6), (0.0, 3.5, 1e6)))]
+
+
+PINNED_DATASETS = {
+    "boxes_1d": _boxes_1d,
+    "boxes_2d": _boxes_2d,
+    "boxes_2d_reversed": lambda: _boxes_2d()[::-1],
+    "boxes_3d": _boxes_3d,
+    "empty": list,
+    "shaped": _shaped,
+    "single_box": _single_box,
+}
+PINNED_DIGESTS = {
+    "boxes_1d": "3b740c2fb5e315b7f7da46b9b24051e191e06e38ad6e7b2b329e81c199b42dda",
+    "boxes_2d": "d759583ef794bafc06811b561ed0b1fae1251cde79435278b4da5103b885dce3",
+    "boxes_2d_reversed": "049ecdefc417206fe73dc708d39caecb89568dc9c269f1cc9aef2a160eceb00f",
+    "boxes_3d": "bb9b0aae9a92adbe9b80d5a229a199f5b9814fafa3bfd832deea206380a4ea96",
+    "empty": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "shaped": "9f66ca84178c46072c082a5d24425c845e68c570e69de1cb3cbf708016c157aa",
+    "single_box": "077ba3047901b61889189c8e8bb996936732d7bcd896e9f54236bb0db1a3d1a2",
+}
 
 
 @pytest.fixture(scope="module")
@@ -55,15 +137,30 @@ class TestFingerprint:
     def test_empty_dataset(self):
         assert isinstance(dataset_fingerprint([]), str)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs both paths to compare")
-    def test_pure_python_fallback_matches_columnar_digest(self, pair, monkeypatch):
-        """Without numpy the struct-packed stream must digest identically."""
-        import repro.service.fingerprint as fp
+    @pytest.mark.parametrize("dataset", sorted(PINNED_DIGESTS))
+    def test_digest_format_is_pinned(self, dataset):
+        """Cache keys of the service and the sketch cache never drift.
 
-        a, _ = pair
-        with_numpy = dataset_fingerprint(list(a))
-        monkeypatch.setattr(fp, "HAVE_NUMPY", False)
-        assert fp.dataset_fingerprint(list(a)) == with_numpy
+        Any change to the digested byte layout changes every cache key,
+        so the hex digests of fixed 1-D, 2-D, 3-D, shaped, single-box
+        and empty datasets are pinned (the reversed 2-D dataset pins
+        the order sensitivity).
+        """
+        objects = PINNED_DATASETS[dataset]()
+        assert dataset_fingerprint(objects) == PINNED_DIGESTS[dataset]
+        assert sketch_dataset(objects).fingerprint == PINNED_DIGESTS[dataset]
+
+    @pytest.mark.parametrize("dataset", sorted(PINNED_DIGESTS))
+    def test_pinned_digest_independent_of_container(self, dataset):
+        """Tuple, iterator, ``Dataset`` and pre-built table digest alike."""
+        objects = PINNED_DATASETS[dataset]()
+        want = PINNED_DIGESTS[dataset]
+        assert dataset_fingerprint(tuple(objects)) == want
+        assert dataset_fingerprint(iter(objects)) == want
+        assert dataset_fingerprint(Dataset(objects, name=dataset)) == want
+        if objects:
+            table = CoordinateTable.from_objects(objects)
+            assert dataset_fingerprint(objects, table=table) == want
 
 
 class TestIndexCache:
@@ -187,7 +284,6 @@ class TestServiceSemantics:
         assert again.parameters["cache"] == "warm"
         assert service.stats()["cold_builds"] == 3
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="both backends require numpy")
     def test_backend_change_misses_the_cache(self, pair):
         a, b = pair
         service = SpatialQueryService(capacity=4)

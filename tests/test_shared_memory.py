@@ -15,9 +15,8 @@ from __future__ import annotations
 import glob
 import pickle
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.datasets import uniform_boxes
 from repro.geometry.columnar import (

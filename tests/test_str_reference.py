@@ -186,7 +186,7 @@ class TestTreeMatchesReference:
         assert np.array_equal(table.coords, expected.coords)
         assert np.array_equal(table.ids, expected.ids)
         assert [slices[leaf] for leaf in tree.leaves()] == expected_slices
-        # The compiled tier's contiguity guard accepts this layout.
+        # flatten_hierarchy's contiguity guard accepts this layout.
         flat = flatten_hierarchy(tree, slices)
         assert flat.sub_stop[0] - flat.sub_start[0] == len(rows)
 

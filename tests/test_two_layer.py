@@ -73,8 +73,6 @@ class TestConfiguration:
 @pytest.mark.parametrize("backend", ["object", "columnar"])
 class TestCorrectness:
     def test_uniform_2d(self, backend):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
         a = uniform_boxes(60, seed=71, dim=2, side_range=(0.0, 30.0))
         b = uniform_boxes(150, seed=72, dim=2, side_range=(0.0, 30.0))
         result = TwoLayerJoin(cell_size=40.0, backend=backend).join(a, b)
@@ -83,8 +81,6 @@ class TestCorrectness:
         assert result.stats.duplicates_suppressed == 0
 
     def test_clustered_3d_with_inflation(self, backend):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
         a = inflate(clustered_boxes(50, seed=73, n_clusters=4), 25.0)
         b = clustered_boxes(140, seed=74, n_clusters=4)
         result = TwoLayerJoin(cell_size=60.0, backend=backend).join(list(a), list(b))
@@ -92,8 +88,6 @@ class TestCorrectness:
         assert result.stats.dedup_checks == 0
 
     def test_zero_extent_objects_on_tile_corners(self, backend):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
         # resolution 4 over [0, 10]: tile edges at 2.5, 5.0, 7.5 — every
         # point object sits exactly on a tile corner or edge.
         universe = MBR((0.0, 0.0), (10.0, 10.0))
@@ -109,8 +103,6 @@ class TestCorrectness:
         assert result.stats.dedup_checks == 0
 
     def test_objects_spanning_whole_tile_rows(self, backend):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
         a = [box_object(i, (0.0, 2.0 * i), (10.0, 2.0 * i + 3.0)) for i in range(5)]
         b = [box_object(j, (1.0 * j, 0.0), (1.0 * j + 0.5, 10.0)) for j in range(10)]
         result = TwoLayerJoin(resolution=5, backend=backend).join(a, b)
@@ -118,8 +110,6 @@ class TestCorrectness:
         assert result.stats.dedup_checks == 0
 
     def test_objects_outside_fixed_universe(self, backend):
-        if backend == "columnar":
-            pytest.importorskip("numpy")
         # Objects entirely outside / straddling a fixed universe clamp
         # into the edge tiles identically on both backends.
         universe = MBR((0.0, 0.0), (10.0, 10.0))
@@ -148,7 +138,6 @@ class TestCorrectness:
 
 class TestBackendParity:
     def test_pair_sets_and_replication_agree(self):
-        pytest.importorskip("numpy")
         a = uniform_boxes(70, seed=76, dim=2, side_range=(0.0, 25.0))
         b = uniform_boxes(160, seed=77, dim=2, side_range=(0.0, 25.0))
         results = {
@@ -178,7 +167,7 @@ class TestBackendParity:
 
 class TestClassifiedEntries:
     def test_columnar_masks_match_object_classification(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
         from repro.geometry.columnar import CoordinateTable
         from repro.grid.columnar import ColumnarGrid
         from repro.grid.uniform import UniformGrid
@@ -208,7 +197,7 @@ class TestClassifiedEntries:
             assert expected[(i, key)] == mask
 
     def test_exactly_one_home_tile_per_object(self):
-        np = pytest.importorskip("numpy")
+        import numpy as np
         from repro.geometry.columnar import CoordinateTable
         from repro.grid.columnar import ColumnarGrid
 
