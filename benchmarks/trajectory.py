@@ -41,7 +41,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.config import SCALES
+from repro.bench.config import SCALES, RunOptions
 from repro.bench.runner import run_algorithm
 from repro.bench.workloads import synthetic_pair
 from repro.service.driver import run_serve_workload
@@ -308,8 +308,6 @@ def run_filter_refine(scale, backend: str | None) -> list[dict]:
     ``refine-parity`` CI job, which this script does not repeat at
     trajectory scale).
     """
-    from repro.bench.runner import use_geometry
-
     rows = []
     n_b = scale.large_b_steps[len(scale.large_b_steps) // 2]
     for distribution in FILTER_REFINE_DISTRIBUTIONS:
@@ -322,13 +320,12 @@ def run_filter_refine(scale, backend: str | None) -> list[dict]:
                 f"/eps{scale.large_epsilon:g}/{geometry}"
             )
             overrides = {"backend": backend} if backend else {}
-            with use_geometry(geometry):
-                start = time.perf_counter()
-                record = run_algorithm(
-                    "TOUCH", dataset_a, dataset_b, scale.large_epsilon,
-                    **overrides,
-                )
-                wall = time.perf_counter() - start
+            start = time.perf_counter()
+            record = run_algorithm(
+                "TOUCH", dataset_a, dataset_b, scale.large_epsilon,
+                options=RunOptions(geometry=geometry), **overrides,
+            )
+            wall = time.perf_counter() - start
             row = {
                 "algorithm": record.algorithm,
                 "backend": record.extra.get("backend", backend or "auto"),

@@ -10,7 +10,7 @@ execution time and memory footprint.  All results are cross-validated.
 Run:  python examples/algorithm_shootout.py
 """
 
-from repro import algorithm_names, gaussian_boxes, make_algorithm
+from repro import available, gaussian_boxes, make_algorithm
 from repro.bench.reporting import format_table
 from repro.datasets.transform import inflate
 from repro.validation import assert_all_equivalent
@@ -27,7 +27,7 @@ def main() -> None:
 
     rows = []
     results = []
-    for name in algorithm_names():
+    for name in [info.name for info in available()]:
         result = make_algorithm(name).join(dataset_a, dataset_b)
         results.append(result)
         stats = result.stats

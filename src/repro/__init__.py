@@ -36,7 +36,6 @@ from repro.joins import (
     RTreeSyncJoin,
     S3Join,
     SeededTreeJoin,
-    algorithm_names,
     available,
     make_algorithm,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "ALGORITHMS",
     "AlgorithmInfo",
     "available",
-    "algorithm_names",
     "make_algorithm",
     "AlgorithmSpec",
     "ChunkedSpatialJoin",

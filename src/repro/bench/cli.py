@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.config import DEFAULT_SCALE, GEOMETRY_MODES, SCALES
+from repro.bench.config import DEFAULT_SCALE, GEOMETRY_MODES, SCALES, RunOptions
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.reporting import print_experiment, save_json
 from repro.geometry.columnar import BACKENDS, validate_backend
@@ -260,6 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _options(args) -> RunOptions:
+    """The one :class:`RunOptions` a ``run`` / ``all`` / ``explain`` call
+    builds from its flags (``explain`` has no ``--dedup``)."""
+    return RunOptions(
+        backend=args.backend,
+        workers=args.workers,
+        decompose=args.decompose,
+        dedup=getattr(args, "dedup", None),
+        max_bytes=args.max_bytes,
+        geometry=args.geometry,
+    )
+
+
 def _cmd_list() -> int:
     print("experiments:")
     for name in EXPERIMENTS:
@@ -273,26 +286,12 @@ def _cmd_run(
     scale: str | None,
     json_path: Path | None,
     chart_metric: str | None,
-    backend: str | None = None,
-    workers: int | None = None,
-    decompose: str | None = None,
-    dedup: str | None = None,
-    max_bytes: int | None = None,
-    geometry: str | None = None,
+    options: RunOptions,
 ) -> int:
     from repro.refine import MissingShapesError
 
     try:
-        result = run_experiment(
-            experiment,
-            scale,
-            backend=backend,
-            workers=workers,
-            decompose=decompose,
-            dedup=dedup,
-            max_bytes=max_bytes,
-            geometry=geometry,
-        )
+        result = run_experiment(experiment, scale, options)
     except MissingShapesError as exc:
         # ``--geometry exact`` over an MBR-only workload: name the
         # dataset and exit cleanly instead of dumping a traceback, the
@@ -317,30 +316,12 @@ def _cmd_run(
     return 0
 
 
-def _cmd_all(
-    scale: str | None,
-    out_dir: Path | None,
-    backend: str | None = None,
-    workers: int | None = None,
-    decompose: str | None = None,
-    dedup: str | None = None,
-    max_bytes: int | None = None,
-    geometry: str | None = None,
-) -> int:
+def _cmd_all(scale: str | None, out_dir: Path | None, options: RunOptions) -> int:
     from repro.refine import MissingShapesError
 
     for name in EXPERIMENTS:
         try:
-            result = run_experiment(
-                name,
-                scale,
-                backend=backend,
-                workers=workers,
-                decompose=decompose,
-                dedup=dedup,
-                max_bytes=max_bytes,
-                geometry=geometry,
-            )
+            result = run_experiment(name, scale, options)
         except MissingShapesError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
@@ -430,7 +411,7 @@ def _cmd_explain(args) -> int:
     """Print the optimizer's plan for a named workload, execution-free."""
     import json
 
-    from repro.bench.config import RunOptions, current_scale
+    from repro.bench.config import current_scale
     from repro.bench.runner import explain
     from repro.bench.workloads import named_pair
 
@@ -443,14 +424,9 @@ def _cmd_explain(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     epsilon = args.epsilon if args.epsilon is not None else scale.large_epsilon
-    options = RunOptions(
-        backend=args.backend,
-        workers=args.workers,
-        decompose=args.decompose,
-        max_bytes=args.max_bytes,
-        geometry=args.geometry,
+    plan = explain(
+        args.algorithm, dataset_a, dataset_b, epsilon, options=_options(args)
     )
-    plan = explain(args.algorithm, dataset_a, dataset_b, epsilon, options=options)
     name = args.dataset or args.distribution
     print(
         f"== plan: {name} a{plan.sketch_a.n}-b{plan.sketch_b.n} "
@@ -567,28 +543,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_serve(args)
     if args.command == "run":
         return _cmd_run(
-            args.experiment,
-            args.scale,
-            args.json,
-            args.chart,
-            args.backend,
-            args.workers,
-            args.decompose,
-            args.dedup,
-            args.max_bytes,
-            args.geometry,
+            args.experiment, args.scale, args.json, args.chart, _options(args)
         )
     if args.command == "all":
-        return _cmd_all(
-            args.scale,
-            args.out_dir,
-            args.backend,
-            args.workers,
-            args.decompose,
-            args.dedup,
-            args.max_bytes,
-            args.geometry,
-        )
+        return _cmd_all(args.scale, args.out_dir, _options(args))
     return 2  # pragma: no cover - argparse enforces the choices
 
 

@@ -162,7 +162,7 @@ def env_choice(name: str, choices: tuple[str, ...]) -> str | None:
     """Read an enumerated environment variable, or fail naming it.
 
     Junk values used to propagate deep into the engines before blowing
-    up with a context-free traceback; every ambient ``REPRO_*`` read now
+    up with a context-free traceback; every ``REPRO_*`` read
     validates here and raises a :class:`ValueError` that names the
     variable and the accepted values.
     """
@@ -224,17 +224,16 @@ GEOMETRY_MODES = ("mbr", "exact")
 class RunOptions:
     """Execution options of one :func:`repro.bench.runner.run_algorithm` call.
 
-    The consolidated front door replacing the historical sprawl of
-    ``workers=`` / ``decompose=`` / ``dedup=`` / ``reuse_index=`` call
-    kwargs and the ``REPRO_WORKERS`` / ``REPRO_DECOMPOSE`` /
-    ``REPRO_DEDUP`` / ``REPRO_BACKEND`` ambient environment variables.
-    ``None`` means *unspecified* — the next precedence layer decides
-    (explicit call kwarg > options object > ambient scope/env > default).
+    The one way execution options reach a join.  There are two layers:
+    the fields set on an explicit ``options`` object win, and beneath
+    them :meth:`from_env` reads the ``REPRO_*`` environment variables.
+    ``None`` means *unspecified* — the next layer decides
+    (``options=`` > ``REPRO_*`` > engine default).
 
     Attributes
     ----------
     workers:
-        ``None`` defers to the ambient layer, ``0`` forces sequential
+        ``None`` defers to ``REPRO_WORKERS``, ``0`` forces sequential
         execution, ``>= 1`` routes the join through the multiprocess
         :class:`~repro.parallel.engine.ParallelChunkedJoin`.
     decompose:
@@ -324,10 +323,12 @@ class RunOptions:
     def from_env(cls) -> "RunOptions":
         """The options encoded in the ``REPRO_*`` environment variables.
 
-        ``REPRO_WORKERS=0`` (like an explicit ``workers=0``) reads as
-        sequential execution; unset variables stay ``None`` so higher
-        precedence layers and engine defaults apply.  Values are
-        validated eagerly with errors naming the variable.
+        The single reading of the environment: every variable maps to its
+        own field, so ``REPRO_DECOMPOSE`` / ``REPRO_DEDUP`` apply without
+        ``REPRO_WORKERS`` and ``REPRO_WORKERS=0`` (like an explicit
+        ``workers=0``) pins sequential execution.  Unset variables stay
+        ``None`` so engine defaults apply.  Values are validated eagerly
+        with errors naming the variable.
         """
         workers = env_int("REPRO_WORKERS", minimum=0)
         return cls(

@@ -10,7 +10,6 @@ to reproduce; ``EXPERIMENTS.md`` tracks paper-vs-measured per claim.
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import tempfile
 import time
@@ -19,16 +18,7 @@ from pathlib import Path
 from typing import Callable
 
 from repro.bench.config import RunOptions, Scale, current_scale
-from repro.bench.runner import (
-    RunRecord,
-    current_backend,
-    record_from_result,
-    run_algorithm,
-    use_backend,
-    use_geometry,
-    use_max_bytes,
-    use_parallel,
-)
+from repro.bench.runner import RunRecord, record_from_result, run_algorithm
 from repro.bench.workloads import (
     FIG8_ALGORITHMS,
     LARGE_ALGORITHMS,
@@ -67,7 +57,7 @@ class ExperimentResult:
 # --------------------------------------------------------------------------
 # Table 1 — dataset selectivity
 # --------------------------------------------------------------------------
-def experiment_table1(scale: Scale) -> ExperimentResult:
+def experiment_table1(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Selectivity (Equation 1, ×1e-6) of every dataset pair and ε."""
     out = ExperimentResult(
         "table1",
@@ -83,11 +73,13 @@ def experiment_table1(scale: Scale) -> ExperimentResult:
             distribution, scale.table1_a, scale.table1_b, scale, space=scale.table1_space
         )
         for epsilon in scale.epsilons:
-            record = run_algorithm("TOUCH", dataset_a, dataset_b, epsilon)
+            record = run_algorithm(
+                "TOUCH", dataset_a, dataset_b, epsilon, options=options
+            )
             out.add(record, selectivity_e6=record.selectivity * 1e6)
     axons, dendrites = neuro_pair(scale)
     for epsilon in scale.epsilons:
-        record = run_algorithm("TOUCH", axons, dendrites, epsilon)
+        record = run_algorithm("TOUCH", axons, dendrites, epsilon, options=options)
         out.add(record, selectivity_e6=record.selectivity * 1e6)
     return out
 
@@ -95,7 +87,7 @@ def experiment_table1(scale: Scale) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # §6.3 — loading the data
 # --------------------------------------------------------------------------
-def experiment_loading(scale: Scale) -> ExperimentResult:
+def experiment_loading(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Load time vs the fastest state-of-the-art join (PBSM-500)."""
     out = ExperimentResult(
         "loading",
@@ -121,7 +113,9 @@ def experiment_loading(scale: Scale) -> ExperimentResult:
             start = time.perf_counter()
             loaded = read_dataset(path)
             load_seconds = time.perf_counter() - start
-            record = run_algorithm("PBSM-500", dataset_a, loaded, scale.large_epsilon)
+            record = run_algorithm(
+                "PBSM-500", dataset_a, loaded, scale.large_epsilon, options=options
+            )
             out.add(
                 record,
                 load_seconds=load_seconds,
@@ -135,7 +129,7 @@ def experiment_loading(scale: Scale) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # Figure 8 — small uniform datasets, all eight algorithms
 # --------------------------------------------------------------------------
-def experiment_fig8(scale: Scale) -> ExperimentResult:
+def experiment_fig8(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Comparisons and execution time, small uniform datasets, ε = 10."""
     out = ExperimentResult(
         "fig8",
@@ -152,14 +146,21 @@ def experiment_fig8(scale: Scale) -> ExperimentResult:
             "uniform", scale.fig8_a, n_b, scale, space=scale.fig8_space
         )
         for algorithm in FIG8_ALGORITHMS:
-            out.add(run_algorithm(algorithm, dataset_a, dataset_b, scale.fig8_epsilon))
+            out.add(
+                run_algorithm(
+                    algorithm, dataset_a, dataset_b, scale.fig8_epsilon,
+                    options=options,
+                )
+            )
     return out
 
 
 # --------------------------------------------------------------------------
 # Figures 9/10/11 — large datasets per distribution
 # --------------------------------------------------------------------------
-def _experiment_large(distribution: str, figure: str, scale: Scale) -> ExperimentResult:
+def _experiment_large(
+    distribution: str, figure: str, scale: Scale, options: RunOptions
+) -> ExperimentResult:
     out = ExperimentResult(
         figure,
         f"Figure {figure[3:]}: large {distribution} datasets, increasing |B|, eps=5",
@@ -174,29 +175,34 @@ def _experiment_large(distribution: str, figure: str, scale: Scale) -> Experimen
     for n_b in scale.large_b_steps:
         dataset_a, dataset_b = synthetic_pair(distribution, scale.large_a, n_b, scale)
         for algorithm in LARGE_ALGORITHMS:
-            out.add(run_algorithm(algorithm, dataset_a, dataset_b, scale.large_epsilon))
+            out.add(
+                run_algorithm(
+                    algorithm, dataset_a, dataset_b, scale.large_epsilon,
+                    options=options,
+                )
+            )
     return out
 
 
-def experiment_fig9(scale: Scale) -> ExperimentResult:
+def experiment_fig9(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Large uniform datasets (comparisons / time / memory)."""
-    return _experiment_large("uniform", "fig9", scale)
+    return _experiment_large("uniform", "fig9", scale, options)
 
 
-def experiment_fig10(scale: Scale) -> ExperimentResult:
+def experiment_fig10(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Large Gaussian datasets (comparisons / time / memory)."""
-    return _experiment_large("gaussian", "fig10", scale)
+    return _experiment_large("gaussian", "fig10", scale, options)
 
 
-def experiment_fig11(scale: Scale) -> ExperimentResult:
+def experiment_fig11(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Large clustered datasets (comparisons / time / memory)."""
-    return _experiment_large("clustered", "fig11", scale)
+    return _experiment_large("clustered", "fig11", scale, options)
 
 
 # --------------------------------------------------------------------------
 # Figure 12 — varying the distance threshold ε
 # --------------------------------------------------------------------------
-def experiment_fig12(scale: Scale) -> ExperimentResult:
+def experiment_fig12(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Execution time for ε = 5 vs ε = 10 on all distributions."""
     out = ExperimentResult(
         "fig12",
@@ -214,14 +220,18 @@ def experiment_fig12(scale: Scale) -> ExperimentResult:
         )
         for algorithm in LARGE_ALGORITHMS:
             for epsilon in scale.epsilons:
-                out.add(run_algorithm(algorithm, dataset_a, dataset_b, epsilon))
+                out.add(
+                    run_algorithm(
+                        algorithm, dataset_a, dataset_b, epsilon, options=options
+                    )
+                )
     return out
 
 
 # --------------------------------------------------------------------------
 # Figure 13 — TOUCH's filtering capability
 # --------------------------------------------------------------------------
-def experiment_fig13(scale: Scale) -> ExperimentResult:
+def experiment_fig13(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Objects of B filtered by TOUCH per distribution and |B|."""
     out = ExperimentResult(
         "fig13",
@@ -236,7 +246,9 @@ def experiment_fig13(scale: Scale) -> ExperimentResult:
     for distribution in LARGE_DISTRIBUTIONS:
         for n_b in scale.large_b_steps:
             dataset_a, dataset_b = synthetic_pair(distribution, scale.large_a, n_b, scale)
-            record = run_algorithm("TOUCH", dataset_a, dataset_b, scale.large_epsilon)
+            record = run_algorithm(
+                "TOUCH", dataset_a, dataset_b, scale.large_epsilon, options=options
+            )
             out.add(record, filtered_fraction=record.filtered / max(1, record.n_b))
     return out
 
@@ -244,7 +256,7 @@ def experiment_fig13(scale: Scale) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # Figure 14 — impact of the fanout
 # --------------------------------------------------------------------------
-def experiment_fig14(scale: Scale) -> ExperimentResult:
+def experiment_fig14(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Fanout sweep: filtered objects (14a) and comparisons (14b)."""
     out = ExperimentResult(
         "fig14",
@@ -270,6 +282,7 @@ def experiment_fig14(scale: Scale) -> ExperimentResult:
                 scale.large_epsilon,
                 fanout=fanout,
                 num_partitions=None,
+                options=options,
             )
             out.add(record, fanout=fanout)
     return out
@@ -278,7 +291,7 @@ def experiment_fig14(scale: Scale) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # Figure 15 — increasingly dense neuroscience datasets
 # --------------------------------------------------------------------------
-def experiment_fig15(scale: Scale) -> ExperimentResult:
+def experiment_fig15(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Execution time vs density (% subsets of the neuro model), ε = 5."""
     out = ExperimentResult(
         "fig15",
@@ -295,7 +308,9 @@ def experiment_fig15(scale: Scale) -> ExperimentResult:
         axons, dendrites, fractions=scale.density_fractions, seed=scale.seed
     ):
         for algorithm in LARGE_ALGORITHMS:
-            record = run_algorithm(algorithm, subset_a, subset_b, scale.large_epsilon)
+            record = run_algorithm(
+                algorithm, subset_a, subset_b, scale.large_epsilon, options=options
+            )
             out.add(record, density_fraction=fraction)
     return out
 
@@ -303,7 +318,7 @@ def experiment_fig15(scale: Scale) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # Figure 16 — neuroscience datasets, both ε
 # --------------------------------------------------------------------------
-def experiment_fig16(scale: Scale) -> ExperimentResult:
+def experiment_fig16(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Time / comparisons / memory on the neuro pair for ε ∈ {5, 10}."""
     out = ExperimentResult(
         "fig16",
@@ -319,7 +334,9 @@ def experiment_fig16(scale: Scale) -> ExperimentResult:
     axons, dendrites = neuro_pair(scale)
     for algorithm in LARGE_ALGORITHMS:
         for epsilon in scale.epsilons:
-            record = run_algorithm(algorithm, axons, dendrites, epsilon)
+            record = run_algorithm(
+                algorithm, axons, dendrites, epsilon, options=options
+            )
             out.add(record, filtered_fraction=record.filtered / max(1, record.n_b))
     return out
 
@@ -327,7 +344,7 @@ def experiment_fig16(scale: Scale) -> ExperimentResult:
 # --------------------------------------------------------------------------
 # Ablations (design choices discussed in §5.2)
 # --------------------------------------------------------------------------
-def experiment_ablation_localjoin(scale: Scale) -> ExperimentResult:
+def experiment_ablation_localjoin(scale: Scale, options: RunOptions) -> ExperimentResult:
     """TOUCH local-join kernel and grid cell-size factor (§5.2.2)."""
     out = ExperimentResult(
         "ablation_localjoin",
@@ -343,18 +360,20 @@ def experiment_ablation_localjoin(scale: Scale) -> ExperimentResult:
     dataset_a, dataset_b = synthetic_pair("uniform", scale.large_a, n_b, scale)
     for kernel in ("grid", "sweep", "nested"):
         record = run_algorithm(
-            "TOUCH", dataset_a, dataset_b, scale.large_epsilon, local_kernel=kernel
+            "TOUCH", dataset_a, dataset_b, scale.large_epsilon,
+            local_kernel=kernel, options=options,
         )
         out.add(record, local_kernel=kernel, cell_size_factor=None)
     for factor in (1.0, 2.0, 4.0, 8.0, 16.0):
         record = run_algorithm(
-            "TOUCH", dataset_a, dataset_b, scale.large_epsilon, cell_size_factor=factor
+            "TOUCH", dataset_a, dataset_b, scale.large_epsilon,
+            cell_size_factor=factor, options=options,
         )
         out.add(record, local_kernel="grid", cell_size_factor=factor)
     return out
 
 
-def experiment_ablation_joinorder(scale: Scale) -> ExperimentResult:
+def experiment_ablation_joinorder(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Build-side choice: smaller dataset first vs larger first (§5.2.3)."""
     out = ExperimentResult(
         "ablation_joinorder",
@@ -379,7 +398,7 @@ def experiment_ablation_joinorder(scale: Scale) -> ExperimentResult:
     return out
 
 
-def experiment_ablation_partitions(scale: Scale) -> ExperimentResult:
+def experiment_ablation_partitions(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Leaf bucket count sweep (§5.2.1; the paper fixes p = 1024)."""
     out = ExperimentResult(
         "ablation_partitions",
@@ -397,12 +416,13 @@ def experiment_ablation_partitions(scale: Scale) -> ExperimentResult:
             dataset_b,
             scale.large_epsilon,
             num_partitions=partitions,
+            options=options,
         )
         out.add(record, num_partitions=partitions)
     return out
 
 
-def experiment_ablation_chunked(scale: Scale) -> ExperimentResult:
+def experiment_ablation_chunked(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Chunked execution (§3's per-core decomposition): result parity."""
     out = ExperimentResult(
         "ablation_chunked",
@@ -436,7 +456,7 @@ def experiment_ablation_chunked(scale: Scale) -> ExperimentResult:
 TWO_LAYER_ALGORITHMS = ("TwoLayer-500", "PBSM-500", "TOUCH")
 
 
-def experiment_two_layer(scale: Scale) -> ExperimentResult:
+def experiment_two_layer(scale: Scale, options: RunOptions) -> ExperimentResult:
     """TwoLayer vs PBSM-500/TOUCH on the Figures 9–11 workloads.
 
     For every workload the three algorithms must return the *identical*
@@ -447,8 +467,7 @@ def experiment_two_layer(scale: Scale) -> ExperimentResult:
 
     Joins run sequentially and in-process on purpose — the assertions
     need the raw pair sets and the inner algorithms' own counters — so
-    the ambient ``--workers`` / ``--decompose`` / ``--dedup`` engine
-    selection does not apply here (the ambient ``--backend`` does).
+    only ``options.backend`` applies here, not the engine selection.
     """
     out = ExperimentResult(
         "two_layer",
@@ -462,8 +481,7 @@ def experiment_two_layer(scale: Scale) -> ExperimentResult:
         ),
         scale=scale.name,
     )
-    ambient = current_backend()
-    overrides = {"backend": ambient} if ambient else {}
+    overrides = {"backend": options.backend} if options.backend else {}
     for distribution in LARGE_DISTRIBUTIONS:
         for n_b in scale.large_b_steps:
             dataset_a, dataset_b = synthetic_pair(
@@ -508,12 +526,13 @@ def experiment_two_layer(scale: Scale) -> ExperimentResult:
 PARALLEL_WORKER_STEPS = (1, 2, 4)
 
 
-def experiment_parallel_scaling(scale: Scale) -> ExperimentResult:
+def experiment_parallel_scaling(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Speedup-vs-workers on the Figure 9 uniform workload, both cuttings.
 
     One sequential baseline, then the multiprocess engine at 1/2/4
     workers over slabs and tiles; every run must return the baseline's
     pair set (asserted — the curve is worthless if parity breaks).
+    Each run picks its own engine; only ``options.backend`` carries over.
     """
     out = ExperimentResult(
         "parallel_scaling",
@@ -530,7 +549,7 @@ def experiment_parallel_scaling(scale: Scale) -> ExperimentResult:
     dataset_a, dataset_b = synthetic_pair("uniform", scale.large_a, n_b, scale)
     baseline = run_algorithm(
         "TOUCH", dataset_a, dataset_b, scale.large_epsilon,
-        options=RunOptions(workers=0),
+        options=RunOptions(workers=0, backend=options.backend),
     )
     out.add(baseline, engine="sequential", workers=0, speedup=1.0)
     for decompose in ("slabs", "tiles"):
@@ -540,7 +559,9 @@ def experiment_parallel_scaling(scale: Scale) -> ExperimentResult:
                 dataset_a,
                 dataset_b,
                 scale.large_epsilon,
-                options=RunOptions(workers=workers, decompose=decompose),
+                options=RunOptions(
+                    workers=workers, decompose=decompose, backend=options.backend
+                ),
             )
             if record.result_pairs != baseline.result_pairs:
                 raise AssertionError(
@@ -572,7 +593,7 @@ REPEATED_PROBE_ALGORITHMS = ("TOUCH", "TwoLayer-500")
 REPEATED_PROBE_QUERIES = 100
 
 
-def experiment_repeated_probe(scale: Scale) -> ExperimentResult:
+def experiment_repeated_probe(scale: Scale, options: RunOptions) -> ExperimentResult:
     """100 query batches: cached index vs index rebuilt per query.
 
     The Figure-9 uniform A side is indexed once per algorithm through
@@ -584,9 +605,9 @@ def experiment_repeated_probe(scale: Scale) -> ExperimentResult:
     **hard-asserted per batch** inside the driver — a speedup that
     dropped pairs would be worthless.
 
-    Joins run sequentially and in-process (the ambient ``--backend``
-    applies; ``--workers`` does not — the service is an in-process
-    engine).
+    Joins run sequentially and in-process (``options.backend``
+    applies; ``options.workers`` does not — the service is an
+    in-process engine).
     """
     out = ExperimentResult(
         "repeated_probe",
@@ -605,8 +626,7 @@ def experiment_repeated_probe(scale: Scale) -> ExperimentResult:
 
     n_b = scale.large_b_steps[len(scale.large_b_steps) // 2]
     dataset_a, dataset_b = synthetic_pair("uniform", scale.large_a, n_b, scale)
-    ambient = current_backend()
-    overrides = {"backend": ambient} if ambient else {}
+    overrides = {"backend": options.backend} if options.backend else {}
     for algorithm in REPEATED_PROBE_ALGORITHMS:
         summary = run_serve_workload(
             dataset_a,
@@ -675,7 +695,7 @@ SERVE_LOAD_PROBES = 40
 SERVE_LOAD_CONCURRENCY = 8
 
 
-def experiment_serve_load(scale: Scale) -> ExperimentResult:
+def experiment_serve_load(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Concurrent scatter-gather serving: qps and tail latency per shard count.
 
     The Figure-9 uniform pair is served through the sharded tier
@@ -703,8 +723,7 @@ def experiment_serve_load(scale: Scale) -> ExperimentResult:
 
     n_b = scale.large_b_steps[len(scale.large_b_steps) // 2]
     dataset_a, dataset_b = synthetic_pair("uniform", scale.large_a, n_b, scale)
-    ambient = current_backend()
-    overrides = {"backend": ambient} if ambient else {}
+    overrides = {"backend": options.backend} if options.backend else {}
     for shards in SERVE_LOAD_SHARDS:
         summary = run_scatter_workload(
             list(dataset_a),
@@ -764,7 +783,7 @@ SPILL_ALGORITHMS = ("TOUCH", "TwoLayer-500")
 SPILL_BUDGET_DIVISORS = (2, 4, 8)
 
 
-def experiment_bench_spill(scale: Scale) -> ExperimentResult:
+def experiment_bench_spill(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Budgeted joins at shrinking byte budgets, parity hard-asserted.
 
     For each algorithm the Figure-9 uniform workload runs unbudgeted
@@ -792,8 +811,7 @@ def experiment_bench_spill(scale: Scale) -> ExperimentResult:
         ),
         scale=scale.name,
     )
-    ambient = current_backend()
-    overrides = {"backend": ambient} if ambient else {}
+    overrides = {"backend": options.backend} if options.backend else {}
     n_b = scale.large_b_steps[len(scale.large_b_steps) // 2]
     dataset_a, dataset_b = synthetic_pair("uniform", scale.large_a, n_b, scale)
     build = inflate(dataset_a, scale.large_epsilon)
@@ -848,7 +866,7 @@ def experiment_bench_spill(scale: Scale) -> ExperimentResult:
 REFINE_ALGORITHMS = ("TOUCH", "PBSM-500", "RTree")
 
 
-def experiment_filter_refine(scale: Scale) -> ExperimentResult:
+def experiment_filter_refine(scale: Scale, options: RunOptions) -> ExperimentResult:
     """Exact joins over non-point workloads, oracle parity hard-asserted.
 
     For each shape workload (clustered polygons, linestrings) and each
@@ -879,8 +897,7 @@ def experiment_filter_refine(scale: Scale) -> ExperimentResult:
         ),
         scale=scale.name,
     )
-    ambient = current_backend()
-    overrides = {"backend": ambient} if ambient else {}
+    overrides = {"backend": options.backend} if options.backend else {}
     epsilon = scale.large_epsilon
     n_b = scale.large_b_steps[len(scale.large_b_steps) // 2]
     for distribution in SHAPE_DISTRIBUTIONS:
@@ -906,7 +923,7 @@ def experiment_filter_refine(scale: Scale) -> ExperimentResult:
             stats = exact.stats
             refine_start = time.perf_counter()
             refined = RefinePipeline(
-                epsilon, backend=ambient or "auto"
+                epsilon, backend=options.backend or "auto"
             ).refine(exact.pairs, build, probe, stats=stats)
             refine_seconds = time.perf_counter() - refine_start
             refined_set = set(refined)
@@ -978,7 +995,7 @@ AUTO_ORACLE_ALGORITHMS = (
 AUTO_ORACLE_MARGIN = 0.10
 
 
-def experiment_auto_oracle(scale: Scale) -> ExperimentResult:
+def experiment_auto_oracle(scale: Scale, options: RunOptions) -> ExperimentResult:
     """``algorithm="auto"`` vs every explicit variant, parity asserted.
 
     For each Figure-9/11 workload auto runs first (its row's
@@ -1003,8 +1020,6 @@ def experiment_auto_oracle(scale: Scale) -> ExperimentResult:
         ),
         scale=scale.name,
     )
-    ambient = current_backend()
-    overrides = {"backend": ambient} if ambient else {}
     n_b = scale.large_b_steps[len(scale.large_b_steps) // 2]
     for distribution in ("uniform", "clustered"):
         dataset_a, dataset_b = synthetic_pair(
@@ -1012,14 +1027,15 @@ def experiment_auto_oracle(scale: Scale) -> ExperimentResult:
         )
         start = time.perf_counter()
         auto_record = run_algorithm(
-            "auto", dataset_a, dataset_b, scale.large_epsilon, **overrides
+            "auto", dataset_a, dataset_b, scale.large_epsilon, options=options
         )
         auto_seconds = time.perf_counter() - start
         references = []
         for algorithm in AUTO_ORACLE_ALGORITHMS:
             start = time.perf_counter()
             record = run_algorithm(
-                algorithm, dataset_a, dataset_b, scale.large_epsilon, **overrides
+                algorithm, dataset_a, dataset_b, scale.large_epsilon,
+                options=options,
             )
             wall = time.perf_counter() - start
             if record.result_pairs != auto_record.result_pairs:
@@ -1053,7 +1069,7 @@ def experiment_auto_oracle(scale: Scale) -> ExperimentResult:
 
 
 #: experiment id → definition, in paper order.
-EXPERIMENTS: dict[str, Callable[[Scale], ExperimentResult]] = {
+EXPERIMENTS: dict[str, Callable[[Scale, RunOptions], ExperimentResult]] = {
     "table1": experiment_table1,
     "loading": experiment_loading,
     "fig8": experiment_fig8,
@@ -1082,31 +1098,22 @@ EXPERIMENTS: dict[str, Callable[[Scale], ExperimentResult]] = {
 def run_experiment(
     name: str,
     scale: Scale | str | None = None,
-    backend: str | None = None,
-    workers: int | None = None,
-    decompose: str | None = None,
-    dedup: str | None = None,
-    max_bytes: int | None = None,
-    geometry: str | None = None,
+    options: RunOptions | None = None,
 ) -> ExperimentResult:
-    """Run one experiment by id at the given (or ambient) scale.
+    """Run one experiment by id at the given (or ``REPRO_SCALE``) scale.
 
-    ``backend`` scopes a geometry-backend override over every join of
-    the experiment (object-only algorithms ignore it), so the ablation
-    scripts and the CLI ``--backend`` flag can sweep backends without
-    touching the experiment definitions.  ``workers`` / ``decompose`` /
-    ``dedup`` likewise scope the multiprocess engine (CLI ``--workers``
-    / ``--decompose`` / ``--dedup``), and ``max_bytes`` scopes a memory
-    budget (CLI ``--max-bytes``) routing over-budget joins through the
-    spilling budgeted engine, over every join; experiments that
-    pick their own engine per run (``parallel_scaling``), compare
-    sequential algorithms pair-for-pair (``two_layer``) or run through
-    the in-process query service (``repeated_probe``) are unaffected.
-    ``geometry`` scopes the join mode (CLI ``--geometry``):
-    ``"exact"`` routes every :func:`run_algorithm` join through the
-    filter–refine pipeline, which requires shape-carrying datasets —
-    experiments over MBR-only workloads raise
-    :class:`~repro.refine.MissingShapesError` naming the dataset.
+    ``options`` (the CLI's ``--backend`` / ``--workers`` / ``--decompose``
+    / ``--dedup`` / ``--max-bytes`` / ``--geometry`` flags) is resolved
+    once over :meth:`RunOptions.from_env` and handed to the definition,
+    which passes it to every :func:`run_algorithm` join.  Experiments
+    that pick their own engine per run (``parallel_scaling``,
+    ``two_layer``, ``repeated_probe``, ``serve_load``, ``bench_spill``,
+    ``filter_refine``) read only ``options.backend``.
+    ``geometry="exact"`` routes joins through the filter–refine
+    pipeline, which requires shape-carrying datasets — experiments over
+    MBR-only workloads raise :class:`~repro.refine.MissingShapesError`
+    naming the dataset.  The resolved backend is recorded as
+    :attr:`ExperimentResult.backend`.
     """
     if not isinstance(scale, Scale):
         scale = current_scale(scale)
@@ -1116,20 +1123,7 @@ def run_experiment(
         raise KeyError(
             f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}"
         ) from None
-    with contextlib.ExitStack() as stack:
-        if backend is not None:
-            stack.enter_context(use_backend(backend))
-        if workers is not None:
-            stack.enter_context(
-                use_parallel(workers, decompose or "slabs", dedup or "reference")
-            )
-        if max_bytes is not None:
-            stack.enter_context(use_max_bytes(max_bytes))
-        if geometry is not None:
-            stack.enter_context(use_geometry(geometry))
-        # With no override the caller's ambient use_backend()/
-        # REPRO_BACKEND/use_parallel() selections stay in effect.
-        result = definition(scale)
-    if backend is not None:
-        result.backend = backend
+    options = (options or RunOptions()).over(RunOptions.from_env())
+    result = definition(scale, options)
+    result.backend = options.backend
     return result

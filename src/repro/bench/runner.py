@@ -8,214 +8,16 @@ The outcome is a flat :class:`RunRecord` convenient for tabulation.
 
 from __future__ import annotations
 
-import contextlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.bench.config import RunOptions, env_choice, env_int
+from repro.bench.config import RunOptions
 from repro.datasets.base import Dataset
 from repro.datasets.transform import inflate
 from repro.joins.base import JoinResult
 from repro.joins.registry import AlgorithmSpec, make_algorithm
 
-__all__ = [
-    "RunRecord",
-    "RunOptions",
-    "run_algorithm",
-    "explain",
-    "use_backend",
-    "current_backend",
-    "use_parallel",
-    "current_parallel",
-    "use_max_bytes",
-    "current_max_bytes",
-    "use_geometry",
-    "current_geometry",
-    "current_options",
-]
-
-#: Ambient geometry-backend selection for backend sweeps.  ``None``
-#: leaves every algorithm at its own default (``"auto"``).  Set per
-#: process with the ``REPRO_BACKEND`` environment variable, or scoped
-#: with :func:`use_backend` (what the CLI ``--backend`` flag does).
-_ACTIVE_BACKEND: str | None = None
-
-#: Ambient parallel-execution selection, mirroring the backend override:
-#: ``(workers, decompose_kind, dedup_mode)`` or ``None`` for sequential
-#: execution.  Set per process with ``REPRO_WORKERS`` /
-#: ``REPRO_DECOMPOSE`` / ``REPRO_DEDUP``, or scoped with
-#: :func:`use_parallel` (what the CLI ``--workers`` / ``--decompose`` /
-#: ``--dedup`` flags do).
-_ACTIVE_PARALLEL: tuple[int, str, str] | None = None
-
-
-# Environment parsing lives in repro.bench.config next to RunOptions;
-# the historical private names stay importable for callers that used them.
-_env_choice = env_choice
-_env_int = env_int
-
-
-def current_backend() -> str | None:
-    """The ambient backend override, if any."""
-    if _ACTIVE_BACKEND is not None:
-        return _ACTIVE_BACKEND
-    from repro.geometry.columnar import BACKENDS
-
-    return _env_choice("REPRO_BACKEND", tuple(BACKENDS))
-
-
-@contextlib.contextmanager
-def use_backend(backend: str | None):
-    """Scope an ambient backend for every :func:`run_algorithm` call.
-
-    Threads a benchmark-wide ``--backend`` selection through experiment
-    definitions without widening every experiment signature; explicit
-    per-call ``backend=...`` overrides still win.
-    """
-    global _ACTIVE_BACKEND
-    previous = _ACTIVE_BACKEND
-    _ACTIVE_BACKEND = backend
-    try:
-        yield
-    finally:
-        _ACTIVE_BACKEND = previous
-
-
-def current_parallel() -> tuple[int, str, str] | None:
-    """The ambient ``(workers, decompose, dedup)`` override, if any."""
-    if _ACTIVE_PARALLEL is not None:
-        return _ACTIVE_PARALLEL
-    workers = _env_int("REPRO_WORKERS", minimum=0)
-    if workers:
-        from repro.parallel.decompose import DECOMPOSE_KINDS
-
-        return (
-            workers,
-            _env_choice("REPRO_DECOMPOSE", tuple(DECOMPOSE_KINDS)) or "slabs",
-            _env_choice("REPRO_DEDUP", ("reference", "partition")) or "reference",
-        )
-    return None
-
-
-@contextlib.contextmanager
-def use_parallel(
-    workers: int | None, decompose: str = "slabs", dedup: str = "reference"
-):
-    """Scope an ambient parallel engine for :func:`run_algorithm` calls.
-
-    Every joined algorithm is wrapped in a
-    :class:`~repro.parallel.engine.ParallelChunkedJoin` with ``workers``
-    processes over a ``decompose`` (``slabs`` | ``tiles``) cutting and
-    the given ``dedup`` mode (``reference`` | ``partition``).
-    ``workers=None`` (or ``0``) clears the override.  Explicit per-call
-    ``workers=...`` arguments still win.
-    """
-    global _ACTIVE_PARALLEL
-    previous = _ACTIVE_PARALLEL
-    _ACTIVE_PARALLEL = (workers, decompose, dedup) if workers else None
-    try:
-        yield
-    finally:
-        _ACTIVE_PARALLEL = previous
-
-
-#: Ambient memory-budget selection, mirroring the backend override:
-#: a byte budget or ``None`` for unbudgeted joins.  Set per process with
-#: ``REPRO_MAX_BYTES``, or scoped with :func:`use_max_bytes` (what the
-#: CLI ``--max-bytes`` flag does).
-_ACTIVE_MAX_BYTES: int | None = None
-
-
-def current_max_bytes() -> int | None:
-    """The ambient memory budget, if any."""
-    if _ACTIVE_MAX_BYTES is not None:
-        return _ACTIVE_MAX_BYTES
-    return _env_int("REPRO_MAX_BYTES", minimum=1)
-
-
-@contextlib.contextmanager
-def use_max_bytes(max_bytes: int | None):
-    """Scope an ambient byte budget for every :func:`run_algorithm` call.
-
-    Joins whose priced footprint exceeds the budget run through the
-    spilling :class:`~repro.memory.budgeted.BudgetedSpatialJoin` (or get
-    per-worker budget shares under the multiprocess engine).  ``None``
-    clears the override; explicit ``options=RunOptions(max_bytes=...)``
-    still wins.
-    """
-    global _ACTIVE_MAX_BYTES
-    previous = _ACTIVE_MAX_BYTES
-    _ACTIVE_MAX_BYTES = max_bytes
-    try:
-        yield
-    finally:
-        _ACTIVE_MAX_BYTES = previous
-
-
-#: Ambient geometry-mode selection, mirroring the backend override:
-#: ``"mbr"`` / ``"exact"`` or ``None`` for the default MBR join.  Set
-#: per process with ``REPRO_GEOMETRY``, or scoped with
-#: :func:`use_geometry` (what the CLI ``--geometry`` flag does).
-_ACTIVE_GEOMETRY: str | None = None
-
-
-def current_geometry() -> str | None:
-    """The ambient geometry mode, if any."""
-    if _ACTIVE_GEOMETRY is not None:
-        return _ACTIVE_GEOMETRY
-    from repro.bench.config import GEOMETRY_MODES
-
-    return _env_choice("REPRO_GEOMETRY", GEOMETRY_MODES)
-
-
-@contextlib.contextmanager
-def use_geometry(geometry: str | None):
-    """Scope an ambient geometry mode for every :func:`run_algorithm` call.
-
-    ``"exact"`` routes joins through the filter-refine pipeline (MBR
-    candidates refined against the datasets' exact shapes); ``None``
-    clears the override.  Explicit ``options=RunOptions(geometry=...)``
-    still wins.
-    """
-    global _ACTIVE_GEOMETRY
-    previous = _ACTIVE_GEOMETRY
-    _ACTIVE_GEOMETRY = geometry
-    try:
-        yield
-    finally:
-        _ACTIVE_GEOMETRY = previous
-
-
-def current_options() -> RunOptions:
-    """The ambient execution options: scoped overrides first, then env.
-
-    One :class:`~repro.bench.config.RunOptions` view over the
-    :func:`use_backend` / :func:`use_parallel` scopes and the
-    ``REPRO_WORKERS`` / ``REPRO_DECOMPOSE`` / ``REPRO_DEDUP`` /
-    ``REPRO_BACKEND`` environment variables — the lowest precedence
-    layer of :func:`run_algorithm` (explicit call kwargs and an explicit
-    ``options=`` object both win over it).
-    """
-    parallel = current_parallel()
-    backend = current_backend()
-    handoff = _env_choice("REPRO_HANDOFF", ("auto", "shm", "pickle"))
-    max_bytes = current_max_bytes()
-    geometry = current_geometry()
-    if parallel is None:
-        return RunOptions(
-            backend=backend, handoff=handoff, max_bytes=max_bytes, geometry=geometry
-        )
-    workers, decompose, dedup = parallel
-    return RunOptions(
-        workers=workers,
-        decompose=decompose,
-        dedup=dedup,
-        backend=backend,
-        handoff=handoff,
-        max_bytes=max_bytes,
-        geometry=geometry,
-    )
+__all__ = ["RunRecord", "RunOptions", "run_algorithm", "explain"]
 
 
 @dataclass
@@ -309,42 +111,6 @@ def record_from_result(
     )
 
 
-def _legacy_overlay(
-    workers: int | None,
-    decompose: str | None,
-    dedup: str | None,
-    reuse_index: "bool | object | None",
-) -> RunOptions | None:
-    """The deprecation shim for the pre-RunOptions call kwargs.
-
-    Historical calls spelled the engine selection as individual kwargs
-    (``workers=2, decompose="tiles"``); they keep working — with a
-    :class:`DeprecationWarning` — by folding into the highest-precedence
-    :class:`~repro.bench.config.RunOptions` layer.  ``reuse_index=False``
-    was the old default, so a literal ``False`` (unlike ``workers=0``,
-    which explicitly forces sequential execution) reads as *unspecified*
-    rather than as an override.
-    """
-    provided = {}
-    if workers is not None:
-        provided["workers"] = workers
-    if decompose is not None:
-        provided["decompose"] = decompose
-    if dedup is not None:
-        provided["dedup"] = dedup
-    if reuse_index:
-        provided["reuse_index"] = reuse_index
-    if not provided:
-        return None
-    warnings.warn(
-        f"run_algorithm({', '.join(sorted(provided))}=...) kwargs are "
-        "deprecated; pass options=RunOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return RunOptions(**provided)
-
-
 def _check_shapes(dataset) -> None:
     """Fail fast when ``geometry="exact"`` meets an MBR-only dataset."""
     if isinstance(dataset, Dataset) and not dataset.has_shapes:
@@ -371,6 +137,16 @@ def _shaped(objects):
         else SpatialObject(obj.oid, obj.mbr, shape_of(obj))
         for obj in objects
     ]
+
+
+def _service(reuse_index):
+    """The query service a truthy ``reuse_index`` option names."""
+    # Imported lazily, like the parallel engine.
+    from repro.service import SpatialQueryService, default_service
+
+    if isinstance(reuse_index, SpatialQueryService):
+        return reuse_index
+    return default_service()
 
 
 def _plan_run(
@@ -413,25 +189,18 @@ def explain(
 ):
     """The :class:`~repro.optimizer.plan.Plan` for a join, without running it.
 
-    Mirrors :func:`run_algorithm`'s resolution exactly — the same
-    options layering, the same service hand-off under ``reuse_index`` —
-    so the returned plan equals the one an actual
+    Mirrors :func:`run_algorithm`'s resolution exactly — ``options``
+    over :meth:`RunOptions.from_env`, the same service hand-off under
+    ``reuse_index`` — so the returned plan equals the one an actual
     ``run_algorithm("auto", ...)`` records in ``extra["plan"]``.
     ``algorithm_name="auto"`` lets the optimizer choose; a concrete
     registry name pins the algorithm but still scores every candidate.
     """
-    resolved = (options or RunOptions()).over(current_options())
+    resolved = (options or RunOptions()).over(RunOptions.from_env())
     if resolved.backend is not None and "backend" not in algorithm_overrides:
         algorithm_overrides = {**algorithm_overrides, "backend": resolved.backend}
     if resolved.reuse_index:
-        from repro.service import SpatialQueryService, default_service
-
-        service = (
-            resolved.reuse_index
-            if isinstance(resolved.reuse_index, SpatialQueryService)
-            else default_service()
-        )
-        return service.explain(
+        return _service(resolved.reuse_index).explain(
             list(dataset_a),
             list(dataset_b),
             epsilon,
@@ -452,10 +221,6 @@ def run_algorithm(
     dataset_b: Dataset | Sequence,
     epsilon: float,
     options: RunOptions | None = None,
-    workers: int | None = None,
-    decompose: str | None = None,
-    dedup: str | None = None,
-    reuse_index: "bool | object | None" = None,
     **algorithm_overrides,
 ) -> RunRecord:
     """Execute one distance join per the paper's methodology.
@@ -465,9 +230,9 @@ def run_algorithm(
     registry factory (e.g. ``fanout=8`` for the fanout sweep).
 
     Execution is selected by one :class:`~repro.bench.config.RunOptions`
-    resolved across three precedence layers — explicit call kwargs, then
-    the ``options`` object, then the ambient scopes/environment
-    (:func:`current_options`):
+    resolved across two layers: the fields set on ``options`` win, and
+    every field left ``None`` falls back to the ``REPRO_*`` environment
+    (:meth:`RunOptions.from_env`), then to the engine default:
 
     - ``options.workers``: ``0`` forces sequential execution; ``>= 1``
       runs the algorithm through the multiprocess
@@ -484,15 +249,8 @@ def run_algorithm(
       the same (dataset A, algorithm, config, backend, ε) probe a
       cached index (``extra["cache"]`` reports ``"warm"`` / ``"cold"``);
       the multiprocess engine cannot be combined with it.
-
-    The individual ``workers=`` / ``decompose=`` / ``dedup=`` /
-    ``reuse_index=`` kwargs are a deprecated spelling of the same
-    options (they win over ``options``, and warn).
     """
-    resolved = (options or RunOptions()).over(current_options())
-    legacy = _legacy_overlay(workers, decompose, dedup, reuse_index)
-    if legacy is not None:
-        resolved = legacy.over(resolved)
+    resolved = (options or RunOptions()).over(RunOptions.from_env())
     plan = None
     if algorithm_name == "auto" and not resolved.reuse_index:
         # The reuse_index path plans inside the query service instead
@@ -520,15 +278,7 @@ def run_algorithm(
                 "and cannot be combined with the multiprocess engine "
                 f"(workers={resolved.workers})"
             )
-        # Imported lazily, like the parallel engine below.
-        from repro.service import SpatialQueryService, default_service
-
-        service = (
-            resolved.reuse_index
-            if isinstance(resolved.reuse_index, SpatialQueryService)
-            else default_service()
-        )
-        result = service.probe(
+        result = _service(resolved.reuse_index).probe(
             list(dataset_a),
             list(dataset_b),
             epsilon,

@@ -9,7 +9,6 @@ from repro.joins.quadtree import QuadtreeJoin
 from repro.joins.registry import (
     ALGORITHMS,
     AlgorithmInfo,
-    algorithm_names,
     available,
     make_algorithm,
 )
@@ -34,6 +33,5 @@ __all__ = [
     "ALGORITHMS",
     "AlgorithmInfo",
     "available",
-    "algorithm_names",
     "make_algorithm",
 ]

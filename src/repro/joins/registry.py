@@ -17,7 +17,6 @@ universes (see :mod:`repro.bench.config`):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,8 +38,6 @@ __all__ = [
     "AlgorithmSpec",
     "available",
     "make_algorithm",
-    "algorithm_names",
-    "prepare_aware_names",
 ]
 
 
@@ -167,34 +164,6 @@ def available() -> tuple[AlgorithmInfo, ...]:
             _info_for(name, factory) for name, factory in ALGORITHMS.items()
         )
     return _AVAILABLE_CACHE
-
-
-def algorithm_names() -> list[str]:
-    """All registered algorithm names.
-
-    .. deprecated:: use ``[info.name for info in available()]``.
-    """
-    warnings.warn(
-        "algorithm_names() is deprecated; use joins.registry.available() "
-        "and read the AlgorithmInfo records",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return [info.name for info in available()]
-
-
-def prepare_aware_names() -> list[str]:
-    """Registered algorithms whose index is reused across probes.
-
-    .. deprecated:: filter ``available()`` on ``info.prepare_aware``.
-    """
-    warnings.warn(
-        "prepare_aware_names() is deprecated; filter "
-        "joins.registry.available() on info.prepare_aware",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return [info.name for info in available() if info.prepare_aware]
 
 
 def make_algorithm(name: str, **overrides) -> SpatialJoinAlgorithm:

@@ -473,7 +473,8 @@ class SpatialQueryService:
             }
 
 
-#: Process-wide service used by ``run_algorithm(reuse_index=True)``.
+#: Process-wide service used by
+#: ``run_algorithm(options=RunOptions(reuse_index=True))``.
 _DEFAULT: SpatialQueryService | None = None
 _DEFAULT_LOCK = threading.Lock()
 

@@ -184,26 +184,30 @@ def test_cli_backend_flag(tmp_path, capsys):
         del os.environ["REPRO_SCALE"]
 
 
-def test_runner_ambient_backend(small_uniform_pair):
-    from repro.bench.runner import run_algorithm, use_backend
+def test_runner_env_backend(small_uniform_pair, monkeypatch):
+    from repro.bench.config import RunOptions
+    from repro.bench.runner import run_algorithm
 
     dataset_a, dataset_b = small_uniform_pair
-    with use_backend("object"):
-        record = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0)
+    monkeypatch.setenv("REPRO_BACKEND", "object")
+    record = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0)
     assert record.extra["backend"] == "object"
-    # Explicit per-call override beats the ambient selection.
-    with use_backend("object"):
-        record = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0, backend="columnar")
+    # options= and an explicit per-call override both beat the environment.
+    record = run_algorithm(
+        "TOUCH", dataset_a, dataset_b, 5.0, options=RunOptions(backend="columnar")
+    )
+    assert record.extra["backend"] == "columnar"
+    record = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0, backend="columnar")
     assert record.extra["backend"] == "columnar"
 
 
-def test_run_experiment_preserves_ambient_backend(monkeypatch):
-    """run_experiment(backend=None) must not clobber a caller's ambient
-    use_backend() scope (regression: it used to enter use_backend(None))."""
+def test_run_experiment_records_env_backend(monkeypatch):
+    """Regression: with only ``REPRO_BACKEND`` set every row ran the env
+    backend but ``ExperimentResult.backend`` stayed ``None``."""
     from repro.bench.experiments import run_experiment
-    from repro.bench.runner import use_backend
 
     monkeypatch.setenv("REPRO_SCALE", "smoke")
-    with use_backend("object"):
-        result = run_experiment("fig13")
+    monkeypatch.setenv("REPRO_BACKEND", "object")
+    result = run_experiment("fig13")
+    assert result.backend == "object"
     assert {row["backend"] for row in result.rows} == {"object"}

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.config import SCALES, current_scale
+from repro.bench.config import SCALES, RunOptions, current_scale
 from repro.bench.experiments import EXPERIMENTS, run_experiment
 from repro.bench.reporting import format_table, save_json, summarize_series
 from repro.bench.runner import run_algorithm
@@ -161,7 +161,9 @@ class TestParallelRunner:
     def test_explicit_workers_selects_parallel_engine(self):
         dataset_a, dataset_b = synthetic_pair("uniform", 60, 120, SMOKE)
         sequential = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0)
-        record = run_algorithm("TOUCH", dataset_a, dataset_b, 5.0, workers=2)
+        record = run_algorithm(
+            "TOUCH", dataset_a, dataset_b, 5.0, options=RunOptions(workers=2)
+        )
         assert record.algorithm.startswith("Parallel[TOUCH")
         assert record.extra["workers"] == 2
         assert record.result_pairs == sequential.result_pairs
@@ -169,67 +171,66 @@ class TestParallelRunner:
     def test_decompose_kind_forwarded(self):
         dataset_a, dataset_b = synthetic_pair("uniform", 60, 120, SMOKE)
         record = run_algorithm(
-            "NL", dataset_a, dataset_b, 5.0, workers=2, decompose="tiles"
+            "NL", dataset_a, dataset_b, 5.0,
+            options=RunOptions(workers=2, decompose="tiles"),
         )
         assert record.extra["decompose"] == "tiles"
 
-    def test_ambient_use_parallel(self):
-        from repro.bench.runner import use_parallel
-
+    def test_env_parallel_and_explicit_sequential(self, monkeypatch):
         dataset_a, dataset_b = synthetic_pair("uniform", 60, 120, SMOKE)
-        with use_parallel(2, "slabs"):
-            ambient = run_algorithm("NL", dataset_a, dataset_b, 5.0)
-            forced_sequential = run_algorithm(
-                "NL", dataset_a, dataset_b, 5.0, workers=0
-            )
-        assert ambient.algorithm.startswith("Parallel[NL")
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setenv("REPRO_DECOMPOSE", "slabs")
+        from_env = run_algorithm("NL", dataset_a, dataset_b, 5.0)
+        forced_sequential = run_algorithm(
+            "NL", dataset_a, dataset_b, 5.0, options=RunOptions(workers=0)
+        )
+        assert from_env.algorithm.startswith("Parallel[NL")
         assert forced_sequential.algorithm == "NL"
-        assert ambient.result_pairs == forced_sequential.result_pairs
+        assert from_env.result_pairs == forced_sequential.result_pairs
 
     def test_env_override(self, monkeypatch):
-        from repro.bench.runner import current_parallel
-
+        """Each ``REPRO_*`` parallel variable is read on its own; an unset
+        one stays unspecified (the engine default applies)."""
         monkeypatch.setenv("REPRO_WORKERS", "3")
         monkeypatch.setenv("REPRO_DECOMPOSE", "tiles")
-        assert current_parallel() == (3, "tiles", "reference")
+        assert RunOptions.from_env() == RunOptions(workers=3, decompose="tiles")
         monkeypatch.setenv("REPRO_DEDUP", "partition")
-        assert current_parallel() == (3, "tiles", "partition")
+        assert RunOptions.from_env().dedup == "partition"
         monkeypatch.delenv("REPRO_DEDUP")
         monkeypatch.delenv("REPRO_DECOMPOSE")
-        assert current_parallel() == (3, "slabs", "reference")
+        assert RunOptions.from_env() == RunOptions(workers=3)
         monkeypatch.delenv("REPRO_WORKERS")
-        assert current_parallel() is None
+        assert RunOptions.from_env().workers is None
 
     def test_env_junk_values_name_the_variable(self, monkeypatch):
         """Regression: junk REPRO_* values used to surface as bare
         ``int()`` tracebacks (or deep engine errors) with no hint which
         environment variable was at fault."""
-        from repro.bench.runner import current_backend, current_parallel
-
         monkeypatch.setenv("REPRO_WORKERS", "many")
         with pytest.raises(ValueError, match="REPRO_WORKERS='many'"):
-            current_parallel()
+            RunOptions.from_env()
         monkeypatch.setenv("REPRO_WORKERS", "-2")
         with pytest.raises(ValueError, match="REPRO_WORKERS='-2'"):
-            current_parallel()
+            RunOptions.from_env()
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_DECOMPOSE", "shards")
         with pytest.raises(ValueError, match="REPRO_DECOMPOSE='shards'"):
-            current_parallel()
+            RunOptions.from_env()
         monkeypatch.delenv("REPRO_DECOMPOSE")
         monkeypatch.setenv("REPRO_DEDUP", "hope")
         with pytest.raises(ValueError, match="REPRO_DEDUP='hope'"):
-            current_parallel()
+            RunOptions.from_env()
         monkeypatch.delenv("REPRO_DEDUP")
         monkeypatch.setenv("REPRO_BACKEND", "fortran")
         with pytest.raises(ValueError, match="REPRO_BACKEND='fortran'"):
-            current_backend()
+            RunOptions.from_env()
 
     def test_env_zero_workers_stays_sequential(self, monkeypatch):
-        from repro.bench.runner import current_parallel
-
+        dataset_a, dataset_b = synthetic_pair("uniform", 60, 120, SMOKE)
         monkeypatch.setenv("REPRO_WORKERS", "0")
-        assert current_parallel() is None
+        assert RunOptions.from_env().workers == 0
+        record = run_algorithm("NL", dataset_a, dataset_b, 5.0)
+        assert record.algorithm == "NL"
 
     def test_run_algorithm_surfaces_env_error(self, monkeypatch):
         dataset_a, dataset_b = synthetic_pair("uniform", 30, 60, SMOKE)
@@ -248,7 +249,7 @@ class TestParallelRunner:
         assert kinds == {"slabs", "tiles"}
 
     def test_run_experiment_threads_workers(self):
-        result = run_experiment("fig13", SMOKE, workers=1)
+        result = run_experiment("fig13", SMOKE, RunOptions(workers=1))
         assert all(
             row["algorithm"].startswith("Parallel[TOUCH") for row in result.rows
         )

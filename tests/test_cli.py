@@ -87,6 +87,24 @@ class TestCommands:
         assert main(["run", "fig13", "--scale", "smoke"]) == 0
         assert "filter" in capsys.readouterr().out.lower()
 
+    def test_env_backend_recorded_like_flag(self, tmp_path, monkeypatch, capsys):
+        """``REPRO_BACKEND`` and ``--backend`` resolve to the same rows and
+        both record the backend at the top of the JSON payload."""
+        deterministic = ("algorithm", "n_a", "n_b", "result_pairs", "comparisons")
+        flag_json = tmp_path / "flag.json"
+        argv = ["run", "fig13", "--scale", "smoke", "--json"]
+        assert main([*argv, str(flag_json), "--backend", "object"]) == 0
+        monkeypatch.setenv("REPRO_BACKEND", "object")
+        env_json = tmp_path / "env.json"
+        assert main([*argv, str(env_json)]) == 0
+        capsys.readouterr()
+        flag, env = (json.loads(p.read_text()) for p in (flag_json, env_json))
+        assert env["backend"] == flag["backend"] == "object"
+        assert all(row["backend"] == "object" for row in env["rows"])
+        assert [{k: row[k] for k in deterministic} for row in env["rows"]] == [
+            {k: row[k] for k in deterministic} for row in flag["rows"]
+        ]
+
     def test_run_with_workers(self, capsys):
         assert main(["run", "table1", "--scale", "smoke", "--workers", "2"]) == 0
         out = capsys.readouterr().out

@@ -15,7 +15,7 @@ import os
 import pytest
 
 from repro.bench.config import RunOptions
-from repro.bench.runner import current_max_bytes, run_algorithm, use_max_bytes
+from repro.bench.runner import run_algorithm
 from repro.datasets.synthetic import uniform_boxes
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
@@ -301,13 +301,19 @@ class TestRunOptionsPlumbing:
         assert record.extra["spilled_partitions"] > 0
         assert record.extra["budget_bytes"] == estimated // 4
 
-    def test_scope_and_env(self, monkeypatch):
-        assert current_max_bytes() is None
-        monkeypatch.setenv("REPRO_MAX_BYTES", "12345")
-        assert current_max_bytes() == 12345
-        with use_max_bytes(777):
-            assert current_max_bytes() == 777
-        assert current_max_bytes() == 12345
+    def test_env_budgets_the_run_under_options(self, dense_pair, monkeypatch):
+        a, b = dense_pair
+        inflated = [o.inflated(EPS) for o in a]
+        estimated = make_algorithm("TOUCH").estimate_bytes(
+            len(a), len(b), dimensionality(inflated, b)
+        )
+        monkeypatch.setenv("REPRO_MAX_BYTES", str(estimated // 4))
+        record = run_algorithm("TOUCH", a, b, EPS)
+        assert record.extra["budget_bytes"] == estimated // 4
+        record = run_algorithm(
+            "TOUCH", a, b, EPS, options=RunOptions(max_bytes=estimated // 2)
+        )
+        assert record.extra["budget_bytes"] == estimated // 2
 
     @pytest.mark.parametrize("bad", [0, -3, True, 2.5])
     def test_run_options_validation(self, bad):

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.runner import run_algorithm, use_geometry
+from repro.bench.config import RunOptions
+from repro.bench.runner import run_algorithm
 from repro.datasets.synthetic import clustered_linestrings, clustered_polygons
 from repro.geometry.columnar import BACKENDS
 from repro.geometry.objects import SpatialObject
@@ -460,12 +461,14 @@ class TestPropertyOracle:
         assert set(refined) <= candidates
 
 
+EXACT = RunOptions(geometry="exact")
+
+
 class TestRunnerIntegration:
     def test_exact_record_counters(self):
         polys = clustered_polygons(30, seed=31)
         lines = clustered_linestrings(40, seed=32)
-        with use_geometry("exact"):
-            record = run_algorithm("TOUCH", polys, lines, EPSILON)
+        record = run_algorithm("TOUCH", polys, lines, EPSILON, options=EXACT)
         extra = record.extra
         assert extra["geometry"] == "exact"
         assert (
@@ -494,20 +497,17 @@ class TestRunnerIntegration:
 
         boxes_a = uniform_boxes(20, seed=41)
         boxes_b = uniform_boxes(20, seed=42)
-        with use_geometry("exact"):
-            with pytest.raises(MissingShapesError, match=boxes_a.name):
-                run_algorithm("TOUCH", boxes_a, boxes_b, EPSILON)
+        with pytest.raises(MissingShapesError, match=boxes_a.name):
+            run_algorithm("TOUCH", boxes_a, boxes_b, EPSILON, options=EXACT)
 
     def test_workers_exact_matches_sequential(self):
-        from repro.bench.config import RunOptions
-
         polys = clustered_polygons(30, seed=31)
         lines = clustered_linestrings(40, seed=32)
-        with use_geometry("exact"):
-            sequential = run_algorithm("TOUCH", polys, lines, EPSILON)
-            parallel = run_algorithm(
-                "TOUCH", polys, lines, EPSILON, options=RunOptions(workers=2)
-            )
+        sequential = run_algorithm("TOUCH", polys, lines, EPSILON, options=EXACT)
+        parallel = run_algorithm(
+            "TOUCH", polys, lines, EPSILON,
+            options=RunOptions(workers=2, geometry="exact"),
+        )
         assert parallel.result_pairs == sequential.result_pairs
         for key in ("candidate_pairs", "true_hits", "exact_tests"):
             assert parallel.extra[key] == sequential.extra[key]

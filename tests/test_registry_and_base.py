@@ -8,10 +8,8 @@ from repro.joins.registry import (
     ALGORITHMS,
     BACKEND_AWARE,
     AlgorithmInfo,
-    algorithm_names,
     available,
     make_algorithm,
-    prepare_aware_names,
 )
 from repro.stats.counters import JoinStatistics
 
@@ -90,15 +88,24 @@ class TestAvailable:
 
 
 class TestDeprecatedHelpers:
-    def test_algorithm_names_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="available"):
-            names = algorithm_names()
-        assert names == [info.name for info in available()]
+    """The list helpers are deleted; ``available()`` is the one listing."""
 
-    def test_prepare_aware_names_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="prepare_aware"):
-            names = prepare_aware_names()
-        assert names == [info.name for info in available() if info.prepare_aware]
+    MODULES = ("repro", "repro.joins", "repro.joins.registry")
+
+    def _assert_gone(self, name):
+        import importlib
+
+        for module in self.MODULES:
+            assert not hasattr(importlib.import_module(module), name), module
+
+    def test_algorithm_names_removed(self):
+        self._assert_gone("algorithm_names")
+        assert [info.name for info in available()] == list(ALGORITHMS)
+
+    def test_prepare_aware_names_removed(self):
+        self._assert_gone("prepare_aware_names")
+        names = [info.name for info in available() if info.prepare_aware]
+        assert names and set(names) <= set(ALGORITHMS)
 
 
 class TestJoinResult:

@@ -1,9 +1,8 @@
-"""RunOptions: the consolidated execution-option front door.
+"""RunOptions: the one execution-option path.
 
-Pins the precedence stack of ``run_algorithm`` — explicit legacy call
-kwarg > ``options`` object > ambient scope > ``REPRO_*`` environment >
-engine default — plus ``RunOptions.from_env`` validation and the
-deprecation shim for the historical kwargs.
+Pins the two layers of ``run_algorithm`` — ``options`` object >
+``REPRO_*`` environment (``RunOptions.from_env``) > engine default —
+plus ``RunOptions.from_env`` validation.
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ import dataclasses
 import pytest
 
 from repro.bench.config import DEDUP_MODES, RunOptions
-from repro.bench.runner import (
-    current_options,
-    run_algorithm,
-    use_backend,
-    use_parallel,
-)
+from repro.bench.runner import explain, run_algorithm
 from repro.datasets.synthetic import uniform_boxes
 from repro.joins.registry import BACKEND_AWARE
 from repro.service import SpatialQueryService
@@ -125,28 +119,45 @@ class TestFromEnv:
 
 
 class TestCurrentOptions:
-    def test_default_is_empty(self, monkeypatch):
-        for name in ("REPRO_WORKERS", "REPRO_DECOMPOSE", "REPRO_BACKEND"):
-            monkeypatch.delenv(name, raising=False)
-        assert current_options() == RunOptions()
+    """The options a run resolves to: ``options`` over ``from_env()``.
 
-    def test_env_flows_through(self, monkeypatch):
+    ``explain`` resolves exactly as ``run_algorithm`` does, so its plan
+    shows the resolved fields without running the join.
+    """
+
+    ENV = ("REPRO_WORKERS", "REPRO_DECOMPOSE", "REPRO_DEDUP", "REPRO_BACKEND")
+
+    def test_default_is_empty(self, pair, monkeypatch):
+        for name in self.ENV:
+            monkeypatch.delenv(name, raising=False)
+        a, b = pair
+        plan = explain("auto", a, b, EPS)
+        assert not {"workers", "decompose", "backend"} & set(plan.pinned)
+
+    def test_env_flows_through(self, pair, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_DECOMPOSE", "tiles")
-        options = current_options()
-        assert options.workers == 2
-        assert options.decompose == "tiles"
+        a, b = pair
+        plan = explain("auto", a, b, EPS)
+        assert plan.workers == 2
+        assert plan.decompose == "tiles"
+        assert {"workers", "decompose"} <= set(plan.pinned)
 
-    def test_scope_beats_env(self, monkeypatch):
+    def test_scope_beats_env(self, pair, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        with use_parallel(workers=4, decompose="slabs"):
-            assert current_options().workers == 4
-        with use_backend("object"):
-            assert current_options().backend == "object"
+        monkeypatch.setenv("REPRO_BACKEND", "columnar")
+        a, b = pair
+        plan = explain(
+            "auto", a, b, EPS, options=RunOptions(workers=4, decompose="slabs")
+        )
+        assert plan.workers == 4
+        assert plan.decompose == "slabs"
+        plan = explain("TOUCH", a, b, EPS, options=RunOptions(backend="object"))
+        assert plan.backend == "object"
 
 
 class TestRunAlgorithmPrecedence:
-    """The three layers, pinned pairwise on real joins.
+    """The two layers, pinned pairwise on real joins.
 
     ``workers`` selects the engine, and the engine stamps itself into
     ``extra`` (``n_chunks`` present iff the multiprocess engine ran), so
@@ -170,13 +181,50 @@ class TestRunAlgorithmPrecedence:
         assert "n_chunks" not in record.extra  # sequential path ran
 
     @pytest.mark.parallel
-    def test_legacy_kwarg_beats_options_object(self, pair):
+    def test_options_beat_environment_field_by_field(self, pair, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setenv("REPRO_DECOMPOSE", "tiles")
+        monkeypatch.setenv("REPRO_DEDUP", "partition")
+        monkeypatch.setenv("REPRO_BACKEND", "object")
         a, b = pair
-        with pytest.deprecated_call():
-            record = run_algorithm(
-                "TOUCH", a, b, EPS, options=RunOptions(workers=2), workers=0
-            )
+        # Fields set on options win; the rest come from the environment.
+        record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(decompose="slabs"))
+        assert record.extra["workers"] == 2
+        assert record.extra["decompose"] == "slabs"
+        assert record.extra["dedup"] == "partition"
+        record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=0))
         assert "n_chunks" not in record.extra
+        assert record.extra["backend"] == "object"
+        record = run_algorithm(
+            "TOUCH", a, b, EPS, options=RunOptions(workers=0, backend="columnar")
+        )
+        assert record.extra["backend"] == "columnar"
+
+    def test_env_zero_workers_pins_sequential(self, pair, monkeypatch):
+        """``REPRO_WORKERS=0`` pins sequential execution like ``workers=0``:
+        the optimizer sees it as a pin instead of a free choice."""
+        monkeypatch.setenv("REPRO_WORKERS", "0")
+        a, b = pair
+        record = run_algorithm("TOUCH", a, b, EPS)
+        assert "n_chunks" not in record.extra
+        plan = run_algorithm("auto", a, b, EPS).extra["plan"]
+        assert plan["workers"] == 0
+        assert "workers" in plan["pinned"]
+
+    @pytest.mark.parallel
+    def test_env_decompose_and_dedup_read_on_their_own(self, pair, monkeypatch):
+        """``REPRO_DECOMPOSE`` / ``REPRO_DEDUP`` apply even when the worker
+        count comes from ``options`` rather than ``REPRO_WORKERS``."""
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        monkeypatch.setenv("REPRO_DECOMPOSE", "tiles")
+        monkeypatch.setenv("REPRO_DEDUP", "partition")
+        assert RunOptions.from_env() == RunOptions(
+            decompose="tiles", dedup="partition"
+        )
+        a, b = pair
+        record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=2))
+        assert record.extra["decompose"] == "tiles"
+        assert record.extra["dedup"] == "partition"
 
     @pytest.mark.parallel
     def test_environment_still_applies_when_unspecified(self, pair, monkeypatch):
@@ -231,42 +279,27 @@ class TestRunAlgorithmPrecedence:
             )
 
 
-class TestDeprecationShim:
-    """The historical kwargs keep working, loudly."""
+class TestRemovedKwargs:
+    """The pre-RunOptions call kwargs are gone, not silently ignored."""
 
-    @pytest.mark.parallel
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"workers": 0},
-            {"workers": 2, "decompose": "tiles"},
-            {"workers": 2, "dedup": "partition"},
-        ],
+        "name, value",
+        [("workers", 2), ("decompose", "tiles"), ("dedup", "partition"),
+         ("reuse_index", True)],
     )
-    def test_legacy_kwargs_warn(self, pair, kwargs):
+    def test_rejected(self, pair, name, value):
         a, b = pair
-        with pytest.deprecated_call(match="options=RunOptions"):
-            record = run_algorithm("TOUCH", a, b, EPS, **kwargs)
-        if kwargs.get("workers"):
-            assert record.extra["workers"] == kwargs["workers"]
-
-    def test_legacy_reuse_index_warns(self, pair):
-        a, b = pair
-        with pytest.deprecated_call(match="reuse_index"):
-            record = run_algorithm(
-                "TOUCH", a, b, EPS, reuse_index=SpatialQueryService(capacity=2)
-            )
-        assert record.extra["cache"] == "cold"
+        with pytest.raises(TypeError):
+            run_algorithm("TOUCH", a, b, EPS, **{name: value})
 
     def test_reuse_index_false_is_unspecified(self, pair):
-        """``reuse_index=False`` was the old default — it must not warn."""
-        import warnings
-
+        """``reuse_index=False`` means no service, like the default."""
         a, b = pair
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            record = run_algorithm("TOUCH", a, b, EPS, reuse_index=False)
+        record = run_algorithm(
+            "TOUCH", a, b, EPS, options=RunOptions(reuse_index=False)
+        )
         assert "cache" not in record.extra
+        assert RunOptions(reuse_index=False).describe() == {}
 
     def test_no_kwargs_no_warning(self, pair):
         import warnings
@@ -275,24 +308,19 @@ class TestDeprecationShim:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             record = run_algorithm("TOUCH", a, b, EPS)
+            run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=0))
         assert record.result_pairs > 0
 
     @pytest.mark.parallel
-    def test_legacy_and_new_spellings_agree(self, pair):
+    def test_legacy_and_new_spellings_agree(self, pair, monkeypatch):
+        """The environment and ``options=`` spellings run the same join."""
         a, b = pair
-        with pytest.deprecated_call():
-            legacy = run_algorithm("TOUCH", a, b, EPS, workers=2)
         modern = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=2))
-        assert legacy.result_pairs == modern.result_pairs
-
-    def test_warning_points_at_caller(self, pair):
-        """The shim's stacklevel must attribute the warning to the call
-        site of ``run_algorithm``, not to the runner internals."""
-        a, b = pair
-        with pytest.warns(DeprecationWarning) as records:
-            run_algorithm("TOUCH", a, b, EPS, workers=0)
-        assert len(records) == 1
-        assert records[0].filename == __file__
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        from_env = run_algorithm("TOUCH", a, b, EPS)
+        assert from_env.algorithm == modern.algorithm
+        assert from_env.extra["workers"] == modern.extra["workers"] == 2
+        assert from_env.result_pairs == modern.result_pairs
 
 
 class TestHandoffOption:

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.bench.config import RunOptions
 from repro.bench.runner import run_algorithm
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import uniform_boxes
@@ -377,8 +378,12 @@ class TestRunAlgorithmReuse:
         a, b = pair
         service = SpatialQueryService(capacity=4)
         plain = run_algorithm("TOUCH", list(a), list(b), EPS)
-        cold = run_algorithm("TOUCH", list(a), list(b), EPS, reuse_index=service)
-        warm = run_algorithm("TOUCH", list(a), list(b), EPS, reuse_index=service)
+        cold = run_algorithm(
+            "TOUCH", list(a), list(b), EPS, options=RunOptions(reuse_index=service)
+        )
+        warm = run_algorithm(
+            "TOUCH", list(a), list(b), EPS, options=RunOptions(reuse_index=service)
+        )
         assert cold.extra["cache"] == "cold"
         assert warm.extra["cache"] == "warm"
         assert cold.result_pairs == warm.result_pairs == plain.result_pairs
@@ -387,8 +392,9 @@ class TestRunAlgorithmReuse:
         a, b = pair
         reset_default_service()
         try:
-            cold = run_algorithm("TOUCH", list(a), list(b), EPS, reuse_index=True)
-            warm = run_algorithm("TOUCH", list(a), list(b), EPS, reuse_index=True)
+            options = RunOptions(reuse_index=True)
+            cold = run_algorithm("TOUCH", list(a), list(b), EPS, options=options)
+            warm = run_algorithm("TOUCH", list(a), list(b), EPS, options=options)
             assert (cold.extra["cache"], warm.extra["cache"]) == ("cold", "warm")
         finally:
             reset_default_service()
@@ -396,7 +402,10 @@ class TestRunAlgorithmReuse:
     def test_reuse_index_rejects_workers(self, pair):
         a, b = pair
         with pytest.raises(ValueError, match="reuse_index"):
-            run_algorithm("TOUCH", list(a), list(b), EPS, workers=2, reuse_index=True)
+            run_algorithm(
+                "TOUCH", list(a), list(b), EPS,
+                options=RunOptions(workers=2, reuse_index=True),
+            )
 
 
 class TestDriver:
