@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.geometry.columnar import CoordinateTable
+from repro.geometry.columnar import CoordinateTable, pairs_overlap_mask
+from repro.geometry.hierarchy import FlatHierarchy, expand_frontier
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
 from repro.core.tree import TouchNode, TouchTree
@@ -97,72 +98,52 @@ def assign_dataset_b(
 
 
 def assign_table_b(
-    tree: TouchTree,
+    flat: FlatHierarchy,
     table_b: CoordinateTable,
-    objects_b: Sequence[SpatialObject] | None = None,
     stats: JoinStatistics | None = None,
-) -> "dict[TouchNode, object]":
-    """Columnar Algorithm 3: assign all of B level by level, in bulk.
+):
+    """Columnar Algorithm 3: all of B descends the flat hierarchy together.
 
-    Instead of descending the tree once per object, whole batches of B
-    descend together: at every node the pending batch is tested against
-    all children's MBRs in one broadcasted comparison, and the three
-    cases of the scalar walk are resolved per row — zero overlapping
-    children filters the object, exactly one routes it to that child's
-    batch, several pin it to the current node.  The decisions (and hence
-    the ``filtered`` count and the node each object lands in) are
-    identical to :func:`assign_dataset_b`; only the execution is batched.
+    The walk is level-synchronous, like the range descent of
+    :func:`~repro.geometry.hierarchy.descend_hierarchy`: the frontier is
+    a pair of parallel ``(flat node, B row)`` arrays, and each pass tests
+    every internal entry against all of its node's children at once.
+    Per row, the three cases of the scalar walk follow from the number
+    of overlapping children: none filters the row, exactly one moves it
+    to that child, several pin it to the current node; rows reaching a
+    leaf stay there.  The decisions and ``filtered`` are those of
+    :func:`assign_dataset_b`; ``node_tests`` counts every child tested,
+    where the scalar walk stops at a node's second overlapping child.
 
-    Returns ``{node: int64 row indices of table_b}`` for every node that
-    received objects.  When ``objects_b`` is given, the corresponding
-    objects are also appended to each node's ``entities_b`` so the tree
-    stays inspectable exactly as after a scalar assignment.
+    Returns ``(nodes, rows)``: for every assigned row of ``table_b``, the
+    flat index of the node it lands in.  Rows of one node keep their
+    table order.
     """
-    n = len(table_b)
-    assigned: dict[TouchNode, object] = {}
-    if n == 0:
-        return assigned
-    lo, hi = table_b.lo, table_b.hi
-    node_tests = n  # every object is tested against the root MBR
-    root = tree.root
-    root_lo = np.asarray(root.mbr.lo)
-    root_hi = np.asarray(root.mbr.hi)
-    in_root = (lo <= root_hi).all(axis=1) & (hi >= root_lo).all(axis=1)
-    filtered = int(n - in_root.sum())
-
-    stack: list[tuple[TouchNode, object]] = [(root, np.nonzero(in_root)[0])]
-    while stack:
-        node, rows = stack.pop()
-        if len(rows) == 0:
-            continue
-        if node.is_leaf:
-            assigned[node] = rows
-            continue
-        children = node.children
-        child_lo = np.array([c.mbr.lo for c in children])
-        child_hi = np.array([c.mbr.hi for c in children])
-        overlap = (lo[rows][:, None, :] <= child_hi[None, :, :]).all(axis=2) & (
-            hi[rows][:, None, :] >= child_lo[None, :, :]
-        ).all(axis=2)
-        node_tests += len(rows) * len(children)
-        hits = overlap.sum(axis=1)
+    rows = np.arange(len(table_b), dtype=np.int64)
+    nodes = np.zeros(len(rows), dtype=np.int64)  # flat index 0 is the root
+    keep = pairs_overlap_mask(flat.node_lo, flat.node_hi, nodes, table_b, rows)
+    node_tests = len(rows)
+    filtered = len(rows) - int(keep.sum())
+    nodes, rows = nodes[keep], rows[keep]
+    # Empty first pieces keep the result defined when the root filters
+    # every row.
+    out_nodes = [nodes[:0]]
+    out_rows = [rows[:0]]
+    while len(nodes):
+        leaf, owner, children, hit = expand_frontier(flat, table_b, nodes, rows)
+        out_nodes.append(nodes[leaf])
+        out_rows.append(rows[leaf])
+        nodes, rows = nodes[~leaf], rows[~leaf]
+        node_tests += len(children)
+        hits = np.bincount(owner[hit], minlength=len(nodes))
         filtered += int((hits == 0).sum())
         several = hits >= 2
-        if several.any():
-            assigned[node] = rows[several]
-        single = hits == 1
-        if single.any():
-            child_of = overlap[single].argmax(axis=1)
-            single_rows = rows[single]
-            for index, child in enumerate(children):
-                routed = single_rows[child_of == index]
-                if len(routed):
-                    stack.append((child, routed))
+        out_nodes.append(nodes[several])
+        out_rows.append(rows[several])
+        moved = hit & (hits == 1)[owner]
+        nodes, rows = children[moved], rows[owner[moved]]
 
     if stats is not None:
         stats.node_tests += node_tests
         stats.filtered += filtered
-    if objects_b is not None:
-        for node, rows in assigned.items():
-            node.entities_b.extend(objects_b[i] for i in rows.tolist())
-    return assigned
+    return np.concatenate(out_nodes), np.concatenate(out_rows)

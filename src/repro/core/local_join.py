@@ -95,10 +95,11 @@ def join_assigned_nodes(
 
 
 def join_assigned_nodes_columnar(
+    flat: FlatHierarchy,
     table_a: CoordinateTable,
-    leaf_slices: "dict[TouchNode, tuple[int, int]]",
     table_b: CoordinateTable,
-    assigned: "dict[TouchNode, object]",
+    nodes,
+    rows,
     stats: JoinStatistics,
     kernel_name: str = "grid",
     cell_size_factor: float = 4.0,
@@ -106,12 +107,12 @@ def join_assigned_nodes_columnar(
 ) -> list[Pair]:
     """Columnar Algorithm 4 driver: one batched kernel call per node.
 
-    ``table_a`` holds dataset A in leaf order (``leaf_slices`` maps each
-    leaf to its contiguous row range, see :func:`leaf_order_table`);
-    ``assigned`` maps nodes to row indices of ``table_b`` as produced by
+    ``table_a`` holds dataset A in leaf order (the rows ``flat``'s
+    subtree ranges index, see :func:`leaf_order_table`); B row
+    ``rows[i]`` is assigned to flat node ``nodes[i]``, as produced by
     :func:`repro.core.assignment.assign_table_b`.  For every node holding
-    B rows, the A rows of its descendant leaves are gathered and the two
-    sub-tables are joined with the selected columnar kernel.  Disjoint
+    B rows, the A rows ``[sub_start, sub_stop)`` of its subtree are
+    joined with those B rows by the selected columnar kernel.  Disjoint
     single-assignment batches keep the result duplicate-free (Lemma 3),
     exactly as in the object path.
     """
@@ -119,12 +120,13 @@ def join_assigned_nodes_columnar(
         raise ValueError(f"unknown local kernel {kernel_name!r}")
     pairs: list[Pair] = []
     ids_a, ids_b = table_a.ids, table_b.ids
-    for node, b_rows in assigned.items():
-        if len(b_rows) == 0:
-            continue
-        a_rows = _subtree_rows(node, leaf_slices)
-        if len(a_rows) == 0:
-            continue
+    if len(nodes) == 0:
+        return pairs
+    order = np.argsort(nodes, kind="stable")
+    nodes, rows = nodes[order], rows[order]
+    cuts = np.flatnonzero(np.diff(nodes)) + 1
+    for node, b_rows in zip(nodes[np.r_[0, cuts]].tolist(), np.split(rows, cuts)):
+        a_rows = np.arange(flat.sub_start[node], flat.sub_stop[node], dtype=np.int64)
         sub_a = table_a.take(a_rows)
         sub_b = table_b.take(b_rows)
         if kernel_name == "grid":
@@ -139,7 +141,7 @@ def join_assigned_nodes_columnar(
             hit_a, hit_b = COLUMNAR_KERNELS[kernel_name](sub_a, sub_b, stats)
         if len(hit_a):
             oid_a = ids_a[a_rows[hit_a]]
-            oid_b = ids_b[np.asarray(b_rows)[hit_b]]
+            oid_b = ids_b[b_rows[hit_b]]
             pairs.extend(zip(oid_a.tolist(), oid_b.tolist()))
     return pairs
 
@@ -148,7 +150,8 @@ def probe_assigned_nodes_columnar(
     flat: FlatHierarchy,
     table_a: CoordinateTable,
     table_b: CoordinateTable,
-    assigned: "dict[TouchNode, object]",
+    nodes,
+    rows,
     stats: JoinStatistics,
 ) -> list[Pair]:
     """Probe-shaped phase 3: continue the assignment descent to the leaves.
@@ -157,24 +160,20 @@ def probe_assigned_nodes_columnar(
     assigned node with a fresh grid — the right shape when all of B is
     joined at once, but O(|A|) per call, which would erase the point of
     build-once/probe-many for small query batches.  Here the hierarchy
-    itself serves as the probe index: every assigned B row starts at
-    its phase-2 node and descends *every* overlapping child (a range
-    descent, not the single-path assignment walk) down to the leaves,
-    whose contiguous A rows it is tested against.  All rows descend
-    together, one level per numpy pass over the flattened hierarchy
+    itself serves as the probe index: every assigned B row ``rows[i]``
+    starts at its phase-2 node ``nodes[i]`` (a flat index, as
+    :func:`repro.core.assignment.assign_table_b` returns) and descends
+    *every* overlapping child (a range descent, not the single-path
+    assignment walk) down to the leaves, whose contiguous A rows it is
+    tested against.  All rows descend together, one level per numpy
+    pass over the flattened hierarchy
     (:func:`~repro.geometry.hierarchy.descend_hierarchy`).  Leaves
     partition A, so the result is duplicate-free without any ownership
     tests; the pair set equals the one-shot join's while the work per
     batch is proportional to the branches the queries actually touch.
     """
-    blocks = [(node, rows) for node, rows in assigned.items() if len(rows)]
-    if not blocks:
-        return []
-    seeds = np.repeat(
-        [flat.index[node] for node, _ in blocks], [len(rows) for _, rows in blocks]
-    )
     hit_a, hit_b, comparisons, node_tests = descend_hierarchy(
-        flat, table_a, table_b, seeds, np.concatenate([rows for _, rows in blocks])
+        flat, table_a, table_b, nodes, rows
     )
     stats.comparisons += comparisons
     stats.node_tests += node_tests
@@ -251,20 +250,3 @@ def leaf_order_table(tree: TouchTree):
     is a concatenation of ranges rather than a scattered copy.
     """
     return tree.leaf_table, tree.leaf_slices
-
-
-def _subtree_rows(node: TouchNode, leaf_slices: "dict[TouchNode, tuple[int, int]]"):
-    """Row indices of ``table_a`` for all A objects under ``node``."""
-    if node.is_leaf:
-        start, stop = leaf_slices[node]
-        return np.arange(start, stop, dtype=np.int64)
-    ranges = [
-        leaf_slices[child]
-        for child in node.iter_subtree()
-        if child.is_leaf
-    ]
-    if not ranges:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(
-        [np.arange(start, stop, dtype=np.int64) for start, stop in ranges]
-    )

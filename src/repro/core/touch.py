@@ -55,6 +55,7 @@ from repro.geometry.columnar import (
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair, SpatialJoinAlgorithm
 from repro.joins.local import LOCAL_KERNELS
+from repro.stats import memory as memmodel
 from repro.stats.counters import JoinStatistics
 
 __all__ = ["TouchJoin", "resolve_backend", "BACKENDS"]
@@ -131,8 +132,6 @@ class TouchJoin(SpatialJoinAlgorithm):
         # Both tables plus the STR tree over A: L leaf buckets and the
         # ~L * f/(f-1) internal nodes of an f-ary hierarchy above them,
         # plus one stored reference per indexed object.
-        from repro.stats import memory as memmodel
-
         base = super().estimate_bytes(n_a, n_b, dim)
         if n_a == 0:
             return base
@@ -263,7 +262,7 @@ class TouchJoin(SpatialJoinAlgorithm):
         stats.comparisons += comparisons
         stats.node_tests += node_tests
         stats.join_seconds = time.perf_counter() - join_start
-        stats.memory_bytes = tree.memory_bytes()
+        stats.memory_bytes = tree.index_bytes
         self._probe_extras(tree, stats)
         return pairs
 
@@ -276,21 +275,20 @@ class TouchJoin(SpatialJoinAlgorithm):
         tree = payload["tree"]
         stats.extra["backend"] = "columnar"
 
+        flat = payload["flat"]
         assign_start = time.perf_counter()
-        assigned = assign_table_b(tree, table_b, None, stats)
+        nodes, rows = assign_table_b(flat, table_b, stats)
         stats.assign_seconds = time.perf_counter() - assign_start
 
         join_start = time.perf_counter()
         pairs = probe_assigned_nodes_columnar(
-            payload["flat"], payload["table_a"], table_b, assigned, stats
+            flat, payload["table_a"], table_b, nodes, rows, stats
         )
         stats.join_seconds = time.perf_counter() - join_start
 
-        table_bytes = (
-            payload["table_a"].nbytes + payload["flat"].nbytes + table_b.nbytes
-        )
+        table_bytes = payload["table_a"].nbytes + flat.nbytes + table_b.nbytes
         stats.extra["columnar_table_bytes"] = table_bytes
-        stats.memory_bytes = tree.memory_bytes() + table_bytes
+        stats.memory_bytes = tree.index_bytes + table_bytes
         self._probe_extras(tree, stats)
         return pairs
 
@@ -332,20 +330,23 @@ class TouchJoin(SpatialJoinAlgorithm):
         objects_b: list[SpatialObject],
         stats: JoinStatistics,
     ) -> list[Pair]:
-        # Phase 2, batched: all of B descends the tree level by level.
+        # Phase 2, batched: all of B descends the flat hierarchy level by
+        # level.
         assign_start = time.perf_counter()
+        table_a, leaf_slices = leaf_order_table(tree)
+        flat = flatten_hierarchy(tree, leaf_slices)
         table_b = CoordinateTable.from_objects(objects_b)
-        assigned = assign_table_b(tree, table_b, objects_b, stats)
+        nodes, rows = assign_table_b(flat, table_b, stats)
         stats.assign_seconds = time.perf_counter() - assign_start
 
         # Phase 3, batched: one columnar kernel call per assigned node.
         join_start = time.perf_counter()
-        table_a, leaf_slices = leaf_order_table(tree)
         pairs = join_assigned_nodes_columnar(
+            flat,
             table_a,
-            leaf_slices,
             table_b,
-            assigned,
+            nodes,
+            rows,
             stats,
             kernel_name=self.local_kernel,
             cell_size_factor=self.cell_size_factor,
@@ -356,11 +357,14 @@ class TouchJoin(SpatialJoinAlgorithm):
         # The coordinate tables are real allocations the columnar backend
         # keeps resident for the whole join: count them (arr.nbytes), on
         # top of the shared analytic tree + local-grid model, so the
-        # figure-table memory numbers stay honest across backends.
+        # figure-table memory numbers stay honest across backends.  The
+        # assigned B rows are counted as the object path's node
+        # references.
         table_bytes = table_a.nbytes + table_b.nbytes
         stats.extra["columnar_table_bytes"] = table_bytes
         stats.memory_bytes = (
-            tree.memory_bytes()
+            tree.index_bytes
+            + memmodel.reference_list_bytes(len(rows))
             + stats.extra.get("local_grid_peak_bytes", 0)
             + table_bytes
         )

@@ -159,6 +159,12 @@ class TouchTree:
         self.dim = table.dim
         self.n_objects_a = n
         self.root = self._build(objects, table)
+        #: Analytic bytes of the nodes and A's bucket references.  The
+        #: tree never changes after the build, so a probe reads this
+        #: instead of walking the nodes.
+        self.index_bytes = self._node_count * memmodel.node_bytes(
+            self.dim, fanout
+        ) + memmodel.reference_list_bytes(n)
 
     def _build(self, objects: list[SpatialObject], table: CoordinateTable) -> TouchNode:
         leaf_order, starts = str_order((table.lo + table.hi) / 2.0, self.leaf_capacity)
@@ -186,11 +192,13 @@ class TouchTree:
 
         # A in leaf order: every bucket one contiguous row range, buckets
         # in the pre-order of leaves(), so every subtree's rows are
-        # contiguous too.
+        # contiguous too.  The same walk counts the nodes.
         pieces = []
         self.leaf_slices: dict[TouchNode, tuple[int, int]] = {}
         stop = 0
+        self._node_count = 0
         for node in root.iter_subtree():
+            self._node_count += 1
             if node.is_leaf:
                 a, b = leaf_ranges[node]
                 self.leaf_slices[node] = (stop, stop + b - a)
@@ -209,8 +217,8 @@ class TouchTree:
         return [node for node in self.iter_nodes() if node.is_leaf]
 
     def node_count(self) -> int:
-        """Total number of nodes."""
-        return sum(1 for _ in self.iter_nodes())
+        """Total number of nodes (counted once, at build time)."""
+        return self._node_count
 
     @property
     def height(self) -> int:
@@ -228,11 +236,8 @@ class TouchTree:
         addition to the tree" (§6.4), which is why its footprint sits
         slightly above INL's single tree.
         """
-        nodes = self.node_count()
-        return (
-            nodes * memmodel.node_bytes(self.dim, self.fanout)
-            + memmodel.reference_list_bytes(self.n_objects_a)
-            + memmodel.reference_list_bytes(self.assigned_b_count())
+        return self.index_bytes + memmodel.reference_list_bytes(
+            self.assigned_b_count()
         )
 
 

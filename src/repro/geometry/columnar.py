@@ -15,8 +15,8 @@ batch kernels over it:
   bounded-memory chunks (the batch nested-loop primitive);
 - :func:`sweep_pairs` — a vectorised forward plane-sweep along dimension
   0, generating only the candidate pairs whose sweep intervals overlap;
-- :func:`overlap_mask` / :func:`boxes_overlap_matrix` — one-box-vs-table
-  and small-stack-vs-table tests used by the TOUCH assignment phase.
+- :func:`overlap_mask` / :func:`pairs_overlap_mask` — one-box-vs-table
+  and paired box-vs-row tests; the latter runs the TOUCH frontier passes.
 
 All predicates use closed-box semantics (touching boundaries intersect),
 bit-for-bit the same rule as :meth:`MBR.intersects`.
@@ -58,7 +58,6 @@ __all__ = [
     "overlap_mask",
     "pairs_overlap_mask",
     "axes_overlap_mask",
-    "boxes_overlap_matrix",
     "concat_ranges",
     "chunk_boundaries",
     "DEFAULT_CANDIDATE_CHUNK",
@@ -542,17 +541,6 @@ def axes_overlap_mask(table: CoordinateTable, axes, lows, highs):
         mask &= table.coords[:, axis + dim] >= lo  # row hi >= interval lo
         mask &= table.coords[:, axis] <= hi  # row lo <= interval hi
     return mask
-
-
-def boxes_overlap_matrix(lo_rows, hi_rows, boxes_lo, boxes_hi):
-    """Overlap matrix of ``(m, D)`` corner rows against ``(k, D)`` boxes.
-
-    Used by the assignment phase to test a batch of B objects against
-    all children of a tree node in one broadcast.
-    """
-    return ((lo_rows[:, None, :] <= boxes_hi[None, :, :]).all(axis=2)) & (
-        (hi_rows[:, None, :] >= boxes_lo[None, :, :]).all(axis=2)
-    )
 
 
 # -- batch join kernels ------------------------------------------------

@@ -9,8 +9,9 @@ numeric, so the geometry layer stays free of tree imports).
 runs.  It is level-synchronous:
 the frontier is a pair of parallel ``(node, B row)`` arrays, and every
 step expands all internal entries to their children at once by CSR
-arithmetic, so the Python work per step is constant however many nodes
-the frontier holds.
+arithmetic (:func:`expand_frontier`, which TOUCH's batched assignment
+passes share), so the Python work per step is constant however many
+nodes the frontier holds.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from repro.geometry.columnar import chunk_boundaries, concat_ranges, pairs_overlap_mask
 
-__all__ = ["CHUNK_DESCENT_PAIRS", "FlatHierarchy", "descend_hierarchy"]
+__all__ = ["CHUNK_DESCENT_PAIRS", "FlatHierarchy", "descend_hierarchy", "expand_frontier"]
 
 #: B rows seeded per descent pass, and ``(A row, B row)`` leaf candidates
 #: tested per pass, so the temporaries of one pass stay a few MB however
@@ -64,7 +65,8 @@ class FlatHierarchy:
         self.children_idx = children_idx
         self.sub_start = sub_start
         self.sub_stop = sub_stop
-        #: Mapping from tree node -> flat index, for seeding descents.
+        #: Mapping from tree node -> flat index, for inspecting a tree
+        #: against its flat form (the probe itself never needs it).
         self.index = index
 
     def __len__(self) -> int:
@@ -121,25 +123,38 @@ def _reach_leaves(flat: FlatHierarchy, table_b, nodes, rows):
     Returns the ``(leaf, B row)`` entries reached and the number of
     child MBRs tested on the way.
     """
-    ptr = flat.children_ptr
     leaf_nodes: list = []
     leaf_rows: list = []
     tests = 0
     while len(nodes):
-        first = ptr[nodes]
-        fan = ptr[nodes + 1] - first
-        leaf = fan == 0
+        leaf, owner, children, hit = expand_frontier(flat, table_b, nodes, rows)
         leaf_nodes.append(nodes[leaf])
         leaf_rows.append(rows[leaf])
-        inner = ~leaf
-        # Entry e's children are children_idx[first[e] : first[e] + fan[e]].
-        owner, slots = concat_ranges(first[inner], fan[inner])
-        tests += len(slots)
-        nodes = flat.children_idx[slots]
-        rows = rows[inner][owner]
-        keep = pairs_overlap_mask(flat.node_lo, flat.node_hi, nodes, table_b, rows)
-        nodes, rows = nodes[keep], rows[keep]
+        tests += len(children)
+        nodes, rows = children[hit], rows[~leaf][owner[hit]]
     return np.concatenate(leaf_nodes), np.concatenate(leaf_rows), tests
+
+
+def expand_frontier(flat: FlatHierarchy, table_b, nodes, rows):
+    """Test every internal ``(node, B row)`` entry against all its node's children.
+
+    Returns ``(leaf, owner, children, hit)``: ``leaf`` masks the entries
+    at leaves; the others, in order, are expanded so that entry
+    ``owner[k]`` meets child ``children[k]``, and ``hit[k]`` tells
+    whether its B row overlaps that child's MBR.
+    """
+    ptr = flat.children_ptr
+    first = ptr[nodes]
+    fan = ptr[nodes + 1] - first
+    leaf = fan == 0
+    inner = ~leaf
+    # Entry e's children are children_idx[first[e] : first[e] + fan[e]].
+    owner, slots = concat_ranges(first[inner], fan[inner])
+    children = flat.children_idx[slots]
+    hit = pairs_overlap_mask(
+        flat.node_lo, flat.node_hi, children, table_b, rows[inner][owner]
+    )
+    return leaf, owner, children, hit
 
 
 def _leaf_hits(flat: FlatHierarchy, table_a, table_b, leaves, rows, out_a, out_b):

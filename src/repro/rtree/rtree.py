@@ -63,6 +63,9 @@ class RTree:
         self.method = method
         self.n_objects = len(objects)
         self.dim = objects[0].mbr.dim if objects else 0
+        #: Nodes per level are summed by ``_build``: the tree is immutable,
+        #: so per-probe footprints never walk it.
+        self._node_count = 0
         self.root = self._build(list(objects)) if objects else None
 
     # -- construction ---------------------------------------------------
@@ -84,6 +87,7 @@ class RTree:
             raise ValueError(f"unknown packing method: {self.method!r}")
 
         nodes: list[RTreeNode] = [RTreeNode.leaf(group) for group in groups]
+        self._node_count = len(nodes)
         while len(nodes) > 1:
             if self.method == "str":
                 node_groups = str_partition(
@@ -95,6 +99,7 @@ class RTree:
             else:  # preserve the Hilbert order upwards
                 node_groups = slices_of(nodes, self.fanout)
             nodes = [RTreeNode.parent_of(group) for group in node_groups]
+            self._node_count += len(nodes)
         return nodes[0]
 
     # -- queries ----------------------------------------------------------
@@ -139,8 +144,8 @@ class RTree:
             yield from self.root.iter_subtree()
 
     def node_count(self) -> int:
-        """Total number of nodes."""
-        return sum(1 for _ in self.iter_nodes())
+        """Total number of nodes (counted once, at build time)."""
+        return self._node_count
 
     def leaf_count(self) -> int:
         """Number of leaf nodes."""
@@ -150,7 +155,6 @@ class RTree:
         """Analytic footprint: nodes plus leaf object references."""
         if self.root is None:
             return 0
-        nodes = self.node_count()
-        return nodes * memmodel.node_bytes(self.dim, self.fanout) + memmodel.reference_list_bytes(
+        return self._node_count * memmodel.node_bytes(self.dim, self.fanout) + memmodel.reference_list_bytes(
             self.n_objects
         )

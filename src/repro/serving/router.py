@@ -55,6 +55,19 @@ __all__ = ["ShardRouter", "ShardedQueryService", "serve_front"]
 #: demand under concurrency and the surplus closed on release).
 POOL_SIZE = 4
 
+#: Seconds one shard request may take from send to reply (the
+#: :class:`~repro.serving.protocol.SyncConnection` default).  A request
+#: past it drops its connection and fails, naming the shard and op.
+REQUEST_TIMEOUT = 30.0
+
+
+async def _exchange(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, message: dict
+) -> dict:
+    """Send a request and read its reply: one deadline, one task for both."""
+    await send_message(writer, message)
+    return await recv_message(reader)
+
 
 def _shape_or_none(obj: SpatialObject) -> "Shape | None":
     """The object's exact shape, if it carries one."""
@@ -138,8 +151,15 @@ class ShardRouter:
         conn = await pool.acquire()
         reader, writer = conn
         try:
-            await send_message(writer, message)
-            response = await recv_message(reader)
+            response = await asyncio.wait_for(
+                _exchange(reader, writer, message), REQUEST_TIMEOUT
+            )
+        except asyncio.TimeoutError:
+            writer.close()
+            raise TimeoutError(
+                f"shard {shard}: no reply to op {message.get('op')!r} "
+                f"within {REQUEST_TIMEOUT:g}s"
+            ) from None
         except BaseException:
             writer.close()
             raise

@@ -12,6 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.assignment import assign_dataset_b, assign_table_b
+from repro.core.local_join import flatten_hierarchy
 from repro.core.tree import TouchTree
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import uniform_boxes
@@ -349,7 +350,8 @@ class TestBatchedAssignmentParity:
         batched_tree = TouchTree(objects_a, num_partitions=16)
         batched_stats = JoinStatistics()
         table_b = CoordinateTable.from_objects(objects_b)
-        assigned = assign_table_b(batched_tree, table_b, objects_b, batched_stats)
+        flat = flatten_hierarchy(batched_tree, batched_tree.leaf_slices)
+        nodes, rows = assign_table_b(flat, table_b, batched_stats)
 
         assert batched_stats.filtered == scalar_stats.filtered
         scalar_map = {
@@ -357,31 +359,36 @@ class TestBatchedAssignmentParity:
             for node in scalar_tree.iter_nodes()
             if node.entities_b
         }
+        batched_nodes = list(batched_tree.iter_nodes())
         batched_map = {
-            node.mbr: sorted(o.oid for o in node.entities_b)
-            for node in batched_tree.iter_nodes()
-            if node.entities_b
+            batched_nodes[node].mbr: sorted(table_b.ids[rows[nodes == node]].tolist())
+            for node in np.unique(nodes).tolist()
         }
         assert batched_map == scalar_map
-        # The returned row indices mirror the attached objects.
-        for node, rows in assigned.items():
-            assert sorted(table_b.ids[rows].tolist()) == sorted(
-                o.oid for o in node.entities_b
+        # The returned flat indices name the same nodes in the scalar
+        # tree's pre-order as the ones its walk attached the objects to.
+        scalar_nodes = list(scalar_tree.iter_nodes())
+        for node in np.unique(nodes).tolist():
+            assert sorted(table_b.ids[rows[nodes == node]].tolist()) == sorted(
+                o.oid for o in scalar_nodes[node].entities_b
             )
 
     def test_empty_b(self):
         tree = TouchTree([box_object(0, (0, 0), (1, 1))])
         table = CoordinateTable(np.empty((0, 4)), np.empty(0, dtype=np.int64))
-        assert assign_table_b(tree, table) == {}
+        nodes, rows = assign_table_b(flatten_hierarchy(tree, tree.leaf_slices), table)
+        assert len(nodes) == len(rows) == 0
 
     def test_all_filtered(self):
         tree = TouchTree([box_object(0, (0.0, 0.0), (1.0, 1.0))])
         far = [SpatialObject(7, MBR((50.0, 50.0), (51.0, 51.0)))]
         stats = JoinStatistics()
-        assigned = assign_table_b(
-            tree, CoordinateTable.from_objects(far), far, stats
+        nodes, rows = assign_table_b(
+            flatten_hierarchy(tree, tree.leaf_slices),
+            CoordinateTable.from_objects(far),
+            stats,
         )
-        assert assigned == {} and stats.filtered == 1
+        assert len(nodes) == len(rows) == 0 and stats.filtered == 1
 
 
 class TestAxesOverlapMask:

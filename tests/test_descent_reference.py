@@ -1,10 +1,15 @@
-"""The frontier descent of TOUCH probes against the stack-walk probe.
+"""The frontier passes of TOUCH over the flat hierarchy, against references.
 
 ``reference_probe`` is the stack-based ``probe_assigned_nodes_columnar``
 that TOUCH probes ran before the descent moved onto the flattened
 hierarchy, kept here verbatim as the reference.  The level-synchronous
 descent must report the same pairs (multiplicity included) and the same
 ``comparisons`` and ``node_tests``, whatever the chunk size.
+``reference_assign`` is the ``TouchNode``-stack ``assign_table_b`` the
+columnar phases ran before assignment moved onto the flat hierarchy; the
+flat assignment must land every B row in the same node as it and as the
+scalar ``locate_node``, with the same ``filtered``, and count the same
+``node_tests`` as the stack walk.
 ``reference_flatten`` is the per-node aggregation ``flatten_hierarchy``
 used before it became one numpy pass per level.
 """
@@ -12,7 +17,7 @@ used before it became one numpy pass per level.
 import numpy as np
 import pytest
 
-from repro.core.assignment import assign_table_b
+from repro.core.assignment import assign_table_b, locate_node
 from repro.core.local_join import (
     flatten_hierarchy,
     leaf_order_table,
@@ -75,6 +80,57 @@ def reference_probe(table_a, leaf_slices, table_b, assigned, stats):
     return pairs
 
 
+# -- the reference: TouchNode-stack assignment -------------------------------
+
+
+def reference_assign(tree, table_b, stats):
+    """``{node: B rows}`` for every node that received rows."""
+    n = len(table_b)
+    assigned = {}
+    if n == 0:
+        return assigned
+    lo, hi = table_b.lo, table_b.hi
+    node_tests = n  # every object is tested against the root MBR
+    root = tree.root
+    root_lo = np.asarray(root.mbr.lo)
+    root_hi = np.asarray(root.mbr.hi)
+    in_root = (lo <= root_hi).all(axis=1) & (hi >= root_lo).all(axis=1)
+    filtered = int(n - in_root.sum())
+
+    stack = [(root, np.nonzero(in_root)[0])]
+    while stack:
+        node, rows = stack.pop()
+        if len(rows) == 0:
+            continue
+        if node.is_leaf:
+            assigned[node] = rows
+            continue
+        children = node.children
+        child_lo = np.array([c.mbr.lo for c in children])
+        child_hi = np.array([c.mbr.hi for c in children])
+        overlap = (lo[rows][:, None, :] <= child_hi[None, :, :]).all(axis=2) & (
+            hi[rows][:, None, :] >= child_lo[None, :, :]
+        ).all(axis=2)
+        node_tests += len(rows) * len(children)
+        hits = overlap.sum(axis=1)
+        filtered += int((hits == 0).sum())
+        several = hits >= 2
+        if several.any():
+            assigned[node] = rows[several]
+        single = hits == 1
+        if single.any():
+            child_of = overlap[single].argmax(axis=1)
+            single_rows = rows[single]
+            for index, child in enumerate(children):
+                routed = single_rows[child_of == index]
+                if len(routed):
+                    stack.append((child, routed))
+
+    stats.node_tests += node_tests
+    stats.filtered += filtered
+    return assigned
+
+
 def reference_flatten(tree, leaf_slices):
     """Per-node ``(sub_start, sub_stop)`` in pre-order."""
 
@@ -111,12 +167,24 @@ def _table(objects):
     return CoordinateTable.from_objects(list(objects))
 
 
+def _flat_assign(tree, table_b, stats):
+    """The flat assignment, keyed by ``TouchNode`` as the reference probe takes it."""
+    nodes, rows = assign_table_b(flatten_hierarchy(tree, tree.leaf_slices), table_b, stats)
+    by_index = list(tree.iter_nodes())
+    return {by_index[node]: rows[nodes == node] for node in np.unique(nodes).tolist()}
+
+
 def _compare(tree, table_b, assigned):
     table_a, leaf_slices = leaf_order_table(tree)
     flat = flatten_hierarchy(tree, leaf_slices)
     want_stats, got_stats = JoinStatistics(), JoinStatistics()
     want = reference_probe(table_a, leaf_slices, table_b, assigned, want_stats)
-    got = probe_assigned_nodes_columnar(flat, table_a, table_b, assigned, got_stats)
+    seeds = np.repeat(
+        np.array([flat.index[node] for node in assigned], dtype=np.int64),
+        [len(rows) for rows in assigned.values()],
+    )
+    rows = np.concatenate([np.empty(0, dtype=np.int64), *assigned.values()])
+    got = probe_assigned_nodes_columnar(flat, table_a, table_b, seeds, rows, got_stats)
     assert sorted(got) == sorted(want)
     assert got_stats.comparisons == want_stats.comparisons
     assert got_stats.node_tests == want_stats.node_tests
@@ -142,7 +210,7 @@ class TestDescentMatchesStackWalk:
         tree = TouchTree(list(a), fanout=fanout, num_partitions=40)
         table_b = _table(b)
         stats = JoinStatistics()
-        assigned = assign_table_b(tree, table_b, None, stats)
+        assigned = _flat_assign(tree, table_b, stats)
         got, _ = _compare(tree, table_b, assigned)
         assert got
 
@@ -170,7 +238,7 @@ class TestDescentMatchesStackWalk:
         tree = TouchTree(list(a), fanout=2, num_partitions=25)
         table_b = _table(b)
         stats = JoinStatistics()
-        assigned = assign_table_b(tree, table_b, None, stats)
+        assigned = _flat_assign(tree, table_b, stats)
         assert stats.filtered > 0
         got, _ = _compare(tree, table_b, assigned)
         kept = {int(row) for rows in assigned.values() for row in rows}
@@ -196,7 +264,7 @@ class TestDescentMatchesStackWalk:
         tree = TouchTree(list(a), leaf_capacity=64)
         assert tree.height == 1
         table_b = _table(b)
-        assigned = assign_table_b(tree, table_b, None, JoinStatistics())
+        assigned = _flat_assign(tree, table_b, JoinStatistics())
         got, stats = _compare(tree, table_b, assigned)
         assert stats.node_tests == 0 and got
 
@@ -220,7 +288,7 @@ class TestDescentMatchesStackWalk:
         table_b = CoordinateTable(
             np.array([[-1.0] * 3 + [21.0] * 3]), np.array([7], dtype=np.int64)
         )
-        assigned = assign_table_b(tree, table_b, None, JoinStatistics())
+        assigned = _flat_assign(tree, table_b, JoinStatistics())
         got, stats = _compare(tree, table_b, assigned)
         assert sorted(got) == [(obj.oid, 7) for obj in sorted(a, key=lambda o: o.oid)]
         assert stats.comparisons == len(a)
@@ -235,9 +303,124 @@ class TestDescentMatchesStackWalk:
         b = uniform_boxes(200, space=20.0, side_range=probe_side, seed=77)
         tree = TouchJoin(backend="columnar").prepare(a).payload["tree"]
         table_b = _table(b)
-        assigned = assign_table_b(tree, table_b, None, JoinStatistics())
+        assigned = _flat_assign(tree, table_b, JoinStatistics())
         got, _ = _compare(tree, table_b, assigned)
         assert got
+
+
+# -- flat assignment == TouchNode stack == scalar walk -----------------------
+
+
+def _check_assignment(tree, table_b, objects_b):
+    """Land every B row three ways; returns the flat landing per row."""
+    flat = flatten_hierarchy(tree, tree.leaf_slices)
+    n = len(table_b)
+
+    flat_stats = JoinStatistics()
+    nodes, rows = assign_table_b(flat, table_b, flat_stats)
+    assert len(np.unique(rows)) == len(rows)  # single assignment (Lemma 3)
+    for node in np.unique(nodes).tolist():
+        assert np.all(np.diff(rows[nodes == node]) > 0)  # table order kept
+    got = np.full(n, -1, dtype=np.int64)
+    got[rows] = nodes
+
+    ref_stats = JoinStatistics()
+    want = np.full(n, -1, dtype=np.int64)
+    for node, node_rows in reference_assign(tree, table_b, ref_stats).items():
+        want[node_rows] = flat.index[node]
+
+    scalar_stats = JoinStatistics()
+    scalar = np.full(n, -1, dtype=np.int64)
+    for row, obj in enumerate(objects_b):
+        node = locate_node(tree.root, obj.mbr, scalar_stats)
+        if node is not None:
+            scalar[row] = flat.index[node]
+        else:
+            scalar_stats.filtered += 1
+
+    assert got.tolist() == want.tolist() == scalar.tolist()
+    assert flat_stats.filtered == ref_stats.filtered == scalar_stats.filtered
+    # The scalar walk stops testing children at the second hit; the
+    # batched passes test them all.
+    assert flat_stats.node_tests == ref_stats.node_tests >= scalar_stats.node_tests
+    return got
+
+
+class TestFlatAssignmentMatchesReferences:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("fanout", [2, 8])
+    def test_uniform(self, chunk, dim, fanout):
+        a = uniform_boxes(300, space=20.0, dim=dim, side_range=(0.2, 2.0), seed=51)
+        b = list(uniform_boxes(200, space=26.0, dim=dim, side_range=(0.2, 4.0), seed=52))
+        tree = TouchTree(list(a), fanout=fanout, num_partitions=40)
+        landed = _check_assignment(tree, _table(b), b)
+        # Rows land at the root, at inner nodes, at leaves and nowhere.
+        assert {-1, 0} <= set(landed.tolist())
+        assert (landed > 0).any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_single_leaf_tree(self, chunk, dim):
+        a = uniform_boxes(40, space=5.0, dim=dim, side_range=(0.5, 2.0), seed=53)
+        b = list(uniform_boxes(30, space=8.0, dim=dim, side_range=(0.5, 2.0), seed=54))
+        tree = TouchTree(list(a), leaf_capacity=64)
+        assert tree.height == 1
+        landed = _check_assignment(tree, _table(b), b)
+        assert set(landed.tolist()) == {-1, 0}
+
+    @pytest.mark.parametrize("fanout", [2, 8])
+    def test_dead_space_filtered_below_the_root(self, chunk, fanout):
+        # Two clusters in opposite corners: the root spans the empty gap
+        # between them, which no child covers.
+        near = uniform_boxes(60, space=4.0, dim=2, side_range=(0.1, 0.5), seed=55)
+        far = [
+            SpatialObject(
+                100 + obj.oid,
+                MBR(tuple(c + 16.0 for c in obj.mbr.lo), tuple(c + 16.0 for c in obj.mbr.hi)),
+            )
+            for obj in near
+        ]
+        tree = TouchTree([*near, *far], fanout=fanout, num_partitions=12)
+        gap = [
+            SpatialObject(i, MBR((9.0 + i * 0.1, 9.0), (9.5 + i * 0.1, 9.5)))
+            for i in range(8)
+        ]
+        inside = list(uniform_boxes(40, space=20.0, dim=2, side_range=(0.1, 1.0), seed=56))
+        b = [*gap, *inside]
+        landed = _check_assignment(tree, _table(b), b)
+        assert (landed[: len(gap)] == -1).all()
+        assert all(tree.root.mbr.intersects(obj.mbr) for obj in gap)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fanout", [2, 8])
+    def test_zero_width_boxes(self, chunk, dim, fanout):
+        objects_a = _objects(_zero_width(160, dim, seed=57))
+        coords_b = _zero_width(60, dim, seed=58)
+        coords_b[:10] = np.array([o.mbr.lo + o.mbr.lo for o in objects_a[:10]])
+        tree = TouchTree(objects_a, fanout=fanout, num_partitions=20)
+        table_b = CoordinateTable(coords_b, np.arange(60, dtype=np.int64))
+        landed = _check_assignment(tree, table_b, table_b.to_objects())
+        assert (landed[:10] >= 0).all()
+
+    @pytest.mark.parametrize("fanout", [2, 8])
+    def test_probe_covering_the_universe(self, chunk, fanout):
+        a = list(uniform_boxes(150, space=20.0, dim=3, side_range=(0.2, 2.0), seed=59))
+        tree = TouchTree(a, fanout=fanout, num_partitions=20)
+        table_b = CoordinateTable(
+            np.array([[-1.0] * 3 + [21.0] * 3]), np.array([7], dtype=np.int64)
+        )
+        landed = _check_assignment(tree, table_b, table_b.to_objects())
+        assert landed.tolist() == [0]
+
+    def test_clustered_prepared_tree(self, chunk):
+        a = list(clustered_boxes(400, space=50.0, n_clusters=6, seed=60))
+        b = list(clustered_boxes(300, space=50.0, n_clusters=6, seed=61))
+        tree = TouchJoin(backend="columnar").prepare(a).payload["tree"]
+        _check_assignment(tree, _table(b), b)
+
+    def test_empty_batch(self):
+        tree = TouchTree(list(uniform_boxes(50, seed=62)), num_partitions=8)
+        empty = CoordinateTable(np.empty((0, 6)), np.empty(0, dtype=np.int64))
+        assert _check_assignment(tree, empty, []).tolist() == []
 
 
 # -- flattened hierarchy ----------------------------------------------------

@@ -151,6 +151,58 @@ class TestEdgeCases:
         assert result.parameters["n_build"] == len(build)
 
 
+class TestTouchProbeWalksNoTree:
+    """Served TOUCH probes run on the flat arrays built by ``prepare``."""
+
+    @staticmethod
+    def _outcome(result):
+        stats = result.stats
+        assert stats.extra["backend"] == "columnar"
+        return (
+            sorted(result.pairs),
+            stats.comparisons,
+            stats.filtered,
+            stats.node_tests,
+            stats.memory_bytes,
+            stats.extra["tree_nodes"],
+            stats.extra["tree_height"],
+            stats.extra["columnar_table_bytes"],
+        )
+
+    def test_probes_match_an_unpatched_run(self, workload, monkeypatch):
+        from repro.core.touch import TouchJoin
+        from repro.core.tree import TouchNode, TouchTree
+        from repro.geometry.columnar import CoordinateTable
+        from repro.service import SpatialQueryService
+
+        build, probe = workload
+        boxes = [obj.mbr for obj in probe]
+        join = TouchJoin(backend="columnar")
+        index = join.prepare(build)
+        service = SpatialQueryService(capacity=2)
+        service.register("build", build)
+
+        def run():
+            return [
+                self._outcome(result)
+                for result in (
+                    join.probe(index, CoordinateTable.from_mbrs(boxes)),
+                    join.probe(index, probe),
+                    service.probe("build", boxes, EPS, backend="columnar"),
+                    service.probe("build", probe, EPS, backend="columnar"),
+                )
+            ]
+
+        expected = run()  # also warms the service's index cache
+
+        def walk(*_args, **_kwargs):
+            raise AssertionError("a prepared probe walked the TouchNode tree")
+
+        monkeypatch.setattr(TouchNode, "iter_subtree", walk)
+        monkeypatch.setattr(TouchTree, "iter_nodes", walk)
+        assert run() == expected
+
+
 class TestTwoLayerProbeInvariants:
     @pytest.mark.parametrize("backend", ["object", "columnar"])
     def test_probe_performs_no_dedup_checks(self, backend, workload):

@@ -125,6 +125,24 @@ class TestMemory:
         large = RTree(list(uniform_boxes(512, seed=13)), fanout=2)
         assert large.memory_bytes() > small.memory_bytes()
 
+    @pytest.mark.parametrize("method", ["str", "hilbert"])
+    @pytest.mark.parametrize("fanout", [2, 8])
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_build_time_count_matches_a_walk(self, method, fanout, n):
+        from repro.stats import memory as memmodel
+
+        objs = list(uniform_boxes(n, seed=15)) if n else []
+        tree = RTree(objs, fanout=fanout, method=method)
+        walked = sum(1 for _ in tree.iter_nodes())
+        assert tree.node_count() == walked
+        expected = (
+            walked * memmodel.node_bytes(tree.dim, fanout)
+            + memmodel.reference_list_bytes(n)
+            if n
+            else 0
+        )
+        assert tree.memory_bytes() == expected
+
     def test_smaller_fanout_means_more_nodes(self):
         objs = list(uniform_boxes(256, seed=14))
         assert RTree(objs, fanout=2).node_count() > RTree(objs, fanout=8).node_count()

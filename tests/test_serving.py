@@ -11,7 +11,10 @@ connections.
 from __future__ import annotations
 
 import asyncio
+import os
 import random
+import signal
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -21,6 +24,7 @@ from repro.datasets.synthetic import uniform_boxes
 from repro.geometry.mbr import MBR
 from repro.parallel.decompose import Decomposition
 from repro.service import SpatialQueryService
+from repro.serving import router as router_module
 from repro.serving import (
     ProtocolError,
     RemoteError,
@@ -392,6 +396,38 @@ def test_frames_larger_than_the_default_stream_limit():
         service.register("big", build)
         got = service.probe("big", probe, EPS)
     assert sorted(got.pairs) == sorted(expected.pairs)
+
+
+@pytest.mark.parallel
+@pytest.mark.skipif(not hasattr(signal, "SIGSTOP"), reason="needs POSIX job control")
+def test_stalled_worker_fails_the_probe_within_the_deadline(data, monkeypatch):
+    """A stopped shard worker costs its probes one deadline, not a hang.
+
+    Shard 1 is SIGSTOPped, so the probe's request to it goes unanswered:
+    the probe must fail once the (lowered) request deadline passes,
+    naming the shard and the op.  After SIGCONT the tier serves the
+    reference pairs again: a different batch than the stalled one, so a
+    late reply left on a pooled connection would show.
+    """
+    build, probe = data
+    reference = SpatialQueryService(capacity=2)
+    reference.register("build", build)
+    expected = sorted(reference.probe("build", probe, EPS).pairs)
+    deadline = 1.0
+    with ShardedQueryService(shards=2, capacity=2) as service:
+        service.register("build", build)
+        assert sorted(service.probe("build", probe, EPS).pairs) == expected
+        monkeypatch.setattr(router_module, "REQUEST_TIMEOUT", deadline)
+        pid = service.cluster.processes[1].pid
+        os.kill(pid, signal.SIGSTOP)
+        try:
+            start = time.perf_counter()
+            with pytest.raises(TimeoutError, match="shard 1: no reply to op 'probe'"):
+                service.probe("build", probe[: len(probe) // 2], EPS)
+            assert time.perf_counter() - start < deadline + 2.0
+        finally:
+            os.kill(pid, signal.SIGCONT)
+        assert sorted(service.probe("build", probe, EPS).pairs) == expected
 
 
 @pytest.mark.parallel

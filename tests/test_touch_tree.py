@@ -106,6 +106,19 @@ class TestAccounting:
         tree.root.entities_b.append(box_object(0, (0, 0, 0), (1, 1, 1)))
         assert tree.memory_bytes() > before
 
+    @pytest.mark.parametrize("fanout", [2, 8])
+    @pytest.mark.parametrize("partitions", [1, 7, 64])
+    def test_build_time_figures_match_a_walk(self, fanout, partitions):
+        from repro.stats import memory as memmodel
+
+        tree = TouchTree(OBJECTS, num_partitions=partitions, fanout=fanout)
+        walked = sum(1 for _ in tree.iter_nodes())
+        assert tree.node_count() == walked
+        assert tree.index_bytes == tree.memory_bytes() == (
+            walked * memmodel.node_bytes(tree.dim, fanout)
+            + memmodel.reference_list_bytes(len(OBJECTS))
+        )
+
     def test_node_count_and_height(self):
         tree = TouchTree(OBJECTS, num_partitions=64, fanout=2)
         assert tree.node_count() >= 64
