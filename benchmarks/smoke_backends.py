@@ -4,7 +4,8 @@ Runs one small Figure-9-style workload through every backend-aware
 algorithm on both geometry backends, asserts that each algorithm returns
 the *identical* result-pair set either way, and writes the wall-clock
 timings as JSON (uploaded as a CI artifact so backend performance is
-tracked over time).
+tracked over time).  Every join also runs on object-built copies of the
+(table-backed) generated datasets, and must return the same pair set.
 
 Exit code 0 means parity held for every algorithm; any mismatch raises.
 
@@ -25,6 +26,7 @@ from pathlib import Path
 
 from repro.bench.config import SCALES
 from repro.bench.workloads import synthetic_pair
+from repro.datasets.base import Dataset
 from repro.datasets.transform import inflate
 from repro.joins.registry import BACKEND_AWARE, make_algorithm
 
@@ -33,13 +35,27 @@ DEFAULT_ALGORITHMS = ("TOUCH", "NL", "PBSM-100", "TwoLayer-100")
 
 
 def smoke_one(algorithm: str, dataset_a, dataset_b, epsilon: float) -> dict:
-    """Join one workload on both backends; assert identical pair sets."""
+    """Join one workload on both backends; assert identical pair sets.
+
+    Each backend joins the table-backed inputs (timed) and object-built
+    copies of them; the two pair sets must be equal.
+    """
     build = inflate(dataset_a, epsilon)
+    build_objects = Dataset(list(build), name=build.name)
+    probe_objects = Dataset(list(dataset_b), name=dataset_b.name)
     runs = {}
     for backend in ("object", "columnar"):
+        join = make_algorithm(algorithm, backend=backend)
         start = time.perf_counter()
-        result = make_algorithm(algorithm, backend=backend).join(build, dataset_b)
+        result = join.join(build, dataset_b)
         wall = time.perf_counter() - start
+        from_objects = join.join(build_objects, probe_objects).pair_set()
+        if from_objects != result.pair_set():
+            raise AssertionError(
+                f"{algorithm} ({backend}): table-backed and object-built "
+                f"inputs give different pair sets "
+                f"({len(result.pair_set())} vs {len(from_objects)} pairs)"
+            )
         runs[backend] = {
             "wall_seconds": wall,
             "total_seconds": result.stats.total_seconds,
@@ -101,7 +117,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{algorithm:10s} pairs={runs['object']['result_pairs']:8d}  "
             f"object={runs['object']['wall_seconds']:.3f}s  "
             f"columnar={runs['columnar']['wall_seconds']:.3f}s  "
-            f"speedup={entry['speedup_columnar']:.2f}x  parity=OK"
+            f"speedup={entry['speedup_columnar']:.2f}x  parity=OK (tables = objects)"
         )
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Literal, Sequence
 
 from repro.core.refine import refine_pairs
+from repro.geometry.mbr import check_epsilon
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import JoinResult, SpatialJoinAlgorithm
 
@@ -108,8 +109,7 @@ def distance_join(
     Inflation is symmetric in effect: a's inflated MBR intersects b's MBR
     iff their MBRs are within L∞ distance ε of each other.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    check_epsilon(epsilon)
     if workers:
         # Imported lazily: repro.core must not require multiprocessing
         # machinery for plain sequential joins.

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.tree import TouchNode, TouchTree
 from repro.geometry.columnar import CoordinateTable
 from repro.geometry.objects import SpatialObject
-from repro.joins.base import Pair
+from repro.joins.base import Pair, PairArrays
 from repro.geometry.hierarchy import FlatHierarchy, descend_hierarchy
 from repro.joins.local import COLUMNAR_KERNELS, LOCAL_KERNELS, grid_kernel
 from repro.stats.counters import JoinStatistics
@@ -104,7 +104,7 @@ def join_assigned_nodes_columnar(
     kernel_name: str = "grid",
     cell_size_factor: float = 4.0,
     max_cells_per_dim: int = 64,
-) -> list[Pair]:
+) -> PairArrays:
     """Columnar Algorithm 4 driver: one batched kernel call per node.
 
     ``table_a`` holds dataset A in leaf order (the rows ``flat``'s
@@ -114,14 +114,14 @@ def join_assigned_nodes_columnar(
     B rows, the A rows ``[sub_start, sub_stop)`` of its subtree are
     joined with those B rows by the selected columnar kernel.  Disjoint
     single-assignment batches keep the result duplicate-free (Lemma 3),
-    exactly as in the object path.
+    exactly as in the object path.  The oid pairs come back as arrays,
+    node by node.
     """
     if kernel_name not in COLUMNAR_KERNELS:
         raise ValueError(f"unknown local kernel {kernel_name!r}")
-    pairs: list[Pair] = []
-    ids_a, ids_b = table_a.ids, table_b.ids
     if len(nodes) == 0:
-        return pairs
+        return PairArrays.empty()
+    out_a, out_b = [], []
     order = np.argsort(nodes, kind="stable")
     nodes, rows = nodes[order], rows[order]
     cuts = np.flatnonzero(np.diff(nodes)) + 1
@@ -139,11 +139,11 @@ def join_assigned_nodes_columnar(
             )
         else:
             hit_a, hit_b = COLUMNAR_KERNELS[kernel_name](sub_a, sub_b, stats)
-        if len(hit_a):
-            oid_a = ids_a[a_rows[hit_a]]
-            oid_b = ids_b[b_rows[hit_b]]
-            pairs.extend(zip(oid_a.tolist(), oid_b.tolist()))
-    return pairs
+        out_a.append(a_rows[hit_a])
+        out_b.append(b_rows[hit_b])
+    return PairArrays(
+        table_a.ids[np.concatenate(out_a)], table_b.ids[np.concatenate(out_b)]
+    )
 
 
 def probe_assigned_nodes_columnar(

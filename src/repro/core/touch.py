@@ -53,7 +53,7 @@ from repro.geometry.columnar import (
     validate_backend,
 )
 from repro.geometry.objects import SpatialObject
-from repro.joins.base import Pair, SpatialJoinAlgorithm
+from repro.joins.base import Pair, PairArrays, SpatialJoinAlgorithm
 from repro.joins.local import LOCAL_KERNELS
 from repro.stats import memory as memmodel
 from repro.stats.counters import JoinStatistics
@@ -144,38 +144,127 @@ class TouchJoin(SpatialJoinAlgorithm):
             + memmodel.reference_list_bytes(n_a)
         )
 
+    def runs_on_tables(self) -> bool:
+        return resolve_backend(self.backend) == "columnar"
+
     def _execute(
         self,
         objects_a: list[SpatialObject],
         objects_b: list[SpatialObject],
         stats: JoinStatistics,
-    ) -> list[Pair]:
-        if self.local_kernel not in LOCAL_KERNELS:
-            raise ValueError(f"unknown local kernel {self.local_kernel!r}")
+    ) -> "list[Pair] | PairArrays":
+        if self.runs_on_tables():
+            return self._execute_table(
+                CoordinateTable.from_objects(objects_a),
+                CoordinateTable.from_objects(objects_b),
+                stats,
+            )
+        self._check_kernel()
         if not objects_a or not objects_b:
             return []
-        backend = resolve_backend(self.backend)
-        stats.extra["backend"] = backend
+        stats.extra["backend"] = "object"
 
         # Phase 1: hierarchical data-oriented partitioning of A.
         build_start = time.perf_counter()
-        tree = TouchTree(
-            objects_a,
+        tree = self._tree(objects_a)
+        stats.build_seconds = time.perf_counter() - build_start
+
+        # Phase 2: single-assignment of B into the tree, with filtering.
+        assign_start = time.perf_counter()
+        assign_dataset_b(tree, objects_b, stats)
+        stats.assign_seconds = time.perf_counter() - assign_start
+
+        # Phase 3: grid-based local joins under every assigned node.
+        join_start = time.perf_counter()
+        pairs = join_assigned_nodes(
+            tree,
+            stats,
+            kernel_name=self.local_kernel,
+            cell_size_factor=self.cell_size_factor,
+            max_cells_per_dim=self.max_cells_per_dim,
+        )
+        stats.join_seconds = time.perf_counter() - join_start
+
+        stats.memory_bytes = tree.memory_bytes() + stats.extra.get(
+            "local_grid_peak_bytes", 0
+        )
+        self._tree_extras(tree, stats)
+        self.last_tree = tree
+        return pairs
+
+    def _execute_table(
+        self,
+        table_a: CoordinateTable,
+        table_b: CoordinateTable,
+        stats: JoinStatistics,
+    ) -> PairArrays:
+        """The columnar one-shot join: tables in, oid arrays out.
+
+        No :class:`SpatialObject` is built: the tree is built from
+        ``table_a``, and B is assigned and joined as rows of ``table_b``.
+        """
+        self._check_kernel()
+        if len(table_a) == 0 or len(table_b) == 0:
+            return PairArrays.empty()
+        stats.extra["backend"] = "columnar"
+
+        # Phase 1: hierarchical data-oriented partitioning of A.
+        build_start = time.perf_counter()
+        tree = self._tree(table_a)
+        stats.build_seconds = time.perf_counter() - build_start
+
+        # Phase 2, batched: all of B descends the flat hierarchy level by
+        # level.
+        assign_start = time.perf_counter()
+        leaf_table, leaf_slices = leaf_order_table(tree)
+        flat = flatten_hierarchy(tree, leaf_slices)
+        nodes, rows = assign_table_b(flat, table_b, stats)
+        stats.assign_seconds = time.perf_counter() - assign_start
+
+        # Phase 3, batched: one columnar kernel call per assigned node.
+        join_start = time.perf_counter()
+        pairs = join_assigned_nodes_columnar(
+            flat,
+            leaf_table,
+            table_b,
+            nodes,
+            rows,
+            stats,
+            kernel_name=self.local_kernel,
+            cell_size_factor=self.cell_size_factor,
+            max_cells_per_dim=self.max_cells_per_dim,
+        )
+        stats.join_seconds = time.perf_counter() - join_start
+
+        # The coordinate tables are real allocations the columnar backend
+        # keeps resident for the whole join: count them (arr.nbytes), on
+        # top of the shared analytic tree + local-grid model, so the
+        # figure-table memory numbers stay honest across backends.  The
+        # assigned B rows are counted as the object path's node
+        # references.
+        table_bytes = leaf_table.nbytes + table_b.nbytes
+        stats.extra["columnar_table_bytes"] = table_bytes
+        stats.memory_bytes = (
+            tree.index_bytes
+            + memmodel.reference_list_bytes(len(rows))
+            + stats.extra.get("local_grid_peak_bytes", 0)
+            + table_bytes
+        )
+        self._tree_extras(tree, stats)
+        self.last_tree = tree
+        return pairs
+
+    def _check_kernel(self) -> None:
+        if self.local_kernel not in LOCAL_KERNELS:
+            raise ValueError(f"unknown local kernel {self.local_kernel!r}")
+
+    def _tree(self, data_a) -> TouchTree:
+        return TouchTree(
+            data_a,
             fanout=self.fanout,
             num_partitions=self.num_partitions,
             leaf_capacity=self.leaf_capacity,
         )
-        stats.build_seconds = time.perf_counter() - build_start
-
-        if backend == "columnar":
-            pairs = self._execute_columnar(tree, objects_b, stats)
-        else:
-            pairs = self._execute_object(tree, objects_b, stats)
-
-        stats.extra["tree_height"] = tree.height
-        stats.extra["tree_nodes"] = tree.node_count()
-        self.last_tree = tree
-        return pairs
 
     # -- build/probe lifecycle -----------------------------------------
     def _build(self, objects_a, stats):
@@ -185,16 +274,15 @@ class TouchJoin(SpatialJoinAlgorithm):
         precomputed alongside the tree so warm probes skip straight to
         assignment + range descent.
         """
-        if self.local_kernel not in LOCAL_KERNELS:
-            raise ValueError(f"unknown local kernel {self.local_kernel!r}")
+        self._check_kernel()
         if not objects_a:
             return None
         backend = resolve_backend(self.backend)
-        tree = TouchTree(
-            objects_a,
-            fanout=self.fanout,
-            num_partitions=self.num_partitions,
-            leaf_capacity=self.leaf_capacity,
+        # Only the object probe walks leaf buckets of objects.
+        tree = self._tree(
+            objects_a
+            if backend == "object"
+            else CoordinateTable.from_objects(objects_a)
         )
         payload = {"tree": tree, "backend": backend}
         if backend == "columnar":
@@ -263,7 +351,7 @@ class TouchJoin(SpatialJoinAlgorithm):
         stats.node_tests += node_tests
         stats.join_seconds = time.perf_counter() - join_start
         stats.memory_bytes = tree.index_bytes
-        self._probe_extras(tree, stats)
+        self._tree_extras(tree, stats)
         return pairs
 
     def _probe_table(self, payload, table_b, stats):
@@ -289,83 +377,10 @@ class TouchJoin(SpatialJoinAlgorithm):
         table_bytes = payload["table_a"].nbytes + flat.nbytes + table_b.nbytes
         stats.extra["columnar_table_bytes"] = table_bytes
         stats.memory_bytes = tree.index_bytes + table_bytes
-        self._probe_extras(tree, stats)
+        self._tree_extras(tree, stats)
         return pairs
 
     @staticmethod
-    def _probe_extras(tree: TouchTree, stats: JoinStatistics) -> None:
+    def _tree_extras(tree: TouchTree, stats: JoinStatistics) -> None:
         stats.extra["tree_height"] = tree.height
         stats.extra["tree_nodes"] = tree.node_count()
-
-    def _execute_object(
-        self,
-        tree: TouchTree,
-        objects_b: list[SpatialObject],
-        stats: JoinStatistics,
-    ) -> list[Pair]:
-        # Phase 2: single-assignment of B into the tree, with filtering.
-        assign_start = time.perf_counter()
-        assign_dataset_b(tree, objects_b, stats)
-        stats.assign_seconds = time.perf_counter() - assign_start
-
-        # Phase 3: grid-based local joins under every assigned node.
-        join_start = time.perf_counter()
-        pairs = join_assigned_nodes(
-            tree,
-            stats,
-            kernel_name=self.local_kernel,
-            cell_size_factor=self.cell_size_factor,
-            max_cells_per_dim=self.max_cells_per_dim,
-        )
-        stats.join_seconds = time.perf_counter() - join_start
-
-        stats.memory_bytes = tree.memory_bytes() + stats.extra.get(
-            "local_grid_peak_bytes", 0
-        )
-        return pairs
-
-    def _execute_columnar(
-        self,
-        tree: TouchTree,
-        objects_b: list[SpatialObject],
-        stats: JoinStatistics,
-    ) -> list[Pair]:
-        # Phase 2, batched: all of B descends the flat hierarchy level by
-        # level.
-        assign_start = time.perf_counter()
-        table_a, leaf_slices = leaf_order_table(tree)
-        flat = flatten_hierarchy(tree, leaf_slices)
-        table_b = CoordinateTable.from_objects(objects_b)
-        nodes, rows = assign_table_b(flat, table_b, stats)
-        stats.assign_seconds = time.perf_counter() - assign_start
-
-        # Phase 3, batched: one columnar kernel call per assigned node.
-        join_start = time.perf_counter()
-        pairs = join_assigned_nodes_columnar(
-            flat,
-            table_a,
-            table_b,
-            nodes,
-            rows,
-            stats,
-            kernel_name=self.local_kernel,
-            cell_size_factor=self.cell_size_factor,
-            max_cells_per_dim=self.max_cells_per_dim,
-        )
-        stats.join_seconds = time.perf_counter() - join_start
-
-        # The coordinate tables are real allocations the columnar backend
-        # keeps resident for the whole join: count them (arr.nbytes), on
-        # top of the shared analytic tree + local-grid model, so the
-        # figure-table memory numbers stay honest across backends.  The
-        # assigned B rows are counted as the object path's node
-        # references.
-        table_bytes = table_a.nbytes + table_b.nbytes
-        stats.extra["columnar_table_bytes"] = table_bytes
-        stats.memory_bytes = (
-            tree.index_bytes
-            + memmodel.reference_list_bytes(len(rows))
-            + stats.extra.get("local_grid_peak_bytes", 0)
-            + table_bytes
-        )
-        return pairs

@@ -8,14 +8,16 @@ them.  Unlike a disk R-Tree, the fanout and bucket size are free
 parameters — "we no longer have to align the data structures for the disk
 page size" (§4.1).
 
-Nodes carry two entity lists: leaf nodes hold their bucket of A objects
-(``entities_a``); any node may later receive B objects (``entities_b``)
-during the assignment phase.
+Nodes carry two entity lists: leaf nodes of a tree built from objects
+hold their bucket of A objects (``entities_a``); any node may later
+receive B objects (``entities_b``) during the object-model assignment
+phase.
 
-The build runs on arrays: A is read once into a coordinate table, every
-STR level is one :func:`~repro.rtree.str_pack.str_order` call over a
-centers array, and bucket and node MBRs are ``np.minimum/maximum.reduceat``
-reductions over the grouped rows.  The tree keeps A's table in leaf
+The build runs on arrays: A arrives as a coordinate table (or is read
+once into one), every STR level is one
+:func:`~repro.rtree.str_pack.str_order` call over a centers array, and
+bucket and node MBRs are ``np.minimum/maximum.reduceat`` reductions
+over the grouped rows.  The tree keeps A's table in leaf
 order (``leaf_table``, ``leaf_slices``) for the columnar phases.
 """
 
@@ -102,8 +104,11 @@ class TouchTree:
 
     Parameters
     ----------
-    objects_a:
-        Dataset A (non-empty).
+    data_a:
+        Dataset A (non-empty): its objects, or its coordinate table.
+        Leaves carry their bucket of objects (``entities_a``) only when
+        built from objects — the object-model phases need them; the
+        columnar phases read ``leaf_table`` alone.
     fanout:
         Children per internal node (paper default: 2).
     num_partitions:
@@ -129,17 +134,17 @@ class TouchTree:
 
     def __init__(
         self,
-        objects_a: Sequence[SpatialObject],
+        data_a: "Sequence[SpatialObject] | CoordinateTable",
         fanout: int = DEFAULT_FANOUT,
         num_partitions: int | None = DEFAULT_PARTITIONS,
         leaf_capacity: int | None = None,
     ) -> None:
-        if not objects_a:
+        if len(data_a) == 0:
             raise ValueError("cannot build a TOUCH tree on an empty dataset")
         if fanout < 2:
             raise ValueError(f"fanout must be >= 2, got {fanout}")
 
-        n = len(objects_a)
+        n = len(data_a)
         if leaf_capacity is None:
             if num_partitions is None:
                 leaf_capacity = fanout  # Algorithm 2: buckets of size fo
@@ -152,8 +157,11 @@ class TouchTree:
         if leaf_capacity < 1:
             raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
 
-        objects = list(objects_a)
-        table = CoordinateTable.from_objects(objects)
+        if isinstance(data_a, CoordinateTable):
+            objects, table = None, data_a
+        else:
+            objects = list(data_a)
+            table = CoordinateTable.from_objects(objects)
         self.fanout = fanout
         self.leaf_capacity = leaf_capacity
         self.dim = table.dim
@@ -166,16 +174,21 @@ class TouchTree:
             self.dim, fanout
         ) + memmodel.reference_list_bytes(n)
 
-    def _build(self, objects: list[SpatialObject], table: CoordinateTable) -> TouchNode:
+    def _build(
+        self, objects: list[SpatialObject] | None, table: CoordinateTable
+    ) -> TouchNode:
         leaf_order, starts = str_order((table.lo + table.hi) / 2.0, self.leaf_capacity)
-        rows = leaf_order.tolist()
-        bounds = [*starts.tolist(), len(rows)]
+        bounds = [*starts.tolist(), len(leaf_order)]
         ranges = list(zip(bounds, bounds[1:]))
         lo, hi = _group_bounds(table.lo, table.hi, leaf_order, starts)
-        nodes = [
-            TouchNode(mbr, level=0, entities_a=[objects[row] for row in rows[a:b]])
-            for mbr, (a, b) in zip(_mbrs(lo, hi), ranges)
-        ]
+        if objects is None:
+            nodes = [TouchNode(mbr, level=0) for mbr in _mbrs(lo, hi)]
+        else:
+            rows = leaf_order.tolist()
+            nodes = [
+                TouchNode(mbr, level=0, entities_a=[objects[row] for row in rows[a:b]])
+                for mbr, (a, b) in zip(_mbrs(lo, hi), ranges)
+            ]
         leaf_ranges = dict(zip(nodes, ranges))
         level = 0
         while len(nodes) > 1:

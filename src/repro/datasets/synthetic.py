@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datasets.base import Dataset
+from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
 
@@ -43,15 +44,19 @@ def _universe(space: float, dim: int) -> MBR:
 def _boxes_from_arrays(
     lows: np.ndarray, sides: np.ndarray, space: float, name: str, metadata: dict
 ) -> Dataset:
-    """Clamp box origins into the universe and materialise objects."""
+    """Clamp box origins into the universe; a table-backed dataset.
+
+    Row ``i`` is object ``i``; its objects are built only on demand.
+    """
     lows = np.clip(lows, 0.0, space - sides)
     highs = lows + sides
-    objects = [
-        SpatialObject(i, MBR(lo, hi))
-        for i, (lo, hi) in enumerate(zip(lows.tolist(), highs.tolist()))
-    ]
-    dim = lows.shape[1]
-    return Dataset(objects, name=name, universe=_universe(space, dim), metadata=metadata)
+    n, dim = lows.shape
+    table = CoordinateTable(
+        np.concatenate([lows, highs], axis=1), np.arange(n, dtype=np.int64)
+    )
+    return Dataset.from_table(
+        table, name=name, universe=_universe(space, dim), metadata=metadata
+    )
 
 
 def uniform_boxes(

@@ -211,16 +211,22 @@ class CoordinateTable:
         row = self.coords[index]
         return MBR(tuple(row[:dim]), tuple(row[dim:]))
 
-    def to_objects(self) -> "list[SpatialObject]":
-        """Materialise the table as a list of spatial objects."""
+    def to_objects(self, geometries: "Sequence | None" = None) -> "list[SpatialObject]":
+        """Materialise the table as a list of spatial objects.
+
+        ``geometries``, when given, holds one exact-geometry payload (or
+        ``None``) per row, attached to the matching object.
+        """
         from repro.geometry.objects import SpatialObject
 
         dim = self.dim
         rows = self.coords.tolist()
         ids = self.ids.tolist()
+        if geometries is None:
+            geometries = [None] * len(ids)
         return [
-            SpatialObject(oid, MBR(tuple(row[:dim]), tuple(row[dim:])))
-            for oid, row in zip(ids, rows)
+            SpatialObject(oid, MBR(tuple(row[:dim]), tuple(row[dim:])), geometry)
+            for oid, row, geometry in zip(ids, rows, geometries)
         ]
 
     def take(self, indices) -> "CoordinateTable":

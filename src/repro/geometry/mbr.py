@@ -15,7 +15,21 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Sequence
 
-__all__ = ["MBR", "mbr_of_points", "total_mbr"]
+__all__ = ["MBR", "check_epsilon", "mbr_of_points", "total_mbr"]
+
+
+def check_epsilon(epsilon: float) -> float:
+    """``epsilon`` as a float, after rejecting negative or non-finite values.
+
+    The one ε check of the library (:meth:`MBR.expand`, the array
+    :func:`~repro.datasets.transform.inflate`, the query service and
+    the refine stage): a NaN would otherwise build NaN boxes that
+    silently match nothing.
+    """
+    value = float(epsilon)
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
+    return value
 
 
 class MBR:
@@ -148,9 +162,7 @@ class MBR:
         iff the L-infinity distance of the two boxes is at most ``epsilon``
         (and therefore whenever the Euclidean distance is).
         """
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-        epsilon = float(epsilon)
+        epsilon = check_epsilon(epsilon)
         # Valid by construction: lo - eps <= lo <= hi <= hi + eps.
         return MBR.trusted(
             tuple([c - epsilon for c in self.lo]),

@@ -29,7 +29,6 @@ from repro.geometry.columnar import (
 __all__ = [
     "ColumnarGrid",
     "entry_join_candidates",
-    "cell_join_candidates",
     "grid_join_pairs",
     "sort_entries",
     "probe_join_candidates",
@@ -205,7 +204,7 @@ def entry_join_candidates(
     the original entry arrays, one element per (A entry, B entry) pair
     sharing a cell, A entries in order and each window in B's stable key
     order.  Callers look up whatever per-entry payload they carry
-    through these indices: :func:`cell_join_candidates` the object
+    through these indices: :func:`grid_join_pairs` the object
     indices, the two-layer join (:mod:`repro.partition.two_layer`)
     object indices *and* class masks.
     """
@@ -305,25 +304,6 @@ def grid_probe_pairs(
     return _owned_hits(grid, table_a, table_b, candidates, stats)
 
 
-def cell_join_candidates(
-    keys_a,
-    obj_a,
-    keys_b,
-    obj_b,
-    chunk: int = DEFAULT_CANDIDATE_CHUNK,
-):
-    """Generate candidate pairs of entries sharing a cell, in chunks.
-
-    ``keys_*`` / ``obj_*`` are flat entry arrays from
-    :meth:`ColumnarGrid.entries`.  Yields ``(a_objects, b_objects, keys)``
-    blocks where each element is one (A entry, B entry) pair co-located
-    in the cell ``key`` — exactly the candidate multiset the object-model
-    grid joins test, in bounded-memory chunks.
-    """
-    for ent_a, ent_b in entry_join_candidates(keys_a, keys_b, chunk):
-        yield obj_a[ent_a], obj_b[ent_b], keys_a[ent_a]
-
-
 def grid_join_pairs(
     grid: ColumnarGrid,
     table_a: CoordinateTable,
@@ -331,6 +311,7 @@ def grid_join_pairs(
     entries_a,
     entries_b,
     stats,
+    index_b=None,
 ):
     """Join two entry sets: intersection test + reference-point dedup.
 
@@ -339,11 +320,18 @@ def grid_join_pairs(
     the truly intersecting ones, and lets each cell report only the
     pairs it owns.  Increments ``stats.comparisons`` once per candidate
     and ``stats.duplicates_suppressed`` per disowned intersection;
-    returns the owned ``(index_a, index_b)`` pair arrays.
+    returns the owned ``(index_a, index_b)`` pair arrays.  ``index_b``
+    is :func:`sort_entries` of B's keys when the caller already holds
+    it (it is sorted here otherwise).
     """
     obj_a, keys_a = entries_a
     obj_b, keys_b = entries_b
-    candidates = cell_join_candidates(keys_a, obj_a, keys_b, obj_b)
+    if index_b is None:
+        index_b = sort_entries(keys_b)
+    candidates = (
+        (obj_a[ent_a], obj_b[ent_b], keys_a[ent_a])
+        for ent_a, ent_b in _key_windows(index_b, keys_a, DEFAULT_CANDIDATE_CHUNK)
+    )
     return _owned_hits(grid, table_a, table_b, candidates, stats)
 
 

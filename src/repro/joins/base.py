@@ -32,13 +32,16 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import ClassVar, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
+import numpy as np
+
+from repro.datasets.base import Dataset
 from repro.geometry.columnar import CoordinateTable
 from repro.geometry.objects import SpatialObject
 from repro.stats.counters import JoinStatistics
 
-__all__ = ["JoinResult", "SpatialJoinAlgorithm", "BuiltIndex", "Pair"]
+__all__ = ["JoinResult", "PairArrays", "SpatialJoinAlgorithm", "BuiltIndex", "Pair"]
 
 Pair = tuple[int, int]
 
@@ -104,15 +107,33 @@ class BuiltIndex:
         )
 
 
-class JoinResult:
-    """Outcome of a spatial join: result pairs plus statistics."""
+class PairArrays(NamedTuple):
+    """Result pairs as two parallel int64 oid arrays: pair ``i`` is
+    ``(a[i], b[i])``."""
 
-    __slots__ = ("algorithm", "pairs", "stats", "parameters")
+    a: np.ndarray
+    b: np.ndarray
+
+    @classmethod
+    def empty(cls) -> "PairArrays":
+        return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+class JoinResult:
+    """Outcome of a spatial join: result pairs plus statistics.
+
+    ``pairs`` is given as a list of ``(oid_a, oid_b)`` tuples or as a
+    :class:`PairArrays`.  Array-held pairs become the tuple list on the
+    first read of :attr:`pairs`, once; callers that only count them
+    (``len(result)``) never pay for the tuples.
+    """
+
+    __slots__ = ("algorithm", "stats", "parameters", "_pairs", "_arrays")
 
     def __init__(
         self,
         algorithm: str,
-        pairs: list[Pair],
+        pairs: "list[Pair] | PairArrays",
         stats: JoinStatistics,
         parameters: dict | None = None,
     ) -> None:
@@ -121,12 +142,31 @@ class JoinResult:
         self.stats = stats
         self.parameters = parameters or {}
 
+    @property
+    def pairs(self) -> list[Pair]:
+        """The pairs as a list of ``(oid_a, oid_b)`` tuples."""
+        if self._pairs is None:
+            a, b = self._arrays
+            self._pairs = list(zip(a.tolist(), b.tolist()))
+            # The list is now the one copy callers may touch.
+            self._arrays = None
+        return self._pairs
+
+    @pairs.setter
+    def pairs(self, pairs: "list[Pair] | PairArrays") -> None:
+        if isinstance(pairs, PairArrays):
+            self._pairs, self._arrays = None, pairs
+        else:
+            self._pairs, self._arrays = pairs, None
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        if self._arrays is not None:
+            return len(self._arrays.a)
+        return len(self._pairs)
 
     def __repr__(self) -> str:
         return (
-            f"JoinResult({self.algorithm}, pairs={len(self.pairs)}, "
+            f"JoinResult({self.algorithm}, pairs={len(self)}, "
             f"comparisons={self.stats.comparisons})"
         )
 
@@ -142,7 +182,7 @@ class JoinResult:
         """Join selectivity per the paper's Equation 1."""
         if n_a == 0 or n_b == 0:
             return 0.0
-        return len(self.pairs) / (n_a * n_b)
+        return len(self) / (n_a * n_b)
 
 
 class SpatialJoinAlgorithm(abc.ABC):
@@ -161,13 +201,30 @@ class SpatialJoinAlgorithm(abc.ABC):
         dataset_a: Sequence[SpatialObject],
         dataset_b: Sequence[SpatialObject],
     ) -> JoinResult:
-        """Join two datasets and return pairs plus statistics."""
+        """Join two datasets and return pairs plus statistics.
+
+        When the algorithm runs on tables (:meth:`runs_on_tables`) and
+        both inputs are :class:`~repro.datasets.base.Dataset`\\ s, their
+        coordinate tables go to :meth:`_execute_table` — without copying
+        for table-backed datasets, and with no object built.  Every
+        other input is joined as objects by :meth:`_execute`.
+        """
         stats = JoinStatistics()
         start = time.perf_counter()
-        pairs = self._execute(list(dataset_a), list(dataset_b), stats)
+        if (
+            self.runs_on_tables()
+            and isinstance(dataset_a, Dataset)
+            and isinstance(dataset_b, Dataset)
+        ):
+            pairs = self._execute_table(
+                dataset_a.to_table(), dataset_b.to_table(), stats
+            )
+        else:
+            pairs = self._execute(list(dataset_a), list(dataset_b), stats)
         stats.total_seconds = time.perf_counter() - start
-        stats.result_pairs = len(pairs)
-        return JoinResult(self.name, pairs, stats, self.describe())
+        result = JoinResult(self.name, pairs, stats, self.describe())
+        stats.result_pairs = len(result)
+        return result
 
     @abc.abstractmethod
     def _execute(
@@ -175,8 +232,27 @@ class SpatialJoinAlgorithm(abc.ABC):
         objects_a: list[SpatialObject],
         objects_b: list[SpatialObject],
         stats: JoinStatistics,
-    ) -> list[Pair]:
-        """Produce the duplicate-free list of intersecting oid pairs."""
+    ) -> "list[Pair] | PairArrays":
+        """Produce the duplicate-free intersecting oid pairs."""
+
+    def runs_on_tables(self) -> bool:
+        """Whether :meth:`join` hands Dataset inputs to :meth:`_execute_table`.
+
+        ``False`` by default: the algorithm joins objects.
+        """
+        return False
+
+    def _execute_table(
+        self,
+        table_a: CoordinateTable,
+        table_b: CoordinateTable,
+        stats: JoinStatistics,
+    ) -> "list[Pair] | PairArrays":
+        """Hook: the join over two coordinate tables.
+
+        Only called when :meth:`runs_on_tables` is true.
+        """
+        raise NotImplementedError  # pragma: no cover - guarded by join()
 
     # -- filter-refine pipeline -----------------------------------------
     def filter_pairs(
@@ -285,9 +361,10 @@ class SpatialJoinAlgorithm(abc.ABC):
         else:
             pairs = self._probe(built.payload, list(queries), stats)
         stats.total_seconds = time.perf_counter() - start
-        stats.result_pairs = len(pairs)
         parameters = {**self.describe(), "lifecycle": "probe", "n_build": built.n_build}
-        return JoinResult(self.name, pairs, stats, parameters)
+        result = JoinResult(self.name, pairs, stats, parameters)
+        stats.result_pairs = len(result)
+        return result
 
     def _build(self, objects_a: list[SpatialObject], stats: JoinStatistics) -> object:
         """Hook: build the reusable index payload over dataset A.

@@ -20,7 +20,7 @@ import numpy as np
 from repro.geometry.columnar import CoordinateTable, intersect_pairs, sweep_pairs
 from repro.geometry.mbr import MBR, total_mbr
 from repro.geometry.objects import SpatialObject
-from repro.grid.columnar import ColumnarGrid, grid_join_pairs
+from repro.grid.columnar import ColumnarGrid, grid_join_pairs, sort_entries
 from repro.grid.uniform import UniformGrid
 from repro.stats import memory as memmodel
 from repro.stats.counters import JoinStatistics
@@ -265,15 +265,15 @@ def grid_kernel_columnar(
     b_obj, b_keys = grid.entries(table_b)
     stats.replicated_entries += len(b_obj) - n_b
     a_entries = grid.entries(table_a)
+    index_b = sort_entries(b_keys)
     idx_a, idx_b = grid_join_pairs(
-        grid, table_a, table_b, a_entries, (b_obj, b_keys), stats
+        grid, table_a, table_b, a_entries, (b_obj, b_keys), stats, index_b
     )
 
     # Same analytic accounting as the object grid kernel: populated
-    # cells of the B-side hash plus its stored references.
-    grid_bytes = memmodel.grid_cells_bytes(
-        len(np.unique(b_keys)) if len(b_keys) else 0, len(b_obj)
-    )
+    # cells of the B-side hash (the distinct keys of the one sort)
+    # plus its stored references.
+    grid_bytes = memmodel.grid_cells_bytes(len(index_b[1]), len(b_obj))
     extra = stats.extra
     extra["local_grid_bytes"] = extra.get("local_grid_bytes", 0) + grid_bytes
     if grid_bytes > extra.get("local_grid_peak_bytes", 0):

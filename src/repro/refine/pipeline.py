@@ -27,13 +27,13 @@ identical list.
 
 from __future__ import annotations
 
-import math
 from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
 from repro.geometry.columnar import resolve_backend
+from repro.geometry.mbr import check_epsilon
 from repro.geometry.shapes import KIND_CODES, box_gap_sq, shape_distance_sq
 from repro.geometry.vertex_table import VertexTable, shape_of
 from repro.refine import kernels
@@ -140,10 +140,7 @@ class RefinePipeline:
     """
 
     def __init__(self, epsilon: float, backend: str = "auto"):
-        epsilon = float(epsilon)
-        if not math.isfinite(epsilon) or epsilon < 0.0:
-            raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-        self.epsilon = epsilon
+        self.epsilon = check_epsilon(epsilon)
         self.backend = resolve_backend(backend)
 
     def refine(

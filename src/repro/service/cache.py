@@ -17,12 +17,12 @@ are governed by the same budget the join engines spill against.
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.geometry.mbr import check_epsilon
 from repro.joins.base import BuiltIndex
 from repro.memory.budget import estimate_built_bytes, validate_max_bytes
 
@@ -59,15 +59,11 @@ class IndexKey:
         epsilon: float,
         geometry: str = "mbr",
     ) -> "IndexKey":
-        epsilon = float(epsilon)
-        if not math.isfinite(epsilon) or epsilon < 0:
-            # NaN is the insidious case: a frozen dataclass holding NaN
-            # never equals itself, so the key could never be looked up
-            # again — every probe would be a cold build and the cache
-            # would fill with unreachable entries.
-            raise ValueError(
-                f"epsilon must be finite and non-negative, got {epsilon!r}"
-            )
+        # NaN is the insidious case: a frozen dataclass holding NaN
+        # never equals itself, so the key could never be looked up
+        # again — every probe would be a cold build and the cache
+        # would fill with unreachable entries.
+        epsilon = check_epsilon(epsilon)
         config = {k: v for k, v in config.items() if k != "backend"}
         return cls(
             fingerprint=fingerprint,

@@ -18,7 +18,6 @@ each index exactly once.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from repro.bench.config import GEOMETRY_MODES
 from repro.datasets.base import Dataset
 from repro.geometry.columnar import CoordinateTable
-from repro.geometry.mbr import MBR
+from repro.geometry.mbr import MBR, check_epsilon
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import BuiltIndex, JoinResult, dimensionality
 from repro.joins.registry import make_algorithm
@@ -285,11 +284,7 @@ class SpatialQueryService:
                 probe = CoordinateTable.from_mbrs(items)
             else:
                 probe = items
-        epsilon = float(epsilon)
-        if not math.isfinite(epsilon) or epsilon < 0:
-            raise ValueError(
-                f"epsilon must be finite and non-negative, got {epsilon!r}"
-            )
+        epsilon = check_epsilon(epsilon)
         geometry = geometry or "mbr"
         if geometry not in GEOMETRY_MODES:
             raise ValueError(

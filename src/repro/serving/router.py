@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import math
 import threading
 from typing import Iterable, Sequence
 
 from repro.bench.config import GEOMETRY_MODES
 from repro.datasets.base import Dataset
 from repro.geometry.columnar import CoordinateTable
-from repro.geometry.mbr import MBR
+from repro.geometry.mbr import MBR, check_epsilon
 from repro.geometry.objects import SpatialObject
 from repro.geometry.shapes import Shape
 from repro.joins.base import JoinResult, Pair
@@ -273,11 +272,7 @@ class ShardRouter:
         if dataset not in self._datasets:
             known = ", ".join(sorted(self._datasets)) or "(none)"
             raise KeyError(f"unknown dataset {dataset!r}; registered: {known}")
-        epsilon = float(epsilon)
-        if not math.isfinite(epsilon) or epsilon < 0:
-            raise ValueError(
-                f"epsilon must be finite and non-negative, got {epsilon!r}"
-            )
+        epsilon = check_epsilon(epsilon)
         if geometry is not None and geometry not in GEOMETRY_MODES:
             raise ValueError(
                 f"geometry must be one of {GEOMETRY_MODES}, got {geometry!r}"
