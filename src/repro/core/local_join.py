@@ -111,10 +111,10 @@ def join_assigned_nodes_columnar(
     subtree ranges index, see :func:`leaf_order_table`); B row
     ``rows[i]`` is assigned to flat node ``nodes[i]``, as produced by
     :func:`repro.core.assignment.assign_table_b`.  For every node holding
-    B rows, the A rows ``[sub_start, sub_stop)`` of its subtree are
-    joined with those B rows by the selected columnar kernel.  Disjoint
-    single-assignment batches keep the result duplicate-free (Lemma 3),
-    exactly as in the object path.  The oid pairs come back as arrays,
+    B rows, the A rows ``[sub_start, sub_stop)`` of its subtree (a view,
+    not a copy) are joined with those B rows by the selected columnar
+    kernel.  Disjoint single-assignment batches keep the result
+    duplicate-free (Lemma 3), exactly as in the object path.  The oid pairs come back as arrays,
     node by node.
     """
     if kernel_name not in COLUMNAR_KERNELS:
@@ -126,8 +126,8 @@ def join_assigned_nodes_columnar(
     nodes, rows = nodes[order], rows[order]
     cuts = np.flatnonzero(np.diff(nodes)) + 1
     for node, b_rows in zip(nodes[np.r_[0, cuts]].tolist(), np.split(rows, cuts)):
-        a_rows = np.arange(flat.sub_start[node], flat.sub_stop[node], dtype=np.int64)
-        sub_a = table_a.take(a_rows)
+        sub_start = int(flat.sub_start[node])
+        sub_a = table_a.take(slice(sub_start, int(flat.sub_stop[node])))
         sub_b = table_b.take(b_rows)
         if kernel_name == "grid":
             hit_a, hit_b = COLUMNAR_KERNELS["grid"](
@@ -139,7 +139,7 @@ def join_assigned_nodes_columnar(
             )
         else:
             hit_a, hit_b = COLUMNAR_KERNELS[kernel_name](sub_a, sub_b, stats)
-        out_a.append(a_rows[hit_a])
+        out_a.append(hit_a + sub_start)
         out_b.append(b_rows[hit_b])
     return PairArrays(
         table_a.ids[np.concatenate(out_a)], table_b.ids[np.concatenate(out_b)]

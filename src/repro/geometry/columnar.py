@@ -230,7 +230,8 @@ class CoordinateTable:
         ]
 
     def take(self, indices) -> "CoordinateTable":
-        """Row subset (fancy index) as a new table."""
+        """Row subset as a new table: a copy for an index array, a view
+        sharing this table's memory for a ``slice``."""
         return CoordinateTable(self.coords[indices], self.ids[indices])
 
     def bounds(self):

@@ -6,8 +6,7 @@ same reference-point deduplication rule) but computed for whole tables
 at once.  Instead of a hash map of cells it works with flat *entry*
 arrays — ``(object_index, cell_key)`` pairs, one per (object, overlapped
 cell) — produced without any per-object Python loop, and joins two entry
-sets by sorting one side by key and binary-searching the other against
-it.
+sets by grouping one side by key and looking the other up against it.
 
 Candidate semantics match the object-model grid joins exactly: a pair is
 tested once per cell both objects share, so ``stats.comparisons`` of a
@@ -15,6 +14,8 @@ columnar grid join equals the object path's count bit for bit.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,13 @@ from repro.geometry.columnar import (
 
 __all__ = [
     "ColumnarGrid",
+    "CellDirectory",
+    "SortedEntries",
+    "box_entry_counts",
+    "cell_directory",
     "entry_join_candidates",
     "grid_join_pairs",
+    "index_entries",
     "sort_entries",
     "probe_join_candidates",
     "grid_probe_pairs",
@@ -138,11 +144,18 @@ class ColumnarGrid:
         the home cell (class A); cleared bits mark replicas entering
         from a lower neighbour (classes B/C/D in 2-D).
         """
-        lo_idx, hi_idx = self.index_ranges(table)
+        return self.range_entries(*self.index_ranges(table), with_class_masks)
+
+    def range_entries(self, lo_idx, hi_idx, with_class_masks: bool = False):
+        """:meth:`entries` of boxes given by their inclusive cell ranges.
+
+        Object ``i`` is the box spanning cells ``lo_idx[i]`` to
+        ``hi_idx[i]`` (as :meth:`index_ranges` returns them).
+        """
         spans = hi_idx - lo_idx + 1
         per_object = spans.prod(axis=1)
         total = int(per_object.sum())
-        obj_idx = np.repeat(np.arange(len(table), dtype=np.int64), per_object)
+        obj_idx = np.repeat(np.arange(len(spans), dtype=np.int64), per_object)
         keys = np.empty(total, dtype=np.int64)
         masks = np.empty(total, dtype=np.int64) if with_class_masks else None
         if total:
@@ -178,65 +191,165 @@ class ColumnarGrid:
         block_masks = bits @ (offsets == 0).astype(np.int64)
         return block_keys, block_masks
 
-    # -- reference-point deduplication ---------------------------------
-    def owned_mask(self, candidate_keys, a_lo_rows, b_lo_rows):
-        """Which candidates are owned by the cell they were found in.
 
-        The owning cell contains the minimum corner of the intersection
-        of the two boxes (Dittrich & Seeger), i.e. the componentwise
-        maximum of the two minimum corners — same rule as
-        :meth:`repro.grid.uniform.UniformGrid.owns_pair`.
-        """
-        reference = np.maximum(a_lo_rows, b_lo_rows)
-        return self.keys_of(self.cell_indices(reference)) == candidate_keys
+# -- indexing one side's entries by cell ---------------------------------
+class SortedEntries(NamedTuple):
+    """One entry set sorted by cell key (:func:`sort_entries`).
 
-
-def entry_join_candidates(
-    keys_a,
-    keys_b,
-    chunk: int = DEFAULT_CANDIDATE_CHUNK,
-):
-    """Co-located *entry index* pairs of two flat key arrays, chunked.
-
-    Sorts B's entries by cell key (:func:`sort_entries`) and finds every
-    A entry's window of B entries with one binary search against B's
-    distinct keys; yields ``(entries_a, entries_b)`` index arrays into
-    the original entry arrays, one element per (A entry, B entry) pair
-    sharing a cell, A entries in order and each window in B's stable key
-    order.  Callers look up whatever per-entry payload they carry
-    through these indices: :func:`grid_join_pairs` the object
-    indices, the two-layer join (:mod:`repro.partition.two_layer`)
-    object indices *and* class masks.
+    The entries of cell ``cell_keys[c]`` are
+    ``order[cell_bounds[c]:cell_bounds[c + 1]]``.  Its size follows the
+    entries, not the grid, so it suits grids with more cells than
+    entries and indices kept for many probes.
     """
-    if len(keys_a) == 0 or len(keys_b) == 0:
-        return
-    yield from _key_windows(sort_entries(keys_b), keys_a, chunk)
+
+    order: np.ndarray
+    cell_keys: np.ndarray
+    cell_bounds: np.ndarray
+
+    @property
+    def populated_cells(self) -> int:
+        return len(self.cell_keys)
+
+    def locate(self, anchor_keys):
+        """``(matched, starts, counts)``: the anchors whose key is
+        indexed, and their windows into ``order``.  One binary search
+        per anchor among the distinct keys."""
+        pos = np.searchsorted(self.cell_keys, anchor_keys)
+        np.minimum(pos, len(self.cell_keys) - 1, out=pos)
+        matched = np.flatnonzero(self.cell_keys[pos] == anchor_keys)
+        pos = pos[matched]
+        starts = self.cell_bounds[pos]
+        return matched, starts, self.cell_bounds[pos + 1] - starts
 
 
-def sort_entries(keys):
+class CellDirectory(NamedTuple):
+    """One entry set grouped by a dense per-cell directory
+    (:func:`cell_directory`).
+
+    The entries of cell ``k`` are ``order[starts[k]:starts[k] +
+    counts[k]]``, for every ``k`` below the grid's cell count, so a
+    lookup is one gather per anchor.
+    """
+
+    order: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def populated_cells(self) -> int:
+        return int(np.count_nonzero(self.counts))
+
+    def locate(self, anchor_keys):
+        """Same contract as :meth:`SortedEntries.locate`."""
+        per_anchor = self.counts[anchor_keys]
+        matched = np.flatnonzero(per_anchor)
+        return matched, self.starts[anchor_keys[matched]], per_anchor[matched]
+
+
+def sort_entries(keys) -> SortedEntries:
     """Key-sort one entry set once, for repeated probing.
 
-    Returns ``(order, cell_keys, cell_bounds)``: the stable argsort of
-    ``keys``, the distinct keys in ascending order, and the boundaries
-    of their runs in ``order`` (``len(cell_keys) + 1`` of them), so the
-    entries of cell ``cell_keys[c]`` are
-    ``order[cell_bounds[c]:cell_bounds[c + 1]]``.  Build-once/probe-many
-    joins sort the *build* side's entries at prepare time so that each
-    probe batch only pays one binary search per probe entry
-    (:func:`probe_join_candidates`), instead of the one-shot path's
-    per-join sort of the full build side.
+    Returns the stable argsort of ``keys``, the distinct keys in
+    ascending order, and the boundaries of their runs in ``order``
+    (``len(cell_keys) + 1`` of them).  Build-once/probe-many joins sort
+    the *build* side's entries at prepare time so that each probe batch
+    only pays one binary search per probe entry
+    (:func:`probe_join_candidates`).
     """
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     if len(sorted_keys) == 0:
-        return order, sorted_keys, np.zeros(1, dtype=np.int64)
+        return SortedEntries(order, sorted_keys, np.zeros(1, dtype=np.int64))
     change = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
     bounds = np.concatenate(([0], change, [len(sorted_keys)])).astype(np.int64)
-    return order, sorted_keys[bounds[:-1]], bounds
+    return SortedEntries(order, sorted_keys[bounds[:-1]], bounds)
+
+
+def cell_directory(keys, total_cells: int) -> CellDirectory:
+    """Per-cell entry counts and run starts over all ``total_cells``.
+
+    ``order`` is the same stable argsort :func:`sort_entries` uses, so
+    each cell's window lists its entries in the same order.
+    """
+    counts = np.bincount(keys, minlength=total_cells)
+    starts = np.cumsum(counts) - counts
+    return CellDirectory(np.argsort(keys, kind="stable"), starts, counts)
+
+
+def index_entries(keys, total_cells: int, anchor_entries: int):
+    """Index the entries of one side of a one-shot key join.
+
+    A grid with no more cells than the two sides have entries
+    (``len(keys) + anchor_entries``) gets a :func:`cell_directory`,
+    whose arrays are then no larger than the entry arrays; a larger
+    grid (fine resolutions, high dimensions) gets :func:`sort_entries`.
+    Both yield the same windows in the same order.
+    """
+    if total_cells <= len(keys) + anchor_entries:
+        return cell_directory(keys, total_cells)
+    return sort_entries(keys)
+
+
+def box_entry_counts(counts, shape, lo_idx, hi_idx):
+    """Indexed entries inside each inclusive cell box, from per-cell
+    ``counts`` in row-major order over ``shape``.
+
+    Builds the summed-volume table of the counts once, then reads each
+    box ``[lo_idx[i], hi_idx[i]]`` with ``2 ** D`` signed gathers.
+    """
+    shape = tuple(int(size) for size in shape)
+    dim = len(shape)
+    volume = np.zeros(tuple(size + 1 for size in shape), dtype=np.int64)
+    volume[(slice(1, None),) * dim] = np.reshape(counts, shape)
+    for axis in range(dim):
+        np.cumsum(volume, axis=axis, out=volume)
+    radix = _radix_of([size + 1 for size in shape])
+    # Corner keys, one dimension at a time: each corner takes hi + 1 or
+    # lo per dimension and is subtracted iff it took lo an odd number
+    # of times.
+    corners = [(np.zeros(len(lo_idx), dtype=np.int64), False)]
+    for d in range(dim):
+        upper = (hi_idx[:, d] + 1) * radix[d]
+        lower = lo_idx[:, d] * radix[d]
+        corners = [(key + upper, odd) for key, odd in corners] + [
+            (key + lower, not odd) for key, odd in corners
+        ]
+    flat = volume.ravel()
+    total = np.zeros(len(lo_idx), dtype=np.int64)
+    for key, odd in corners:
+        if odd:
+            total -= flat[key]
+        else:
+            total += flat[key]
+    return total
+
+
+# -- candidate windows -----------------------------------------------------
+def entry_join_candidates(
+    keys_a,
+    keys_b,
+    total_cells: int,
+    chunk: int = DEFAULT_CANDIDATE_CHUNK,
+):
+    """Co-located *entry index* pairs of two flat key arrays, chunked.
+
+    Indexes B's entries by cell key (:func:`index_entries`, keys below
+    ``total_cells``) and finds every A entry's window of B entries;
+    yields ``(entries_a, entries_b)`` index arrays into the original
+    entry arrays, one element per (A entry, B entry) pair sharing a
+    cell, A entries in order and each window in B's stable key order.
+    Callers look up whatever per-entry payload they carry through these
+    indices: :func:`grid_join_pairs` the object indices and class masks,
+    the two-layer join (:mod:`repro.partition.two_layer`) the same.
+    """
+    if len(keys_a) == 0 or len(keys_b) == 0:
+        return
+    index = index_entries(keys_b, total_cells, len(keys_a))
+    yield from _key_windows(index, keys_a, chunk)
 
 
 def probe_join_candidates(
-    build_index,
+    build_index: SortedEntries,
     probe_keys,
     chunk: int = DEFAULT_CANDIDATE_CHUNK,
 ):
@@ -257,29 +370,23 @@ def probe_join_candidates(
 def _key_windows(index, anchor_keys, chunk: int):
     """``(anchor entry, indexed entry)`` pairs sharing a key, chunked.
 
-    ``index`` is :func:`sort_entries` of the indexed side.  One
-    ``searchsorted`` per anchor locates its key among the distinct
-    indexed keys; the matching run of ``order`` is its window.
+    ``index`` is a :class:`SortedEntries` or a :class:`CellDirectory` of
+    the indexed side.  Only anchors whose key the indexed side has go
+    on: in a skewed join most anchor entries fall in cells the other
+    side never uses.
     """
-    order, cell_keys, cell_bounds = index
-    if len(cell_keys) == 0 or len(anchor_keys) == 0:
+    if len(index.order) == 0 or len(anchor_keys) == 0:
         return
-    pos = np.minimum(np.searchsorted(cell_keys, anchor_keys), len(cell_keys) - 1)
-    # Only anchors whose key the indexed side has go on: in a skewed
-    # join most anchor entries fall in cells the other side never uses.
-    matched = np.flatnonzero(cell_keys[pos] == anchor_keys)
+    matched, starts, counts = index.locate(anchor_keys)
     if len(matched) == 0:
         return
-    pos = pos[matched]
-    starts = cell_bounds[pos]
-    counts = cell_bounds[pos + 1] - starts
     for lo_i, hi_i in chunk_boundaries(counts, chunk):
         anchor_idx, window_pos = concat_ranges(starts[lo_i:hi_i], counts[lo_i:hi_i])
-        yield matched[anchor_idx + lo_i], order[window_pos]
+        yield matched[anchor_idx + lo_i], index.order[window_pos]
 
 
+# -- the intersection test and ownership -----------------------------------
 def grid_probe_pairs(
-    grid: ColumnarGrid,
     table_a: CoordinateTable,
     table_b: CoordinateTable,
     prepared_a,
@@ -288,20 +395,17 @@ def grid_probe_pairs(
 ):
     """Probe-side twin of :func:`grid_join_pairs` over a prepared A side.
 
-    ``prepared_a`` is ``(obj_a, keys_a, index_a)`` with ``index_a`` the
-    :func:`sort_entries` of ``keys_a``, computed once at prepare time;
-    ``entries_b`` are the probe batch's ``(obj_b, keys_b)`` entries.
-    Candidate generation, the intersection test and the reference-point
-    ownership rule are the same as the one-shot join, so the returned
-    ``(index_a, index_b)`` pair set matches it exactly.
+    ``prepared_a`` is ``(entries_a, index_a)``: A's
+    ``(obj, keys, masks)`` entries and the :func:`sort_entries` of its
+    keys, computed once at prepare time; ``entries_b`` are the probe
+    batch's ``(obj, keys, masks)`` entries.  Candidate generation, the
+    intersection test and the ownership rule are the same as the
+    one-shot join, so the returned ``(index_a, index_b)`` pair set
+    matches it exactly.
     """
-    obj_a, keys_a, index_a = prepared_a
-    obj_b, keys_b = entries_b
-    candidates = (
-        (obj_a[ent_a], obj_b[ent_b], keys_a[ent_a])
-        for ent_a, ent_b in probe_join_candidates(index_a, keys_b)
-    )
-    return _owned_hits(grid, table_a, table_b, candidates, stats)
+    entries_a, index_a = prepared_a
+    windows = probe_join_candidates(index_a, entries_b[1])
+    return _owned_hits(table_a, table_b, entries_a, entries_b, windows, stats)
 
 
 def grid_join_pairs(
@@ -318,43 +422,54 @@ def grid_join_pairs(
     The shared core of every columnar grid join (TOUCH's local join and
     PBSM's cell merge): generates the co-located candidate pairs, keeps
     the truly intersecting ones, and lets each cell report only the
-    pairs it owns.  Increments ``stats.comparisons`` once per candidate
-    and ``stats.duplicates_suppressed`` per disowned intersection;
-    returns the owned ``(index_a, index_b)`` pair arrays.  ``index_b``
-    is :func:`sort_entries` of B's keys when the caller already holds
-    it (it is sorted here otherwise).
+    pairs it owns.  ``entries_*`` are ``(obj, keys, masks)`` as
+    :meth:`ColumnarGrid.entries` returns them with class masks.
+    Increments ``stats.comparisons`` once per candidate and
+    ``stats.duplicates_suppressed`` per disowned intersection; returns
+    the owned ``(index_a, index_b)`` pair arrays.  ``index_b`` is
+    :func:`index_entries` of B's keys when the caller already holds it
+    (it is built here otherwise).
     """
-    obj_a, keys_a = entries_a
-    obj_b, keys_b = entries_b
+    keys_a, keys_b = entries_a[1], entries_b[1]
     if index_b is None:
-        index_b = sort_entries(keys_b)
-    candidates = (
-        (obj_a[ent_a], obj_b[ent_b], keys_a[ent_a])
-        for ent_a, ent_b in _key_windows(index_b, keys_a, DEFAULT_CANDIDATE_CHUNK)
-    )
-    return _owned_hits(grid, table_a, table_b, candidates, stats)
+        index_b = index_entries(keys_b, grid.total_cells, len(keys_a))
+    windows = _key_windows(index_b, keys_a, DEFAULT_CANDIDATE_CHUNK)
+    return _owned_hits(table_a, table_b, entries_a, entries_b, windows, stats)
 
 
-def _owned_hits(grid, table_a, table_b, candidates, stats):
-    """Test ``(cand_a, cand_b, cell_key)`` chunks, keep owned hits."""
+def _owned_hits(table_a, table_b, entries_a, entries_b, windows, stats):
+    """Test ``(ent_a, ent_b)`` window chunks, keep the owned hits.
+
+    A hit found in cell ``c`` is owned there iff ``c`` holds the
+    reference point ``max(a.lo, b.lo)`` (Dittrich & Seeger).  Clamped
+    cell indexing is monotone, so that point's cell is, per dimension,
+    the larger of the two boxes' low cells; ``c`` lies in both boxes'
+    cell ranges, so it equals that maximum exactly where ``c`` is one of
+    the boxes' low cells, i.e. where one of the two class-mask bits is
+    set.  The cell owns the pair iff the masks cover every dimension.
+    """
+    # The partition package imports this module; import lazily.
+    from repro.partition.classes import full_mask
+
+    obj_a, _keys_a, masks_a = entries_a
+    obj_b, _keys_b, masks_b = entries_b
+    full = full_mask(table_a.dim)
     comparisons = 0
     duplicates = 0
     dedup_checks = 0
     out_a: list = []
     out_b: list = []
-    for cand_a, cand_b, cand_keys in candidates:
+    for ent_a, ent_b in windows:
+        cand_a, cand_b = obj_a[ent_a], obj_b[ent_b]
         comparisons += len(cand_a)
         hits = np.flatnonzero(
             pairs_overlap_mask(table_a.lo, table_a.hi, cand_a, table_b, cand_b)
         )
-        hit_a, hit_b = cand_a[hits], cand_b[hits]
-        owned = grid.owned_mask(
-            cand_keys[hits], table_a.lo[hit_a], table_b.lo[hit_b]
-        )
-        dedup_checks += len(hit_a)
-        duplicates += len(hit_a) - int(owned.sum())
-        out_a.append(hit_a[owned])
-        out_b.append(hit_b[owned])
+        owned = hits[(masks_a[ent_a[hits]] | masks_b[ent_b[hits]]) == full]
+        dedup_checks += len(hits)
+        duplicates += len(hits) - len(owned)
+        out_a.append(cand_a[owned])
+        out_b.append(cand_b[owned])
     stats.comparisons += comparisons
     stats.duplicates_suppressed += duplicates
     stats.dedup_checks += dedup_checks

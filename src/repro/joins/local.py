@@ -20,7 +20,13 @@ import numpy as np
 from repro.geometry.columnar import CoordinateTable, intersect_pairs, sweep_pairs
 from repro.geometry.mbr import MBR, total_mbr
 from repro.geometry.objects import SpatialObject
-from repro.grid.columnar import ColumnarGrid, grid_join_pairs, sort_entries
+from repro.grid.columnar import (
+    CellDirectory,
+    ColumnarGrid,
+    box_entry_counts,
+    grid_join_pairs,
+    index_entries,
+)
 from repro.grid.uniform import UniformGrid
 from repro.stats import memory as memmodel
 from repro.stats.counters import JoinStatistics
@@ -243,6 +249,9 @@ def grid_kernel_columnar(
     union of both extents), enumerates (object, cell) entries for both
     sides without a Python loop, joins them by cell key and applies the
     reference-point rule to the intersecting candidates in one shot.
+    When B is indexed by a dense cell directory, A rows whose cell box
+    holds no B entry are dropped before their entries are built: they
+    have no candidate, so the candidates and their order are unchanged.
     """
     n_a, n_b = len(table_a), len(table_b)
     empty = np.empty(0, dtype=np.int64)
@@ -262,18 +271,29 @@ def grid_kernel_columnar(
     min_size = float((uni_hi - uni_lo).max()) / max_cells_per_dim
     grid = ColumnarGrid(uni_lo, uni_hi, cell_size=max(cell_size, min_size, 1e-12))
 
-    b_obj, b_keys = grid.entries(table_b)
-    stats.replicated_entries += len(b_obj) - n_b
-    a_entries = grid.entries(table_a)
-    index_b = sort_entries(b_keys)
+    entries_b = grid.entries(table_b, with_class_masks=True)
+    stats.replicated_entries += len(entries_b[0]) - n_b
+    lo_a, hi_a = grid.index_ranges(table_a)
+    a_entries = int((hi_a - lo_a + 1).prod(axis=1).sum())
+    index_b = index_entries(entries_b[1], grid.total_cells, a_entries)
+    rows_a = np.arange(n_a)
+    if isinstance(index_b, CellDirectory):
+        rows_a = np.flatnonzero(
+            box_entry_counts(index_b.counts, grid.resolution, lo_a, hi_a)
+        )
+    obj_a, keys_a, masks_a = grid.range_entries(
+        lo_a[rows_a], hi_a[rows_a], with_class_masks=True
+    )
+    entries_a = (rows_a[obj_a], keys_a, masks_a)
     idx_a, idx_b = grid_join_pairs(
-        grid, table_a, table_b, a_entries, (b_obj, b_keys), stats, index_b
+        grid, table_a, table_b, entries_a, entries_b, stats, index_b
     )
 
     # Same analytic accounting as the object grid kernel: populated
-    # cells of the B-side hash (the distinct keys of the one sort)
-    # plus its stored references.
-    grid_bytes = memmodel.grid_cells_bytes(len(index_b[1]), len(b_obj))
+    # cells of the B-side hash plus its stored references.
+    grid_bytes = memmodel.grid_cells_bytes(
+        index_b.populated_cells, len(entries_b[0])
+    )
     extra = stats.extra
     extra["local_grid_bytes"] = extra.get("local_grid_bytes", 0) + grid_bytes
     if grid_bytes > extra.get("local_grid_peak_bytes", 0):

@@ -221,9 +221,9 @@ class PBSMJoin(SpatialJoinAlgorithm):
     ) -> list[Pair]:
         """Batched PBSM: entry arrays instead of hash maps.
 
-        Multiple assignment becomes one vectorised (object, cell-key)
-        entry enumeration per side; corresponding cells are joined by
-        sorting B's entries by key and binary-searching A's against
+        Multiple assignment becomes one vectorised (object, cell-key,
+        class-mask) entry enumeration per side; corresponding cells are
+        joined by indexing B's entries by key and looking A's up against
         them; the candidate pairs of every shared cell are intersection-
         tested and reference-point-deduplicated in bulk.
         """
@@ -231,8 +231,9 @@ class PBSMJoin(SpatialJoinAlgorithm):
         table_a = CoordinateTable.from_objects(objects_a)
         table_b = CoordinateTable.from_objects(objects_b)
         grid = self._make_columnar_grid(universe)
-        a_obj, a_keys = grid.entries(table_a)
-        b_obj, b_keys = grid.entries(table_b)
+        entries_a = grid.entries(table_a, with_class_masks=True)
+        entries_b = grid.entries(table_b, with_class_masks=True)
+        (a_obj, a_keys, _), (b_obj, b_keys, _) = entries_a, entries_b
         stats.build_seconds = time.perf_counter() - build_start
         stats.replicated_entries = (len(a_obj) - len(objects_a)) + (
             len(b_obj) - len(objects_b)
@@ -244,7 +245,7 @@ class PBSMJoin(SpatialJoinAlgorithm):
 
         join_start = time.perf_counter()
         idx_a, idx_b = grid_join_pairs(
-            grid, table_a, table_b, (a_obj, a_keys), (b_obj, b_keys), stats
+            grid, table_a, table_b, entries_a, entries_b, stats
         )
         pairs: list[Pair] = list(
             zip(table_a.ids[idx_a].tolist(), table_b.ids[idx_b].tolist())
@@ -288,17 +289,17 @@ class PBSMJoin(SpatialJoinAlgorithm):
 
             table_a = CoordinateTable.from_objects(objects_a)
             grid = self._make_columnar_grid(universe)
-            a_obj, a_keys = grid.entries(table_a)
-            index_a = sort_entries(a_keys)
-            stats.replicated_entries += len(a_obj) - len(objects_a)
+            entries_a = grid.entries(table_a, with_class_masks=True)
+            index_a = sort_entries(entries_a[1])
+            stats.replicated_entries += len(entries_a[0]) - len(objects_a)
             return {
                 "backend": "columnar",
                 "table_a": table_a,
                 "grid": grid,
-                "prepared_a": (a_obj, a_keys, index_a),
+                "prepared_a": (entries_a, index_a),
                 "n_a": len(objects_a),
                 "a_cells_bytes": memmodel.grid_cells_bytes(
-                    len(index_a[1]), len(a_obj)
+                    index_a.populated_cells, len(entries_a[0])
                 ),
             }
         grid_a = self._make_grid(universe)
@@ -347,13 +348,14 @@ class PBSMJoin(SpatialJoinAlgorithm):
         table_a = payload["table_a"]
 
         build_start = time.perf_counter()
-        b_obj, b_keys = grid.entries(table_b)
+        entries_b = grid.entries(table_b, with_class_masks=True)
+        b_obj, b_keys, _ = entries_b
         stats.build_seconds = time.perf_counter() - build_start
         stats.replicated_entries += len(b_obj) - len(table_b)
 
         join_start = time.perf_counter()
         idx_a, idx_b = grid_probe_pairs(
-            grid, table_a, table_b, payload["prepared_a"], (b_obj, b_keys), stats
+            table_a, table_b, payload["prepared_a"], entries_b, stats
         )
         pairs: list[Pair] = list(
             zip(table_a.ids[idx_a].tolist(), table_b.ids[idx_b].tolist())

@@ -21,10 +21,10 @@ Two execution backends, mirroring PBSM:
   (plane sweep by default);
 - ``columnar`` — flat ``(object, tile-key, class-mask)`` entry arrays
   from :meth:`ColumnarGrid.entries(..., with_class_masks=True)
-  <repro.grid.columnar.ColumnarGrid.entries>`, tile-merged by key sort
-  + binary search and mask-filtered before one batched intersection
-  test per chunk (:class:`~repro.geometry.columnar.CoordinateTable`
-  kernels).
+  <repro.grid.columnar.ColumnarGrid.entries>`, tile-merged by key
+  (:func:`~repro.grid.columnar.entry_join_candidates`) and
+  mask-filtered before one batched intersection test per chunk
+  (:class:`~repro.geometry.columnar.CoordinateTable` kernels).
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
 
         join_start = time.perf_counter()
         pairs = self._masked_batch_join(
-            entry_join_candidates(a_keys, b_keys),
+            entry_join_candidates(a_keys, b_keys, grid.total_cells),
             (a_obj, a_masks),
             (b_obj, b_masks),
             table_a,
@@ -364,7 +364,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
             table_a = CoordinateTable.from_objects(objects_a)
             grid = self._make_columnar_grid(universe)
             a_obj, a_keys, a_masks = grid.entries(table_a, with_class_masks=True)
-            order_a, cell_keys_a, cell_bounds_a = sort_entries(a_keys)
+            index_a = sort_entries(a_keys)
             stats.replicated_entries += len(a_obj) - len(objects_a)
             return {
                 "backend": "columnar",
@@ -373,9 +373,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
                 "a_obj": a_obj,
                 "a_keys": a_keys,
                 "a_masks": a_masks,
-                "order_a": order_a,
-                "cell_keys_a": cell_keys_a,
-                "cell_bounds_a": cell_bounds_a,
+                "index_a": index_a,
             }
         grid = self._make_grid(universe)
         n_classes = 1 << universe.dim
@@ -450,14 +448,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
 
         join_start = time.perf_counter()
         pairs = self._masked_batch_join(
-            probe_join_candidates(
-                (
-                    payload["order_a"],
-                    payload["cell_keys_a"],
-                    payload["cell_bounds_a"],
-                ),
-                b_keys,
-            ),
+            probe_join_candidates(payload["index_a"], b_keys),
             (payload["a_obj"], payload["a_masks"]),
             (b_obj, b_masks),
             payload["table_a"],
@@ -471,7 +462,7 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
         # both sides, the resident coordinate tables and the class masks.
         table_bytes = payload["table_a"].nbytes + table_b.nbytes
         stats.extra["columnar_table_bytes"] = table_bytes
-        populated = len(np.union1d(payload["cell_keys_a"], b_keys))
+        populated = len(np.union1d(payload["index_a"].cell_keys, b_keys))
         stats.memory_bytes = (
             memmodel.grid_cells_bytes(
                 populated, len(payload["a_obj"]) + len(b_obj)

@@ -16,7 +16,12 @@ from repro.joins.registry import BACKEND_AWARE, make_algorithm
 #: Counters that must match bit-for-bit across backends (PBSM excepted
 #: on comparisons: its columnar cell join counts nested-loop candidates
 #: where the object path sweeps).
-_EXACT_COUNTERS = ("filtered", "replicated_entries", "duplicates_suppressed")
+_EXACT_COUNTERS = (
+    "filtered",
+    "replicated_entries",
+    "duplicates_suppressed",
+    "dedup_checks",
+)
 
 PORTED = sorted(BACKEND_AWARE)
 
