@@ -122,10 +122,10 @@ def _check_shapes(dataset) -> None:
 def _shaped(objects):
     """Objects with exact shapes attached (box fallback over ``obj.mbr``).
 
-    Refinement evaluates shapes, never MBRs, so attaching the box
-    *before* any epsilon inflation pins the original extents — this is
-    what lets the refine stage receive the inflated build side and still
-    be correct.
+    The multiprocess engine hands object lists to its workers, which
+    refine there: attaching the box *before* any epsilon inflation pins
+    the original extents, so the workers may refine against the
+    inflated build side.
     """
     from repro.geometry.objects import SpatialObject
     from repro.geometry.shapes import Shape
@@ -332,24 +332,27 @@ def run_algorithm(
         )
     else:
         algorithm = make_algorithm(algorithm_name, **algorithm_overrides)
-    if exact:
-        # Shapes attach before inflation so refinement sees original
-        # extents even through the inflated build side.
+    if exact and not isinstance(dataset_a, Dataset):
+        # Refine reads each side's cached view, which Datasets own.
+        dataset_a = Dataset(dataset_a, name="adhoc")
+    if exact and not isinstance(dataset_b, Dataset):
+        dataset_b = Dataset(dataset_b, name="adhoc")
+    if exact and resolved.workers:
         probe_b = _shaped(dataset_b)
         build = [obj.inflated(epsilon) for obj in _shaped(dataset_a)]
+    elif isinstance(dataset_a, Dataset):
+        probe_b = dataset_b
+        build = inflate(dataset_a, epsilon)
     else:
         probe_b = dataset_b
-        build = (
-            inflate(dataset_a, epsilon)
-            if isinstance(dataset_a, Dataset)
-            else [obj.inflated(epsilon) for obj in dataset_a]
-        )
+        build = [obj.inflated(epsilon) for obj in dataset_a]
     result = algorithm.join(build, probe_b)
     if exact and not resolved.workers:
         # The multiprocess engine refines inside its workers; every
-        # other execution path refines the candidate join here.
+        # other execution path refines the candidate join here, against
+        # the original (never inflated) datasets.
         result = _refine_result(
-            result, build, probe_b, epsilon, resolved.backend or "auto"
+            result, dataset_a, dataset_b, epsilon, resolved.backend or "auto"
         )
     if plan is not None:
         result.stats.extra["plan"] = plan.as_dict()
@@ -366,12 +369,16 @@ def run_algorithm(
 
 def _refine_result(
     result: JoinResult,
-    build,
-    probe_b,
+    dataset_a: Dataset,
+    dataset_b: Dataset,
     epsilon: float,
     backend: str,
 ) -> JoinResult:
-    """Run the refine stage over a filter result, folding in counters."""
+    """Run the refine stage over a filter result, folding in counters.
+
+    Candidates are refined as row arrays against each dataset's cached
+    refine view, so the kept pairs stay :class:`PairArrays`.
+    """
     import time
 
     from repro.refine import RefinePipeline
@@ -379,13 +386,13 @@ def _refine_result(
     stats = result.stats
     start = time.perf_counter()
     refined = RefinePipeline(epsilon, backend=backend).refine(
-        result.pairs, build, probe_b, stats=stats
+        result.pair_arrays(), dataset_a, dataset_b, stats=stats
     )
     refine_seconds = time.perf_counter() - start
     stats.join_seconds += refine_seconds
     stats.total_seconds += refine_seconds
     stats.extra["refine_seconds"] = refine_seconds
-    stats.result_pairs = len(refined)
+    stats.result_pairs = len(refined.a)
     return JoinResult(
         result.algorithm,
         refined,

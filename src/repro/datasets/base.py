@@ -43,6 +43,7 @@ class Dataset(Sequence[SpatialObject]):
         self._objects: list[SpatialObject] | None = list(objects)
         self._table: CoordinateTable | None = None
         self._geometries: list | None = None
+        self._view = None
         self.name = name
         self._universe = universe
         self.metadata = dict(metadata or {})
@@ -180,21 +181,31 @@ class Dataset(Sequence[SpatialObject]):
 
         ``geometry="exact"`` joins require shape-carrying datasets;
         MBR-only objects inside a shaped dataset refine as solid boxes
-        over their MBR.
+        over their MBR.  Read from the cached :meth:`refine_view`.
         """
-        from repro.geometry.shapes import Shape
+        return self.geometries() is not None and self.refine_view().has_shapes
 
-        return any(isinstance(g, Shape) for g in self.geometries() or ())
+    def refine_view(self):
+        """The dataset's refine view (``RefineView``), built once and cached.
+
+        Row-indexed vertex, MBR, interior-rectangle and segment columns
+        plus an oid lookup: what the exact refine stage reads.  Objects
+        without a shape refine as solid boxes over their MBR.
+        """
+        if self._view is None:
+            from repro.refine.pipeline import RefineView
+
+            self._view = RefineView(self._object_list(), self.name)
+        return self._view
 
     def vertex_table(self):
         """The dataset's shapes in columnar CSR form (``VertexTable``).
 
         MBR-only objects contribute box shapes over their MBR; the
-        refinement-phase twin of :meth:`to_table`.
+        refinement-phase twin of :meth:`to_table`, read from the cached
+        :meth:`refine_view`.
         """
-        from repro.geometry.vertex_table import VertexTable
-
-        return VertexTable.from_objects(self._object_list())
+        return self.refine_view().table
 
     # -- columnar conversion ------------------------------------------------
     def to_table(self) -> CoordinateTable:

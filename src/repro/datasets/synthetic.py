@@ -21,7 +21,6 @@ import numpy as np
 from repro.datasets.base import Dataset
 from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR
-from repro.geometry.objects import SpatialObject
 
 __all__ = [
     "uniform_boxes",
@@ -57,6 +56,19 @@ def _boxes_from_arrays(
     return Dataset.from_table(
         table, name=name, universe=_universe(space, dim), metadata=metadata
     )
+
+
+def _shapes_dataset(shapes: list, name: str, metadata: dict) -> Dataset:
+    """A table-backed dataset over 2-D exact shapes; row ``i`` is object ``i``.
+
+    The table holds each shape's MBR, so the filter stage sees tight
+    boxes; the universe is the tight bound of the shapes.
+    """
+    coords = np.array(
+        [shape.mbr().lo + shape.mbr().hi for shape in shapes], dtype=np.float64
+    ).reshape(len(shapes), 4)
+    table = CoordinateTable(coords, np.arange(len(shapes), dtype=np.int64))
+    return Dataset.from_table(table, name=name, metadata=metadata, geometries=shapes)
 
 
 def uniform_boxes(
@@ -196,20 +208,19 @@ def clustered_polygons(
     centers = cluster_centers[membership] + rng.normal(0.0, cluster_sigma, size=(n, 2))
     centers = np.clip(centers, 0.0, space)
     counts = rng.integers(vertex_range[0], vertex_range[1] + 1, size=n)
-    objects = []
+    shapes = []
     for i in range(n):
         k = int(counts[i])
         angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
         radii = rng.uniform(radius_range[0], radius_range[1], size=k)
         xs = centers[i, 0] + radii * np.cos(angles)
         ys = centers[i, 1] + radii * np.sin(angles)
-        shape = Polygon(list(zip(xs.tolist(), ys.tolist())), oid=i)
-        objects.append(SpatialObject(i, shape.mbr(), shape))
-    return Dataset(
-        objects,
-        name=f"polygons-{n}",
-        universe=None,  # tight bound: radii may poke past the clamped centres
-        metadata={
+        shapes.append(Polygon(list(zip(xs.tolist(), ys.tolist())), oid=i))
+    # Tight universe: radii may poke past the clamped centres.
+    return _shapes_dataset(
+        shapes,
+        f"polygons-{n}",
+        {
             "distribution": "polygons",
             "n": n,
             "space": space,
@@ -255,7 +266,7 @@ def clustered_linestrings(
     starts = cluster_centers[membership] + rng.normal(0.0, cluster_sigma, size=(n, 2))
     starts = np.clip(starts, 0.0, space)
     counts = rng.integers(segment_range[0], segment_range[1] + 1, size=n)
-    objects = []
+    shapes = []
     for i in range(n):
         k = int(counts[i])
         headings = rng.uniform(0.0, 2.0 * np.pi, size=k)
@@ -264,13 +275,11 @@ def clustered_linestrings(
         dy = np.cumsum(steps * np.sin(headings))
         xs = np.concatenate(([starts[i, 0]], starts[i, 0] + dx))
         ys = np.concatenate(([starts[i, 1]], starts[i, 1] + dy))
-        shape = LineString(list(zip(xs.tolist(), ys.tolist())), oid=i)
-        objects.append(SpatialObject(i, shape.mbr(), shape))
-    return Dataset(
-        objects,
-        name=f"lines-{n}",
-        universe=None,
-        metadata={
+        shapes.append(LineString(list(zip(xs.tolist(), ys.tolist())), oid=i))
+    return _shapes_dataset(
+        shapes,
+        f"lines-{n}",
+        {
             "distribution": "lines",
             "n": n,
             "space": space,

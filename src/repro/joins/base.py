@@ -118,6 +118,12 @@ class PairArrays(NamedTuple):
     def empty(cls) -> "PairArrays":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
+    @classmethod
+    def from_pairs(cls, pairs: "Sequence[Pair]") -> "PairArrays":
+        """The arrays of a list of ``(oid_a, oid_b)`` tuples."""
+        flat = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return cls(flat[:, 0].copy(), flat[:, 1].copy())
+
 
 class JoinResult:
     """Outcome of a spatial join: result pairs plus statistics.
@@ -158,6 +164,13 @@ class JoinResult:
             self._pairs, self._arrays = None, pairs
         else:
             self._pairs, self._arrays = pairs, None
+
+    def pair_arrays(self) -> PairArrays:
+        """The pairs as :class:`PairArrays`, building no tuples when the
+        result holds arrays."""
+        if self._arrays is not None:
+            return self._arrays
+        return PairArrays.from_pairs(self._pairs)
 
     def __len__(self) -> int:
         if self._arrays is not None:

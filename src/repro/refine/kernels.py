@@ -19,6 +19,14 @@ object and columnar refinement backends reach bit-identical decisions
   :func:`polygons_contain` — boundary-inclusive point-in-polygon: a
   point is inside when it lies on some edge or crosses an odd number.
 
+:func:`closest_vertices`, :func:`vertex_segments` and
+:func:`segment_pairs_sq` build the *witness* that settles most exact
+tests before :func:`min_cross_sq`: the segment-pair float of one
+segment touching each vertex of a pair's closest vertex pair.  That
+float is one of the floats :func:`min_cross_sq` minimises over, so it
+is never below the minimum, and ``witness <= eps^2`` implies the
+reference decision "within".
+
 The batched kernels walk a flat ``(pair, segment pair)`` index space in
 chunks of :data:`CHUNK_SEGMENT_PAIRS`, so every temporary stays the
 same size however many vertices a pair carries; a pair may straddle
@@ -34,9 +42,12 @@ from repro.geometry.shapes import KIND_CODES
 __all__ = [
     "CHUNK_SEGMENT_PAIRS",
     "box_gap_sq_batch",
+    "closest_vertices",
     "min_cross_sq",
     "polygons_contain",
+    "segment_pairs_sq",
     "segment_table",
+    "vertex_segments",
 ]
 
 #: Segment pairs (or point/edge pairs) evaluated per vectorised step.
@@ -187,6 +198,67 @@ def min_cross_sq(segs_a, start_a, count_a, segs_b, start_b, count_b):
         )
         np.minimum(best[p0:p1], np.minimum.reduceat(dist, starts), out=best[p0:p1])
     return best
+
+
+def closest_vertices(points_a, start_a, count_a, points_b, start_b, count_b):
+    """Per pair, the local vertex indices of its closest vertex pair.
+
+    ``points_a`` / ``points_b`` are ``(2, V)`` vertex tables (rows
+    ``x, y``, one column per vertex).  Pair ``k`` crosses columns
+    ``start_a[k]:start_a[k] + count_a[k]`` of ``points_a`` with the
+    matching run of ``points_b`` under the plain squared distance.
+    Returns ``(i, j)``: vertex ``start_a[k] + i[k]`` of A and
+    ``start_b[k] + j[k]`` of B are a closest pair (the first in
+    cross-product order on ties).
+    """
+    best = np.full(len(start_a), np.inf)
+    where = np.zeros(len(start_a), dtype=np.int64)
+    ax, ay = points_a
+    bx, by = points_b
+    for p0, p1, starts, pair, local in _chunks(count_a * count_b):
+        row_a, row_b = np.divmod(local, count_b[pair])
+        row_a += start_a[pair]
+        row_b += start_b[pair]
+        dx = ax[row_a] - bx[row_b]
+        dy = ay[row_a] - by[row_b]
+        dist = dx * dx + dy * dy
+        low = np.minimum.reduceat(dist, starts)
+        hits = np.flatnonzero(dist == low[pair - p0])
+        # Every pair of the chunk attains its minimum: keep its first hit.
+        first = hits[np.diff(pair[hits], prepend=-1) != 0]
+        better = low < best[p0:p1]
+        best[p0:p1][better] = low[better]
+        where[p0:p1][better] = local[first][better]
+    return np.divmod(where, count_b)
+
+
+def vertex_segments(kinds, count, local):
+    """Run offset of a segment with vertex ``local`` as an endpoint.
+
+    For objects of ``kinds`` with ``count`` vertices, in
+    :func:`segment_table` order: a polygon's or linestring's segment
+    ``i`` starts at vertex ``i``, except that a linestring's last vertex
+    only ends segment ``count - 2``; a point is its one segment; a box's
+    ``lo`` starts side 0 and its ``hi`` starts side 2.
+    """
+    line = kinds == KIND_CODES["linestring"]
+    return np.where(
+        kinds == KIND_CODES["box"],
+        2 * local,
+        np.where(line, np.minimum(local, count - 2), local),
+    )
+
+
+def segment_pairs_sq(segs_a, cols_a, segs_b, cols_b):
+    """Squared distance of segment ``cols_a[k]`` to segment ``cols_b[k]``.
+
+    The same floats :func:`min_cross_sq` computes for these segment
+    pairs.
+    """
+    return _segment_distance_sq(
+        *(column[cols_a] for column in segs_a),
+        *(column[cols_b] for column in segs_b),
+    )
 
 
 def polygons_contain(segs, start, count, points):

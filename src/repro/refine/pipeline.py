@@ -16,7 +16,10 @@ distance is within epsilon.  Per candidate pair, in order:
    ``gap(int_a, int_b)^2 <= eps^2`` proves the pair within epsilon
    without an exact test.  Counted in ``true_hits``.
 3. **Exact test** — the segment-cross minimum distance plus containment
-   checks for filled shapes.  Counted in ``exact_tests``.
+   checks for filled shapes.  Counted in ``exact_tests``.  The columnar
+   backend first tries a witness (:func:`witness_sq`): one segment pair
+   of the cross product, so a witness within epsilon keeps the pair with
+   the reference decision, and only the rest pay for the full pass.
 
 The accounting identity ``true_hits + exact_tests == candidate_pairs -
 false_hit_prunes`` holds by construction and is pinned by the parity
@@ -32,14 +35,24 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.datasets.base import Dataset
 from repro.geometry.columnar import resolve_backend
 from repro.geometry.mbr import check_epsilon
-from repro.geometry.shapes import KIND_CODES, box_gap_sq, shape_distance_sq
+from repro.geometry.shapes import (
+    KIND_CODES,
+    KIND_NAMES,
+    Shape,
+    box_gap_sq,
+    shape_distance_sq,
+)
 from repro.geometry.vertex_table import VertexTable, shape_of
+from repro.joins.base import PairArrays
 from repro.refine import kernels
 from repro.stats.counters import JoinStatistics
 
-__all__ = ["RefinePipeline", "MissingShapesError"]
+__all__ = [
+    "MissingShapesError", "OidRows", "RefinePipeline", "RefineView", "witness_sq",
+]
 
 
 class MissingShapesError(ValueError):
@@ -54,50 +67,109 @@ class MissingShapesError(ValueError):
         )
 
 
-class _Side:
-    """Per-side refinement view: shapes plus row-indexed columnar tables.
+class OidRows:
+    """Candidate oids to rows of one side, which must not repeat an oid.
 
-    The columnar tables come straight from one
-    :class:`~repro.geometry.vertex_table.VertexTable` per ``refine()``
-    call: MBRs by CSR reduction, 2-D boundaries as a flat segment table.
-    Interior rectangles are cached on the shapes, so they are read per
-    shape.
+    A sorted-oid lookup, or the identity when the oids are ``0..n-1``
+    in row order.  ``where`` names the side's objects in errors.
+    """
+
+    __slots__ = ("where", "_order", "_sorted")
+
+    def __init__(self, ids, where: str):
+        self.where = where
+        self._order = None
+        self._sorted = ids
+        if not np.array_equal(ids, np.arange(len(ids))):
+            self._order = np.argsort(ids, kind="stable")
+            self._sorted = ids[self._order]
+        repeated = np.flatnonzero(self._sorted[1:] == self._sorted[:-1])
+        if len(repeated):
+            raise ValueError(
+                f"duplicate oid {int(self._sorted[repeated[0]])} in {where}: "
+                "refine needs one object per oid"
+            )
+
+    def rows(self, oids, side: str):
+        """The rows of ``oids``; an unknown oid raises naming it."""
+        n = len(self._sorted)
+        if self._order is None:
+            missing = (oids < 0) | (oids >= n)
+        elif n:
+            pos = np.minimum(np.searchsorted(self._sorted, oids), n - 1)
+            missing = self._sorted[pos] != oids
+        else:
+            missing = np.ones(len(oids), dtype=bool)
+        if missing.any():
+            raise ValueError(
+                f"candidate oid {int(oids[np.argmax(missing)])} is not an "
+                f"object of side {side} ({self.where})"
+            )
+        return oids if self._order is None else self._order[pos]
+
+
+def _object_rows(objects, name: str | None = None) -> OidRows:
+    """The :class:`OidRows` of an object sequence (``name``: its dataset)."""
+    ids = np.fromiter((obj.oid for obj in objects), dtype=np.int64, count=len(objects))
+    return OidRows(ids, f"dataset {name!r}" if name else "the object list")
+
+
+class RefineView:
+    """One side of a refine: row-indexed columns over its exact shapes.
+
+    Built from spatial objects: their shapes, else solid boxes over
+    ``obj.mbr``.  Holds the side's
+    :class:`~repro.geometry.vertex_table.VertexTable`, MBR and
+    interior-rectangle columns (NaN rows: no interior), for 2-D sides
+    the ``(2, V)`` vertex and ``(4, S)`` segment tables with CSR
+    offsets, and the :class:`OidRows` lookup.  A
+    :class:`~repro.datasets.base.Dataset` builds its view once and
+    caches it (:meth:`~repro.datasets.base.Dataset.refine_view`); plain
+    object lists get a fresh one per refine call.
     """
 
     __slots__ = (
-        "shapes", "index", "dim", "table", "mbr_lo", "mbr_hi",
-        "int_lo", "int_hi", "segs", "seg_offsets",
+        "has_shapes", "oid_rows", "table", "dim", "mbr_lo", "mbr_hi",
+        "int_lo", "int_hi", "points", "segs", "seg_offsets",
     )
 
-    def __init__(self, objects: Sequence, columnar: bool):
-        self.shapes = [shape_of(obj) for obj in objects]
-        self.index = {obj.oid: i for i, obj in enumerate(objects)}
-        self.dim = self.shapes[0].dim if self.shapes else 0
-        if not (columnar and self.shapes):
-            return
-        for obj, shape in zip(objects, self.shapes):
+    def __init__(self, objects: Sequence, name: str | None = None):
+        shapes = [shape_of(obj) for obj in objects]
+        self.has_shapes = any(isinstance(obj.geometry, Shape) for obj in objects)
+        self.oid_rows = _object_rows(objects, name)
+        self.dim = shapes[0].dim if shapes else 2
+        for obj, shape in zip(objects, shapes):
             if shape.dim != self.dim:
                 raise ValueError(
                     f"dimensionality mismatch: object #{obj.oid} is "
                     f"{shape.dim}-D, object #{objects[0].oid} on the same "
                     f"side is {self.dim}-D"
                 )
-        table = VertexTable.from_shapes(self.shapes, range(len(self.shapes)))
+        table = VertexTable.from_shapes(shapes, [obj.oid for obj in objects])
         self.table = table
-        starts = table.offsets[:-1]
-        self.mbr_lo = np.minimum.reduceat(table.vertices, starts, axis=0)
-        self.mbr_hi = np.maximum.reduceat(table.vertices, starts, axis=0)
+        self.mbr_lo = self.mbr_hi = np.empty((0, self.dim))
+        if shapes:
+            starts = table.offsets[:-1]
+            self.mbr_lo = np.minimum.reduceat(table.vertices, starts, axis=0)
+            self.mbr_hi = np.maximum.reduceat(table.vertices, starts, axis=0)
         self.int_lo = np.full_like(self.mbr_lo, np.nan)
         self.int_hi = np.full_like(self.mbr_hi, np.nan)
-        for i, shape in enumerate(self.shapes):
+        for i, shape in enumerate(shapes):
             interior = shape.interior_rectangle()
             if interior is not None:
                 self.int_lo[i] = interior.lo
                 self.int_hi[i] = interior.hi
+        self.points = self.segs = self.seg_offsets = None
         if self.dim == 2:
+            self.points = np.ascontiguousarray(table.vertices.T)
             self.segs, self.seg_offsets = kernels.segment_table(
                 table.vertices, table.offsets, table.kinds
             )
+
+    def vertex_runs(self, rows):
+        """``(start, count)`` of each row's run in the vertex buffer."""
+        start = self.table.offsets[rows]
+        return start, self.table.offsets[rows + 1] - start
 
     def seg_runs(self, rows):
         """``(start, count)`` of each row's run in the segment table."""
@@ -124,6 +196,37 @@ class _Side:
         return self.table.vertices[self.table.offsets[rows]]
 
 
+def witness_sq(view_a, rows_a, view_b, rows_b):
+    """Per 2-D pair, the witness float of its closest vertex pair.
+
+    The squared distance, as :func:`kernels.min_cross_sq` computes it,
+    between one segment touching each vertex of the pair's closest
+    vertex pair.  Those two segments are in the pair's segment cross
+    product, so the witness is one of the floats the reference minimum
+    is taken over: never below it, and ``witness <= eps^2`` decides
+    "within" exactly as the full pass would.
+    """
+    start_a, count_a = view_a.vertex_runs(rows_a)
+    start_b, count_b = view_b.vertex_runs(rows_b)
+    local_a, local_b = kernels.closest_vertices(
+        view_a.points, start_a, count_a, view_b.points, start_b, count_b
+    )
+    cols_a = view_a.seg_offsets[rows_a] + kernels.vertex_segments(
+        view_a.table.kinds[rows_a], count_a, local_a
+    )
+    cols_b = view_b.seg_offsets[rows_b] + kernels.vertex_segments(
+        view_b.table.kinds[rows_b], count_b, local_b
+    )
+    return kernels.segment_pairs_sq(view_a.segs, cols_a, view_b.segs, cols_b)
+
+
+def _view(side) -> RefineView:
+    """A dataset's cached view, or a fresh one over an object list."""
+    if isinstance(side, Dataset):
+        return side.refine_view()
+    return RefineView(side)
+
+
 class RefinePipeline:
     """Exact refinement of candidate pairs at a fixed epsilon.
 
@@ -145,46 +248,62 @@ class RefinePipeline:
 
     def refine(
         self,
-        pairs: Sequence[tuple[int, int]],
+        pairs: "Sequence[tuple[int, int]] | PairArrays",
         objects_a: Sequence,
         objects_b: Sequence,
         stats: JoinStatistics | None = None,
-    ) -> list[tuple[int, int]]:
+    ) -> "list[tuple[int, int]] | PairArrays":
         """Filter candidate pairs down to exact matches, in candidate order.
 
-        ``objects_a`` / ``objects_b`` must expose **original** (never
-        epsilon-inflated) extents: either objects carrying
+        ``pairs`` are ``(oid_a, oid_b)`` tuples or a
+        :class:`~repro.joins.base.PairArrays`; the kept pairs come back
+        in the same form.  ``objects_a`` / ``objects_b`` must expose
+        **original** (never epsilon-inflated) extents: objects carrying
         :class:`~repro.geometry.shapes.Shape` geometry, or plain MBR
-        objects which refine as solid boxes over ``obj.mbr``.
+        objects which refine as solid boxes over ``obj.mbr``.  A
+        :class:`~repro.datasets.base.Dataset` side refines against its
+        cached :class:`RefineView`, so repeat refines rebuild nothing.
+        A candidate oid missing from its side, or a side holding an oid
+        twice, raises :class:`ValueError` naming the oid.
         """
         if stats is None:
             stats = JoinStatistics()
-        stats.candidate_pairs += len(pairs)
-        if not pairs:
-            return []
-        columnar = self.backend == "columnar"
-        side_a = _Side(objects_a, columnar)
-        side_b = _Side(objects_b, columnar)
-        if columnar:
-            kept = self._refine_columnar(pairs, side_a, side_b, stats)
+        arrays = isinstance(pairs, PairArrays)
+        count = len(pairs.a) if arrays else len(pairs)
+        stats.candidate_pairs += count
+        if not count:
+            return PairArrays.empty() if arrays else []
+        oids = pairs if arrays else PairArrays.from_pairs(pairs)
+        if self.backend == "columnar":
+            keep = self._keep_columnar(
+                oids, _view(objects_a), _view(objects_b), stats
+            )
         else:
-            kept = self._refine_object(pairs, side_a, side_b, stats)
-        stats.refined_pairs += len(kept)
-        return kept
+            keep = np.fromiter(
+                self._keep_object(oids, objects_a, objects_b, stats),
+                dtype=bool, count=count,
+            )
+        stats.refined_pairs += int(keep.sum())
+        if arrays:
+            return PairArrays(pairs.a[keep], pairs.b[keep])
+        return list(compress(pairs, keep.tolist()))
 
-    # -- object backend -------------------------------------------------
-    def _refine_object(self, pairs, side_a, side_b, stats):
+    # -- object backend (the reference) ---------------------------------
+    def _keep_object(self, oids, objects_a, objects_b, stats):
+        """Per candidate, in order, whether it is within epsilon."""
         eps_sq = self.epsilon * self.epsilon
-        kept = []
-        for pair in pairs:
-            i = side_a.index[pair[0]]
-            j = side_b.index[pair[1]]
-            sa = side_a.shapes[i]
-            sb = side_b.shapes[j]
+        rows_a = _object_rows(objects_a).rows(oids.a, "A")
+        rows_b = _object_rows(objects_b).rows(oids.b, "B")
+        shapes_a = [shape_of(obj) for obj in objects_a]
+        shapes_b = [shape_of(obj) for obj in objects_b]
+        for i, j in zip(rows_a.tolist(), rows_b.tolist()):
+            sa = shapes_a[i]
+            sb = shapes_b[j]
             box_a = sa.mbr()
             box_b = sb.mbr()
             if box_gap_sq(box_a.lo, box_a.hi, box_b.lo, box_b.hi) > eps_sq:
                 stats.false_hit_prunes += 1
+                yield False
                 continue
             int_a = sa.interior_rectangle()
             int_b = sb.interior_rectangle()
@@ -194,40 +313,35 @@ class RefinePipeline:
                 and box_gap_sq(int_a.lo, int_a.hi, int_b.lo, int_b.hi) <= eps_sq
             ):
                 stats.true_hits += 1
-                kept.append(pair)
+                yield True
                 continue
             stats.exact_tests += 1
-            if shape_distance_sq(sa, sb) <= eps_sq:
-                kept.append(pair)
-        return kept
+            yield shape_distance_sq(sa, sb) <= eps_sq
 
     # -- columnar backend -----------------------------------------------
-    def _refine_columnar(self, pairs, side_a, side_b, stats):
+    def _keep_columnar(self, oids, view_a, view_b, stats):
+        """Candidate mask over row arrays: prune, true hits, exact tests."""
         eps_sq = self.epsilon * self.epsilon
-        rows_a = np.fromiter(
-            (side_a.index[p[0]] for p in pairs), dtype=np.int64, count=len(pairs)
-        )
-        rows_b = np.fromiter(
-            (side_b.index[p[1]] for p in pairs), dtype=np.int64, count=len(pairs)
-        )
-        if side_a.dim != side_b.dim:
+        rows_a = view_a.oid_rows.rows(oids.a, "A")
+        rows_b = view_b.oid_rows.rows(oids.b, "B")
+        if view_a.dim != view_b.dim:
             raise ValueError(
-                f"dimensionality mismatch: object #{pairs[0][0]} is "
-                f"{side_a.dim}-D, object #{pairs[0][1]} is {side_b.dim}-D"
+                f"dimensionality mismatch: object #{int(oids.a[0])} is "
+                f"{view_a.dim}-D, object #{int(oids.b[0])} is {view_b.dim}-D"
             )
         mbr_gap = kernels.box_gap_sq_batch(
-            side_a.mbr_lo[rows_a],
-            side_a.mbr_hi[rows_a],
-            side_b.mbr_lo[rows_b],
-            side_b.mbr_hi[rows_b],
+            view_a.mbr_lo[rows_a],
+            view_a.mbr_hi[rows_a],
+            view_b.mbr_lo[rows_b],
+            view_b.mbr_hi[rows_b],
         )
         alive = mbr_gap <= eps_sq
-        stats.false_hit_prunes += int(len(pairs) - int(alive.sum()))
+        stats.false_hit_prunes += int(len(rows_a) - int(alive.sum()))
         int_gap = kernels.box_gap_sq_batch(
-            side_a.int_lo[rows_a],
-            side_a.int_hi[rows_a],
-            side_b.int_lo[rows_b],
-            side_b.int_hi[rows_b],
+            view_a.int_lo[rows_a],
+            view_a.int_hi[rows_a],
+            view_b.int_lo[rows_b],
+            view_b.int_hi[rows_b],
         )
         keep = alive & (int_gap <= eps_sq)
         stats.true_hits += int(keep.sum())
@@ -235,33 +349,43 @@ class RefinePipeline:
         stats.exact_tests += len(exact)
         if len(exact):
             keep[exact] = self._exact_within(
-                side_a, rows_a[exact], side_b, rows_b[exact], eps_sq
+                view_a, rows_a[exact], view_b, rows_b[exact], eps_sq
             )
-        return list(compress(pairs, keep.tolist()))
+        return keep
 
     @staticmethod
-    def _exact_within(side_a, rows_a, side_b, rows_b, eps_sq):
-        """Exact tests of indeterminate pairs: segment pass, then containment.
+    def _exact_within(view_a, rows_a, view_b, rows_b, eps_sq):
+        """Exact tests of indeterminate pairs: witness, segment pass,
+        containment.
 
-        Box/point pairs never get here: their interior rectangle is the
-        whole shape, so the true-hit screen decides them.
+        The witness (:func:`witness_sq`) keeps most pairs that are
+        within; only the rest run the full segment cross product and
+        then, still apart, the containment test.  Box/point pairs never
+        get here: their interior rectangle is the whole shape, so the
+        true-hit screen decides them.
         """
-        if side_a.dim != 2:
-            sa = side_a.shapes[rows_a[0]]
-            sb = side_b.shapes[rows_b[0]]
+        if view_a.dim != 2:
+            kind_a = KIND_NAMES[int(view_a.table.kinds[rows_a[0]])]
+            kind_b = KIND_NAMES[int(view_b.table.kinds[rows_b[0]])]
             raise ValueError(
-                f"exact {sa.kind}/{sb.kind} distance requires 2-D shapes, "
-                f"got {sa.dim}-D"
+                f"exact {kind_a}/{kind_b} distance requires 2-D shapes, "
+                f"got {view_a.dim}-D"
             )
+        within = witness_sq(view_a, rows_a, view_b, rows_b) <= eps_sq
+        open_ = np.flatnonzero(~within)
+        if not len(open_):
+            return within
+        ra, rb = rows_a[open_], rows_b[open_]
         best = kernels.min_cross_sq(
-            side_a.segs, *side_a.seg_runs(rows_a),
-            side_b.segs, *side_b.seg_runs(rows_b),
+            view_a.segs, *view_a.seg_runs(ra),
+            view_b.segs, *view_b.seg_runs(rb),
         )
-        within = best <= eps_sq
+        near = best <= eps_sq
         # Boundaries apart: a filled shape may still swallow the other whole.
-        apart = np.flatnonzero(~within)
+        apart = np.flatnonzero(~near)
         if len(apart):
-            ra, rb = rows_a[apart], rows_b[apart]
-            within[apart] = side_a.contain(ra, side_b.first_vertices(rb))
-            within[apart] |= side_b.contain(rb, side_a.first_vertices(ra))
+            ra, rb = ra[apart], rb[apart]
+            near[apart] = view_a.contain(ra, view_b.first_vertices(rb))
+            near[apart] |= view_b.contain(rb, view_a.first_vertices(ra))
+        within[open_] = near
         return within

@@ -7,6 +7,7 @@ the brute-force exact-predicate oracle, and the refine counters satisfy
 ``true_hits + exact_tests == candidate_pairs - false_hit_prunes``.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,25 +27,26 @@ from repro.validation import brute_force_exact_pairs, brute_force_pairs
 EPSILON = 3.0
 
 
-def dense_pairs():
-    """Crowded polygon/polygon and polygon/linestring inputs.
+def dense_datasets():
+    """Crowded polygon/polygon and polygon/linestring datasets.
 
     The shapes sit in a 40-unit square (spread over the paper's
     1000-unit universe, 100 shapes yield no candidates at all), so true
     hits, exact tests and containment all run.
     """
-    polys = list(
-        clustered_polygons(
-            40, space=40.0, n_clusters=4, radius_range=(0.5, 4.0), seed=21
-        )
+    polys = clustered_polygons(
+        40, space=40.0, n_clusters=4, radius_range=(0.5, 4.0), seed=21
     )
-    others = list(
-        clustered_polygons(
-            50, space=40.0, n_clusters=4, radius_range=(0.5, 4.0), seed=23
-        )
+    others = clustered_polygons(
+        50, space=40.0, n_clusters=4, radius_range=(0.5, 4.0), seed=23
     )
-    lines = list(clustered_linestrings(60, space=40.0, n_clusters=4, seed=22))
+    lines = clustered_linestrings(60, space=40.0, n_clusters=4, seed=22)
     return [(polys, others), (polys, lines)]
+
+
+def dense_pairs():
+    """:func:`dense_datasets` as object lists."""
+    return [(list(a), list(b)) for a, b in dense_datasets()]
 
 
 def refine_counters(stats):
@@ -572,3 +574,224 @@ class TestCliExitCodes:
         assert main(["run", "filter_refine", "--scale", "smoke"]) == 0
         out = capsys.readouterr().out
         assert "filter" in out.lower()
+
+
+class TestUnknownAndDuplicateOids:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unknown_oid_names_oid_and_side(self, backend):
+        objs = [shaped(Polygon([(0, 0), (2, 0), (0, 2)], oid=0), 0)]
+        pipeline = RefinePipeline(1.0, backend=backend)
+        with pytest.raises(ValueError, match="oid 7 .*side B"):
+            pipeline.refine([(0, 7)], objs, objs)
+        with pytest.raises(ValueError, match="oid 7 .*side A"):
+            pipeline.refine([(7, 0)], objs, objs)
+
+    def test_unknown_oid_names_the_dataset(self):
+        from repro.joins.base import PairArrays
+
+        polys, lines = dense_datasets()[1]
+        pairs = PairArrays(np.array([0]), np.array([len(lines) + 5]))
+        with pytest.raises(ValueError, match=f"oid {len(lines) + 5} .*side B.*{lines.name}"):
+            RefinePipeline(1.0, backend="columnar").refine(pairs, polys, lines)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_duplicate_oid_is_rejected(self, backend):
+        # The first oid-0 box contains the probe point; refining against
+        # the last one silently dropped the pair.
+        boxes = [mbr_only((0, 0), (4, 4)), mbr_only((50, 50), (51, 51))]
+        probe = [shaped(Point([(1.0, 1.0)], oid=0), 0)]
+        with pytest.raises(ValueError, match="duplicate oid 0"):
+            RefinePipeline(0.5, backend=backend).refine([(0, 0)], boxes, probe)
+
+    def test_duplicate_oid_in_a_dataset_names_it(self):
+        from repro.datasets.base import Dataset
+
+        boxes = Dataset(
+            [mbr_only((0, 0), (4, 4)), mbr_only((50, 50), (51, 51))], name="twins"
+        )
+        with pytest.raises(ValueError, match="duplicate oid 0 in dataset 'twins'"):
+            boxes.refine_view()
+
+
+def witness_and_reference(shapes_a, shapes_b):
+    """Every pair's witness float and ``min_cross_sq`` minimum."""
+    from repro.refine import kernels
+    from repro.refine.pipeline import RefineView, witness_sq
+
+    view_a = RefineView([shaped(shape, i) for i, shape in enumerate(shapes_a)])
+    view_b = RefineView([shaped(shape, i) for i, shape in enumerate(shapes_b)])
+    rows_a, rows_b = np.divmod(
+        np.arange(len(shapes_a) * len(shapes_b)), len(shapes_b)
+    )
+    witness = witness_sq(view_a, rows_a, view_b, rows_b)
+    best = kernels.min_cross_sq(
+        view_a.segs, *view_a.seg_runs(rows_a), view_b.segs, *view_b.seg_runs(rows_b)
+    )
+    return rows_a, rows_b, witness, best
+
+
+def random_shapes(seed, n=40, lattice=False):
+    """Polygons, linestrings and points around a 12-unit square."""
+    import random
+
+    rng = random.Random(seed)
+
+    def coord():
+        return rng.randrange(0, 25) / 2 if lattice else rng.uniform(0.0, 12.0)
+
+    shapes = []
+    for oid in range(n):
+        kind = oid % 3
+        if kind == 0:
+            shapes.append(Point([(coord(), coord())], oid=oid))
+            continue
+        cx, cy = coord(), coord()
+        if kind == 1:
+            steps = [(cx, cy)]
+            for _ in range(rng.randrange(1, 5)):
+                steps.append((steps[-1][0] + rng.choice((-1, 1)) * rng.randrange(1, 3),
+                               steps[-1][1] + rng.choice((-1, 0, 1))))
+            shapes.append(LineString(steps, oid=oid))
+        else:
+            w, h = rng.randrange(1, 4), rng.randrange(1, 4)
+            ring = [(cx, cy), (cx + w, cy), (cx + w, cy + h), (cx - 0.5, cy + h)]
+            shapes.append(Polygon(ring[: rng.choice((3, 4))], oid=oid))
+    return shapes
+
+
+class TestWitnessPass:
+    """The witness float is one of the pair's segment floats, so it is
+    never below ``min_cross_sq``: accepting on it cannot change a
+    decision."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    @pytest.mark.parametrize("seed,lattice", [(0, False), (1, False), (2, True)])
+    def test_witness_is_a_segment_float_of_the_pair(
+        self, monkeypatch, chunk, seed, lattice
+    ):
+        from repro.geometry.shapes import segment_distance_sq
+        from repro.refine import kernels
+
+        if chunk is not None:
+            monkeypatch.setattr(kernels, "CHUNK_SEGMENT_PAIRS", chunk)
+        shapes = random_shapes(seed, lattice=lattice)
+        rows_a, rows_b, witness, best = witness_and_reference(shapes, shapes)
+        assert (witness >= best).all()
+        for k, (i, j) in enumerate(zip(rows_a.tolist(), rows_b.tolist())):
+            floats = {
+                segment_distance_sq(*sa, *sb)
+                for sa in shapes[i].segments()
+                for sb in shapes[j].segments()
+            }
+            assert witness[k] in floats
+
+    def test_linestring_tail_witness_stays_on_its_own_object(self):
+        # The line's last vertex, heading no segment, is the one closest
+        # to the probe; the next object in the table sits on the probe.
+        line = LineString([(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)], oid=0)
+        decoy = Point([(6.0, 4.0)], oid=1)
+        probe = [Point([(6.0, 4.0)], oid=0)]
+        _, _, witness, best = witness_and_reference([line, decoy], probe)
+        assert witness.tolist() == [16.0, 0.0]
+        assert best.tolist() == [16.0, 0.0]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_vertex_distance_exactly_epsilon_is_kept(self, backend):
+        # Vertices (1, 0) and (4, 4) are exactly 5 apart; the segments
+        # only get closer at those endpoints.
+        line = shaped(LineString([(-2.0, 0.0), (1.0, 0.0)], oid=0), 0)
+        tri = shaped(Polygon([(4.0, 4.0), (8.0, 4.0), (8.0, 8.0)], oid=0), 0)
+        stats = JoinStatistics()
+        kept = RefinePipeline(5.0, backend=backend).refine(
+            [(0, 0)], [line], [tri], stats=stats
+        )
+        assert kept == [(0, 0)] and stats.exact_tests == 1
+        _, _, witness, best = witness_and_reference([line.geometry], [tri.geometry])
+        assert witness.tolist() == best.tolist() == [25.0]
+        assert RefinePipeline(4.999, backend=backend).refine(
+            [(0, 0)], [line], [tri]
+        ) == []
+
+    def test_witness_at_exactly_epsilon_skips_the_segment_pass(self, monkeypatch):
+        from repro.refine import kernels
+
+        calls = []
+        monkeypatch.setattr(
+            kernels, "min_cross_sq",
+            lambda *args, real=kernels.min_cross_sq: calls.append(len(args[1]))
+            or real(*args),
+        )
+        line = shaped(LineString([(-2.0, 0.0), (1.0, 0.0)], oid=0), 0)
+        tri = shaped(Polygon([(4.0, 4.0), (8.0, 4.0), (8.0, 8.0)], oid=0), 0)
+        assert RefinePipeline(5.0, backend="columnar").refine(
+            [(0, 0)], [line], [tri]
+        ) == [(0, 0)]
+        assert calls == []
+
+    def test_witness_settles_most_within_pairs(self):
+        from repro.refine import kernels
+        from repro.refine.pipeline import witness_sq
+
+        polys, others = dense_datasets()[0]
+        view_a, view_b = polys.refine_view(), others.refine_view()
+        rows_a, rows_b = np.divmod(np.arange(len(polys) * len(others)), len(others))
+        best = kernels.min_cross_sq(
+            view_a.segs, *view_a.seg_runs(rows_a), view_b.segs, *view_b.seg_runs(rows_b)
+        )
+        witness = witness_sq(view_a, rows_a, view_b, rows_b)
+        within = best <= EPSILON * EPSILON
+        assert within.sum() > 50
+        assert (witness[within] <= EPSILON * EPSILON).mean() > 0.9
+
+
+class TestRefineViews:
+    @pytest.mark.parametrize("algorithm", [info.name for info in available()])
+    def test_view_refine_equals_object_backend(self, algorithm):
+        # Candidates refined as row arrays against the datasets' views
+        # equal the object reference on the tuple list, in candidate
+        # order and counter for counter.
+        from repro.datasets.transform import inflate
+        from repro.joins.base import PairArrays
+
+        for dataset_a, dataset_b in dense_datasets():
+            candidates = make_algorithm(algorithm).join(
+                inflate(dataset_a, EPSILON), dataset_b
+            ).pairs
+            view_stats, object_stats = JoinStatistics(), JoinStatistics()
+            kept = RefinePipeline(EPSILON, backend="columnar").refine(
+                PairArrays.from_pairs(candidates), dataset_a, dataset_b,
+                stats=view_stats,
+            )
+            reference = RefinePipeline(EPSILON, backend="object").refine(
+                candidates, list(dataset_a), list(dataset_b), stats=object_stats
+            )
+            assert isinstance(kept, PairArrays)
+            assert list(zip(kept.a.tolist(), kept.b.tolist())) == reference
+            assert view_stats.exact_tests > 0
+            assert refine_counters(view_stats) == refine_counters(object_stats)
+
+    def test_second_exact_run_rebuilds_nothing(self, monkeypatch):
+        from repro.geometry.shapes import Shape
+        from repro.geometry.vertex_table import VertexTable
+
+        polys = clustered_polygons(60, space=60.0, n_clusters=3, seed=51)
+        others = clustered_polygons(80, space=60.0, n_clusters=3, seed=52)
+        first = run_algorithm("TOUCH", polys, others, EPSILON, options=EXACT)
+        built = {"VertexTable": 0, "SpatialObject": 0, "interior": 0}
+
+        def counting(cls, name, method):
+            def wrapper(*args, **kwargs):
+                built[name] += 1
+                return method(*args, **kwargs)
+
+            monkeypatch.setattr(cls, method.__name__, wrapper)
+
+        counting(VertexTable, "VertexTable", VertexTable.__init__)
+        counting(SpatialObject, "SpatialObject", SpatialObject.__init__)
+        counting(Shape, "interior", Shape.interior_rectangle)
+        second = run_algorithm("TOUCH", polys, others, EPSILON, options=EXACT)
+        assert built == {"VertexTable": 0, "SpatialObject": 0, "interior": 0}
+        assert second.extra["exact_tests"] > 0
+        for key in ("candidate_pairs", "false_hit_prunes", "true_hits",
+                    "exact_tests", "refined_pairs"):
+            assert second.extra[key] == first.extra[key]

@@ -141,6 +141,9 @@ class TestDatasetShapes:
         table = shaped.vertex_table()
         assert len(table) == 1
         assert table.shape_at(0).vertices == square.vertices
+        # Both read the dataset's cached refine view.
+        assert shaped.vertex_table() is table
+        assert shaped.refine_view().table is table
 
     def test_synthetic_shape_workloads_carry_shapes(self):
         from repro.datasets.synthetic import clustered_linestrings, clustered_polygons
