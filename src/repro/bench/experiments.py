@@ -924,7 +924,7 @@ def experiment_filter_refine(scale: Scale, options: RunOptions) -> ExperimentRes
             refine_start = time.perf_counter()
             refined = RefinePipeline(
                 epsilon, backend=options.backend or "auto"
-            ).refine(exact.pairs, build, probe, stats=stats)
+            ).refine(exact.pairs, build, dataset_b, stats=stats)
             refine_seconds = time.perf_counter() - refine_start
             refined_set = set(refined)
             if refined_set != oracle:

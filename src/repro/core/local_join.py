@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.tree import TouchNode, TouchTree
+from repro.core.tree import TouchTree
 from repro.geometry.columnar import CoordinateTable
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair, PairArrays
@@ -31,7 +31,7 @@ __all__ = [
     "join_assigned_nodes",
     "join_assigned_nodes_columnar",
     "probe_assigned_nodes_columnar",
-    "flatten_hierarchy",
+    "leaf_order_table",
 ]
 
 
@@ -166,7 +166,7 @@ def probe_assigned_nodes_columnar(
     *every* overlapping child (a range descent, not the single-path
     assignment walk) down to the leaves, whose contiguous A rows it is
     tested against.  All rows descend together, one level per numpy
-    pass over the flattened hierarchy
+    pass over the flat hierarchy
     (:func:`~repro.geometry.hierarchy.descend_hierarchy`).  Leaves
     partition A, so the result is duplicate-free without any ownership
     tests; the pair set equals the one-shot join's while the work per
@@ -180,73 +180,12 @@ def probe_assigned_nodes_columnar(
     return list(zip(table_a.ids[hit_a].tolist(), table_b.ids[hit_b].tolist()))
 
 
-def flatten_hierarchy(
-    tree: TouchTree,
-    leaf_slices: "dict[TouchNode, tuple[int, int]]",
-) -> FlatHierarchy:
-    """Lower the TOUCH tree to flat arrays for the range descent.
-
-    Nodes are numbered in the same traversal order that built
-    ``leaf_slices`` (``tree.leaves()`` filters ``iter_nodes()``), so
-    every subtree's A rows form one contiguous ``[sub_start, sub_stop)``
-    range.  The ranges are built bottom-up one tree level per numpy
-    pass.
-    """
-    nodes = list(tree.iter_nodes())
-    count = len(nodes)
-    index = {node: position for position, node in enumerate(nodes)}
-    corners = CoordinateTable.from_mbrs([node.mbr for node in nodes])
-    level = np.fromiter((node.level for node in nodes), np.int64, count)
-    fan = np.fromiter((len(node.children) for node in nodes), np.int64, count)
-    children_ptr = np.concatenate(([0], np.cumsum(fan)))
-    children_idx = np.fromiter(
-        (index[child] for node in nodes for child in node.children),
-        np.int64,
-        int(children_ptr[-1]),
-    )
-    leaves = np.flatnonzero(level == 0)
-    spans = np.fromiter(
-        (row for i in leaves.tolist() for row in leaf_slices[nodes[i]]),
-        np.int64,
-        2 * len(leaves),
-    )
-    sub_start = np.zeros(count, dtype=np.int64)
-    sub_stop = np.zeros(count, dtype=np.int64)
-    sub_start[leaves], sub_stop[leaves] = spans[0::2], spans[1::2]
-    # Internal nodes in pre-order own consecutive, non-empty runs of
-    # children_idx, so one reduceat per level aggregates all of them;
-    # each pass settles the level whose children the earlier passes did.
-    inner = np.flatnonzero(fan)
-    runs = children_ptr[inner]
-    for step in range(1, int(level.max()) + 1):
-        at = level[inner] == step
-        settle = inner[at]
-        sub_start[settle] = np.minimum.reduceat(sub_start[children_idx], runs)[at]
-        sub_stop[settle] = np.maximum.reduceat(sub_stop[children_idx], runs)[at]
-    if len(inner) and not np.array_equal(
-        np.add.reduceat((sub_stop - sub_start)[children_idx], runs),
-        (sub_stop - sub_start)[inner],
-    ):  # pragma: no cover - traversal-order regression guard
-        raise AssertionError(
-            "subtree rows are not contiguous in leaf order; "
-            "flatten_hierarchy must use the leaf_order_table traversal"
-        )
-    return FlatHierarchy(
-        np.ascontiguousarray(corners.lo),
-        np.ascontiguousarray(corners.hi),
-        children_ptr,
-        children_idx,
-        sub_start,
-        sub_stop,
-        index,
-    )
-
-
 def leaf_order_table(tree: TouchTree):
-    """Dataset A as a coordinate table in leaf order, plus leaf slices.
+    """Dataset A as a coordinate table in leaf order, plus the flat tree.
 
-    The tree builds both once (:attr:`TouchTree.leaf_table`): every leaf
-    is a contiguous row range, so gathering the A objects under any node
-    is a concatenation of ranges rather than a scattered copy.
+    The tree builds both once (:attr:`TouchTree.leaf_table`,
+    :attr:`TouchTree.flat`): every subtree's A rows are the contiguous
+    range ``[sub_start, sub_stop)`` of the table, so gathering the A
+    objects under any node is a slice rather than a scattered copy.
     """
-    return tree.leaf_table, tree.leaf_slices
+    return tree.leaf_table, tree.flat

@@ -39,7 +39,6 @@ import time
 
 from repro.core.assignment import assign_dataset_b, assign_table_b, locate_node
 from repro.core.local_join import (
-    flatten_hierarchy,
     join_assigned_nodes,
     join_assigned_nodes_columnar,
     leaf_order_table,
@@ -167,6 +166,7 @@ class TouchJoin(SpatialJoinAlgorithm):
         # Phase 1: hierarchical data-oriented partitioning of A.
         build_start = time.perf_counter()
         tree = self._tree(objects_a)
+        tree.root  # the object phases walk the node view: build it here
         stats.build_seconds = time.perf_counter() - build_start
 
         # Phase 2: single-assignment of B into the tree, with filtering.
@@ -208,16 +208,16 @@ class TouchJoin(SpatialJoinAlgorithm):
             return PairArrays.empty()
         stats.extra["backend"] = "columnar"
 
-        # Phase 1: hierarchical data-oriented partitioning of A.
+        # Phase 1: hierarchical data-oriented partitioning of A, built
+        # as the flat hierarchy and A in leaf order.
         build_start = time.perf_counter()
         tree = self._tree(table_a)
+        leaf_table, flat = leaf_order_table(tree)
         stats.build_seconds = time.perf_counter() - build_start
 
         # Phase 2, batched: all of B descends the flat hierarchy level by
         # level.
         assign_start = time.perf_counter()
-        leaf_table, leaf_slices = leaf_order_table(tree)
-        flat = flatten_hierarchy(tree, leaf_slices)
         nodes, rows = assign_table_b(flat, table_b, stats)
         stats.assign_seconds = time.perf_counter() - assign_start
 
@@ -270,9 +270,9 @@ class TouchJoin(SpatialJoinAlgorithm):
     def _build(self, objects_a, stats):
         """Phase 1 once: the hierarchy over A, reused by every probe.
 
-        The columnar leaf-order table and the flattened hierarchy are
-        precomputed alongside the tree so warm probes skip straight to
-        assignment + range descent.
+        The tree carries the columnar leaf-order table and the flat
+        hierarchy, so warm probes skip straight to assignment + range
+        descent.
         """
         self._check_kernel()
         if not objects_a:
@@ -286,9 +286,9 @@ class TouchJoin(SpatialJoinAlgorithm):
         )
         payload = {"tree": tree, "backend": backend}
         if backend == "columnar":
-            table_a, leaf_slices = leaf_order_table(tree)
-            payload["table_a"] = table_a
-            payload["flat"] = flatten_hierarchy(tree, leaf_slices)
+            payload["table_a"], payload["flat"] = leaf_order_table(tree)
+        else:
+            tree.root  # the object probe walks the node view: build it here
         self.last_tree = tree
         return payload
 

@@ -8,17 +8,26 @@ them.  Unlike a disk R-Tree, the fanout and bucket size are free
 parameters — "we no longer have to align the data structures for the disk
 page size" (§4.1).
 
-Nodes carry two entity lists: leaf nodes of a tree built from objects
-hold their bucket of A objects (``entities_a``); any node may later
-receive B objects (``entities_b``) during the object-model assignment
-phase.
-
-The build runs on arrays: A arrives as a coordinate table (or is read
+The tree is arrays only.  A arrives as a coordinate table (or is read
 once into one), every STR level is one
 :func:`~repro.rtree.str_pack.str_order` call over a centers array, and
-bucket and node MBRs are ``np.minimum/maximum.reduceat`` reductions
-over the grouped rows.  The tree keeps A's table in leaf
-order (``leaf_table``, ``leaf_slices``) for the columnar phases.
+bucket and node MBRs are ``np.minimum/maximum.reduceat`` reductions over
+the grouped rows.  One pass over those levels lays the tree out as a
+:class:`~repro.geometry.hierarchy.FlatHierarchy` and A as a table in
+leaf order (``leaf_table``), which is all the columnar phases read.
+
+Numbering rule: flat node ``i`` is the ``i``-th node of the pre-order
+walk that pops a stack and pushes a node's children in order
+(:meth:`TouchNode.iter_subtree`), so a node's *last* child follows it
+directly.  Leaves take their A rows in that order too, so every
+subtree's rows form one contiguous ``[sub_start, sub_stop)`` range.
+
+:class:`TouchNode` objects exist only as the object backend's view: the
+first access to :attr:`TouchTree.root`, :meth:`~TouchTree.iter_nodes`,
+:meth:`~TouchTree.leaves` or :attr:`~TouchTree.leaf_slices` builds them
+from the arrays, with each leaf's bucket of objects (``entities_a``)
+when the tree was built from objects; the object-model assignment phase
+then attaches B objects (``entities_b``) to them.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.geometry.columnar import CoordinateTable
+from repro.geometry.hierarchy import FlatHierarchy
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
 from repro.rtree.str_pack import str_order
@@ -106,9 +116,9 @@ class TouchTree:
     ----------
     data_a:
         Dataset A (non-empty): its objects, or its coordinate table.
-        Leaves carry their bucket of objects (``entities_a``) only when
-        built from objects — the object-model phases need them; the
-        columnar phases read ``leaf_table`` alone.
+        The node view's leaves carry their bucket of objects
+        (``entities_a``) only when built from objects — the object-model
+        phases need them; the columnar phases read ``leaf_table`` alone.
     fanout:
         Children per internal node (paper default: 2).
     num_partitions:
@@ -124,12 +134,15 @@ class TouchTree:
 
     Attributes
     ----------
+    flat:
+        The hierarchy as a :class:`~repro.geometry.hierarchy.FlatHierarchy`
+        in the pre-order of the module's numbering rule.
     leaf_table:
         Dataset A as a :class:`~repro.geometry.columnar.CoordinateTable`
         with every leaf's bucket a contiguous row range, leaves in
-        :meth:`leaves` order.
-    leaf_slices:
-        Each leaf's ``(start, stop)`` row range in ``leaf_table``.
+        pre-order (the ranges ``flat.sub_start``/``flat.sub_stop``).
+    height:
+        Number of levels (1 for a single-bucket tree).
     """
 
     def __init__(
@@ -158,71 +171,70 @@ class TouchTree:
             raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
 
         if isinstance(data_a, CoordinateTable):
-            objects, table = None, data_a
+            self._objects, table = None, data_a
         else:
-            objects = list(data_a)
-            table = CoordinateTable.from_objects(objects)
+            self._objects = list(data_a)
+            table = CoordinateTable.from_objects(self._objects)
         self.fanout = fanout
         self.leaf_capacity = leaf_capacity
         self.dim = table.dim
         self.n_objects_a = n
-        self.root = self._build(objects, table)
+        self.flat, self._leaf_rows, self.height = _build_flat(
+            table, leaf_capacity, fanout
+        )
+        self.leaf_table = table.take(self._leaf_rows)
+        self._root: TouchNode | None = None
+        self._leaf_slices: dict[TouchNode, tuple[int, int]] = {}
         #: Analytic bytes of the nodes and A's bucket references.  The
         #: tree never changes after the build, so a probe reads this
         #: instead of walking the nodes.
-        self.index_bytes = self._node_count * memmodel.node_bytes(
+        self.index_bytes = len(self.flat) * memmodel.node_bytes(
             self.dim, fanout
         ) + memmodel.reference_list_bytes(n)
 
-    def _build(
-        self, objects: list[SpatialObject] | None, table: CoordinateTable
-    ) -> TouchNode:
-        leaf_order, starts = str_order((table.lo + table.hi) / 2.0, self.leaf_capacity)
-        bounds = [*starts.tolist(), len(leaf_order)]
-        ranges = list(zip(bounds, bounds[1:]))
-        lo, hi = _group_bounds(table.lo, table.hi, leaf_order, starts)
-        if objects is None:
-            nodes = [TouchNode(mbr, level=0) for mbr in _mbrs(lo, hi)]
-        else:
-            rows = leaf_order.tolist()
-            nodes = [
-                TouchNode(mbr, level=0, entities_a=[objects[row] for row in rows[a:b]])
-                for mbr, (a, b) in zip(_mbrs(lo, hi), ranges)
-            ]
-        leaf_ranges = dict(zip(nodes, ranges))
-        level = 0
-        while len(nodes) > 1:
-            level += 1
-            order, starts = str_order((lo + hi) / 2.0, self.fanout)
-            lo, hi = _group_bounds(lo, hi, order, starts)
-            grouped = [nodes[i] for i in order.tolist()]
-            bounds = [*starts.tolist(), len(grouped)]
-            nodes = [
-                TouchNode(mbr, level=level, children=grouped[a:b])
-                for mbr, a, b in zip(_mbrs(lo, hi), bounds, bounds[1:])
-            ]
-        root = nodes[0]
+    # -- the object backend's node view -------------------------------------
+    @property
+    def root(self) -> TouchNode:
+        """The root :class:`TouchNode`; the first access builds the view."""
+        if self._root is None:
+            self._root = self._build_view()
+        return self._root
 
-        # A in leaf order: every bucket one contiguous row range, buckets
-        # in the pre-order of leaves(), so every subtree's rows are
-        # contiguous too.  The same walk counts the nodes.
-        pieces = []
-        self.leaf_slices: dict[TouchNode, tuple[int, int]] = {}
-        stop = 0
-        self._node_count = 0
-        for node in root.iter_subtree():
-            self._node_count += 1
-            if node.is_leaf:
-                a, b = leaf_ranges[node]
-                self.leaf_slices[node] = (stop, stop + b - a)
-                stop += b - a
-                pieces.append(leaf_order[a:b])
-        self.leaf_table = table.take(np.concatenate(pieces))
-        return root
+    @property
+    def leaf_slices(self) -> "dict[TouchNode, tuple[int, int]]":
+        """Each view leaf's ``(start, stop)`` row range in ``leaf_table``."""
+        self.root  # builds the view on first access
+        return self._leaf_slices
+
+    def _build_view(self) -> TouchNode:
+        """One :class:`TouchNode` per flat node, children before parents."""
+        flat = self.flat
+        ptr = flat.children_ptr.tolist()
+        kids = flat.children_idx.tolist()
+        starts = flat.sub_start.tolist()
+        stops = flat.sub_stop.tolist()
+        objects = self._objects
+        rows = self._leaf_rows.tolist() if objects is not None else None
+        nodes: list = [None] * len(flat)
+        boxes = zip(flat.node_lo.tolist(), flat.node_hi.tolist())
+        for i, (lo, hi) in reversed(list(enumerate(boxes))):
+            mbr = MBR.trusted(tuple(lo), tuple(hi))
+            children = [nodes[k] for k in kids[ptr[i] : ptr[i + 1]]]
+            if children:
+                nodes[i] = TouchNode(mbr, children[0].level + 1, children)
+                continue
+            bucket = None
+            if rows is not None:
+                bucket = [objects[row] for row in rows[starts[i] : stops[i]]]
+            nodes[i] = TouchNode(mbr, level=0, entities_a=bucket)
+        self._leaf_slices = {
+            node: (starts[i], stops[i]) for i, node in enumerate(nodes) if node.is_leaf
+        }
+        return nodes[0]
 
     # -- inspection -------------------------------------------------------
     def iter_nodes(self) -> Iterator[TouchNode]:
-        """All nodes, pre-order."""
+        """All nodes, pre-order (flat node ``i`` is the ``i``-th)."""
         yield from self.root.iter_subtree()
 
     def leaves(self) -> list[TouchNode]:
@@ -230,16 +242,13 @@ class TouchTree:
         return [node for node in self.iter_nodes() if node.is_leaf]
 
     def node_count(self) -> int:
-        """Total number of nodes (counted once, at build time)."""
-        return self._node_count
-
-    @property
-    def height(self) -> int:
-        """Number of levels (1 for a single-bucket tree)."""
-        return self.root.level + 1
+        """Total number of nodes."""
+        return len(self.flat)
 
     def assigned_b_count(self) -> int:
         """B objects currently attached anywhere in the tree."""
+        if self._root is None:
+            return 0  # no view, so nothing was attached
         return sum(len(node.entities_b) for node in self.iter_nodes())
 
     def memory_bytes(self) -> int:
@@ -254,6 +263,84 @@ class TouchTree:
         )
 
 
+def _build_flat(table: CoordinateTable, leaf_capacity: int, fanout: int):
+    """STR-build the hierarchy over ``table`` straight into flat arrays.
+
+    Returns ``(flat, leaf_rows, height)``: ``leaf_rows`` lists the rows
+    of ``table`` in leaf order.
+
+    Bottom-up, each STR level yields its nodes' corners and, per node,
+    the subtree's node count and A row count (``np.add.reduceat`` over
+    each group of children).  Top-down, every child's pre-order position
+    and first row follow from its parent's: the stack walk visits a
+    parent's children last to first, so child ``j`` starts after the
+    subtrees of children ``j + 1, ...`` — an exclusive suffix sum within
+    the group.
+    """
+    lo, hi = table.lo, table.hi
+    leaf_order, leaf_starts = str_order((lo + hi) / 2.0, leaf_capacity)
+    lo, hi = _group_bounds(lo, hi, leaf_order, leaf_starts)
+    rows = _group_sizes(leaf_starts, len(leaf_order))
+    # levels[k]: corners, subtree node counts and row counts of level k;
+    # groupings[k]: the (order, starts) that group level k under k + 1.
+    levels = [(lo, hi, np.ones(len(lo), dtype=np.int64), rows)]
+    groupings = []
+    while len(lo) > 1:
+        order, starts = str_order((lo + hi) / 2.0, fanout)
+        lo, hi = _group_bounds(lo, hi, order, starts)
+        _, _, size, rows = levels[-1]
+        levels.append((
+            lo,
+            hi,
+            1 + np.add.reduceat(size[order], starts),
+            np.add.reduceat(rows[order], starts),
+        ))
+        groupings.append((order, starts))
+
+    count = int(levels[-1][2][0])
+    node_lo = np.empty((count, table.dim))
+    node_hi = np.empty((count, table.dim))
+    sub_start = np.empty(count, dtype=np.int64)
+    sub_stop = np.empty(count, dtype=np.int64)
+    fan = np.zeros(count, dtype=np.int64)
+    slot_parent, slot_rank, slot_child = [], [], []
+    pos = np.zeros(1, dtype=np.int64)  # the root is flat node 0, row 0
+    off = np.zeros(1, dtype=np.int64)
+    for k in range(len(levels) - 1, -1, -1):
+        lo, hi, _, rows = levels[k]
+        node_lo[pos], node_hi[pos] = lo, hi
+        sub_start[pos], sub_stop[pos] = off, off + rows
+        if k == 0:
+            break
+        order, starts = groupings[k - 1]
+        _, _, child_size, child_rows = levels[k - 1]
+        group_fan = _group_sizes(starts, len(order))
+        parent = np.repeat(np.arange(len(starts)), group_fan)
+        child_pos = pos[parent] + 1 + _later_in_group(child_size[order], starts)
+        child_off = off[parent] + _later_in_group(child_rows[order], starts)
+        fan[pos] = group_fan
+        slot_parent.append(pos[parent])
+        slot_rank.append(np.arange(len(order)) - starts[parent])
+        slot_child.append(child_pos)
+        pos = np.empty(len(order), dtype=np.int64)
+        off = np.empty(len(order), dtype=np.int64)
+        pos[order], off[order] = child_pos, child_off
+
+    children_ptr = np.concatenate(([0], np.cumsum(fan)))
+    children_idx = np.empty(count - 1, dtype=np.int64)
+    if slot_child:
+        at = children_ptr[np.concatenate(slot_parent)] + np.concatenate(slot_rank)
+        children_idx[at] = np.concatenate(slot_child)
+    # Leaf g's rows leaf_order[leaf_starts[g]:...] move to off[g]...
+    leaf = np.repeat(np.arange(len(leaf_starts)), levels[0][3])
+    leaf_rows = np.empty(len(leaf_order), dtype=np.int64)
+    leaf_rows[off[leaf] + np.arange(len(leaf_order)) - leaf_starts[leaf]] = leaf_order
+    flat = FlatHierarchy(
+        node_lo, node_hi, children_ptr, children_idx, sub_start, sub_stop
+    )
+    return flat, leaf_rows, len(levels)
+
+
 def _group_bounds(lo, hi, order, starts):
     """Tight ``(lo, hi)`` bound of each group ``order[starts[g]:...]``."""
     return (
@@ -262,12 +349,13 @@ def _group_bounds(lo, hi, order, starts):
     )
 
 
-def _mbrs(lo, hi) -> list[MBR]:
-    """One :class:`MBR` per row of the ``(G, D)`` corner arrays.
+def _group_sizes(starts, total: int):
+    """Members per group, for groups starting at ``starts`` of ``total``."""
+    return np.diff(np.append(starts, total))
 
-    The rows bound valid boxes, so they are valid by construction.
-    """
-    return [
-        MBR.trusted(tuple(row_lo), tuple(row_hi))
-        for row_lo, row_hi in zip(lo.tolist(), hi.tolist())
-    ]
+
+def _later_in_group(values, starts):
+    """Per item, the sum of ``values`` over the later items of its group."""
+    running = np.cumsum(values)
+    ends = np.append(starts[1:], len(values)) - 1
+    return np.repeat(running[ends], _group_sizes(starts, len(values))) - running

@@ -1,9 +1,10 @@
 """TOUCH's tree as flat arrays, and the numpy range descent over them.
 
-:class:`FlatHierarchy` lowers the hierarchy to pre-order node arrays
-with CSR children and contiguous subtree row ranges (built by
-:func:`repro.core.local_join.flatten_hierarchy`; this module is purely
-numeric, so the geometry layer stays free of tree imports).
+:class:`FlatHierarchy` holds the hierarchy as pre-order node arrays with
+CSR children and contiguous subtree row ranges.
+:class:`repro.core.tree.TouchTree` builds it in one pass over its STR
+levels (the numbering rule is stated there); this module is purely
+numeric, so the geometry layer stays free of tree imports.
 
 :func:`descend_hierarchy` is the range descent every columnar probe
 runs.  It is level-synchronous:
@@ -32,7 +33,7 @@ CHUNK_DESCENT_PAIRS = 1 << 13
 
 
 class FlatHierarchy:
-    """A TOUCH tree lowered to flat arrays.
+    """A TOUCH tree as flat arrays.
 
     Node order is the tree's DFS pre-order, which makes every subtree's
     descendant leaves — and hence its A rows in the leaf-order table —
@@ -46,7 +47,6 @@ class FlatHierarchy:
         "children_idx",
         "sub_start",
         "sub_stop",
-        "index",
     )
 
     def __init__(
@@ -57,7 +57,6 @@ class FlatHierarchy:
         children_idx,
         sub_start,
         sub_stop,
-        index,
     ) -> None:
         self.node_lo = node_lo
         self.node_hi = node_hi
@@ -65,9 +64,6 @@ class FlatHierarchy:
         self.children_idx = children_idx
         self.sub_start = sub_start
         self.sub_stop = sub_stop
-        #: Mapping from tree node -> flat index, for inspecting a tree
-        #: against its flat form (the probe itself never needs it).
-        self.index = index
 
     def __len__(self) -> int:
         return self.node_lo.shape[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+from repro.datasets.base import Dataset
 from repro.geometry.objects import SpatialObject
 from repro.geometry.vertex_table import shape_of
 from repro.joins.base import JoinResult
@@ -138,6 +139,8 @@ def run_serve_workload(
                 for obj in dataset_a
             ]
         build_side = [obj.inflated(epsilon) for obj in source]
+        # One Dataset for every batch's refine, so its view is built once.
+        refine_side = Dataset(build_side, name="build") if exact else None
         rebuild_pairs = 0
         rebuild_comparisons = 0
         rebuild_start = time.perf_counter()
@@ -148,7 +151,7 @@ def run_serve_workload(
             if exact:
                 refined = RefinePipeline(
                     epsilon, backend=config.get("backend") or "auto"
-                ).refine(result.pairs, build_side, chunk, stats=result.stats)
+                ).refine(result.pairs, refine_side, chunk, stats=result.stats)
                 result = JoinResult(
                     result.algorithm, refined, result.stats, result.parameters
                 )

@@ -39,6 +39,26 @@ if TYPE_CHECKING:
 __all__ = ["SpatialQueryService", "default_service", "reset_default_service"]
 
 
+class _Source:
+    """A build side as the service holds it: its objects, their
+    fingerprint and, from the first exact probe on, a :class:`Dataset`
+    over them whose cached refine view every later exact probe reuses."""
+
+    __slots__ = ("name", "objects", "fingerprint", "_dataset")
+
+    def __init__(self, name: str, objects: list, fingerprint: str) -> None:
+        self.name = name
+        self.objects = objects
+        self.fingerprint = fingerprint
+        self._dataset: Dataset | None = None
+
+    def refine_side(self) -> Dataset:
+        """The objects as a :class:`Dataset`, made on first use."""
+        if self._dataset is None:
+            self._dataset = Dataset(self.objects, name=self.name)
+        return self._dataset
+
+
 class SpatialQueryService:
     """Named datasets + cached built indexes + probe APIs.
 
@@ -71,7 +91,7 @@ class SpatialQueryService:
         self.default_backend = backend
         self.max_bytes = max_bytes
         self._spill = SpillMetrics()
-        self._datasets: dict[str, tuple[list[SpatialObject], str]] = {}
+        self._datasets: dict[str, _Source] = {}
         self._lock = threading.Lock()
         self._queries = 0
         self._build_seconds = 0.0
@@ -87,17 +107,17 @@ class SpatialQueryService:
         objects = list(dataset)
         fingerprint = dataset_fingerprint(objects)
         with self._lock:
-            self._datasets[name] = (objects, fingerprint)
+            self._datasets[name] = _Source(name, objects, fingerprint)
         return fingerprint
 
     def datasets(self) -> dict[str, int]:
         """Registered dataset names and their cardinalities."""
         with self._lock:
-            return {name: len(objs) for name, (objs, _) in self._datasets.items()}
+            return {
+                name: len(source.objects) for name, source in self._datasets.items()
+            }
 
-    def _resolve(
-        self, dataset: "str | Sequence[SpatialObject]"
-    ) -> tuple[list[SpatialObject], str]:
+    def _resolve(self, dataset: "str | Sequence[SpatialObject]") -> _Source:
         if isinstance(dataset, str):
             with self._lock:
                 try:
@@ -108,7 +128,7 @@ class SpatialQueryService:
                         f"unknown dataset {dataset!r}; registered: {known}"
                     ) from None
         objects = list(dataset)
-        return objects, dataset_fingerprint(objects)
+        return _Source("dataset", objects, dataset_fingerprint(objects))
 
     # -- queries -------------------------------------------------------
     def probe(
@@ -165,20 +185,20 @@ class SpatialQueryService:
         ``parameters["cache"]`` (``"warm"`` | ``"cold"`` | ``"spilled"``)
         and ``parameters["build_seconds"]`` of the underlying index.
         """
-        probe, epsilon, geometry, budget, objects, fingerprint, config = (
-            self._normalize(dataset, probe, epsilon, geometry, max_bytes, config)
+        probe, epsilon, geometry, budget, source, config = self._normalize(
+            dataset, probe, epsilon, geometry, max_bytes, config
         )
+        objects = source.objects
         plan = None
         if algorithm == "auto":
             plan = self._plan(
-                objects, fingerprint, probe, epsilon, algorithm, config,
-                geometry, budget,
+                source, probe, epsilon, algorithm, config, geometry, budget
             )
             algorithm = plan.algorithm
             if "backend" not in config:
                 config = {**config, "backend": plan.backend}
         key = IndexKey.create(
-            fingerprint,
+            source.fingerprint,
             algorithm,
             config,
             config.get("backend"),
@@ -196,7 +216,7 @@ class SpatialQueryService:
                 )
                 if estimated > budget:
                     result = self._budgeted_probe(
-                        objects,
+                        source,
                         probe_objects,
                         epsilon,
                         algorithm,
@@ -232,7 +252,7 @@ class SpatialQueryService:
         }
         if geometry == "exact":
             result = self._refine(
-                result, objects, probe, epsilon, config.get("backend")
+                result, source.refine_side(), probe, epsilon, config.get("backend")
             )
         if plan is not None:
             result.stats.extra["plan"] = plan.as_dict()
@@ -257,12 +277,11 @@ class SpatialQueryService:
         the one an actual ``probe(algorithm="auto")`` records in
         ``stats.extra["plan"]`` — both run through the same resolution.
         """
-        probe, epsilon, geometry, budget, objects, fingerprint, config = (
-            self._normalize(dataset, probe, epsilon, geometry, max_bytes, config)
+        probe, epsilon, geometry, budget, source, config = self._normalize(
+            dataset, probe, epsilon, geometry, max_bytes, config
         )
         return self._plan(
-            objects, fingerprint, probe, epsilon, algorithm, config,
-            geometry, budget,
+            source, probe, epsilon, algorithm, config, geometry, budget
         )
 
     def _normalize(
@@ -293,14 +312,13 @@ class SpatialQueryService:
         if max_bytes is not None:
             validate_max_bytes(max_bytes)
         budget = max_bytes if max_bytes is not None else self.max_bytes
-        objects, fingerprint = self._resolve(dataset)
+        source = self._resolve(dataset)
         if "backend" not in config and self.default_backend is not None:
             config = {**config, "backend": self.default_backend}
-        return probe, epsilon, geometry, budget, objects, fingerprint, config
+        return probe, epsilon, geometry, budget, source, config
 
     def _plan(
-        self, objects, fingerprint, probe, epsilon, algorithm, config,
-        geometry, budget,
+        self, source, probe, epsilon, algorithm, config, geometry, budget
     ) -> "Plan":
         """One optimizer call shared by :meth:`probe` and :meth:`explain`.
 
@@ -309,7 +327,7 @@ class SpatialQueryService:
         """
         from repro.optimizer import choose_plan, sketch_dataset
 
-        sketch_a = sketch_dataset(objects, fingerprint)
+        sketch_a = sketch_dataset(source.objects, source.fingerprint)
         sketch_b = sketch_dataset(
             list(probe) if isinstance(probe, Dataset) else probe
         )
@@ -328,7 +346,7 @@ class SpatialQueryService:
     def _refine(
         self,
         result: JoinResult,
-        objects: "list[SpatialObject]",
+        build: Dataset,
         probe: "list[SpatialObject] | CoordinateTable",
         epsilon: float,
         backend: str | None,
@@ -337,8 +355,10 @@ class SpatialQueryService:
 
         The build side is the *registered* objects — never the inflated
         copies the index was built from — so the exact predicate sees
-        original extents.  MBR-batch probes (columnar tables) refine as
-        position-numbered solid boxes, matching their pair numbering.
+        original extents; its refine view is cached with the
+        registration, so a warm exact probe builds only the probe side's.
+        MBR-batch probes (columnar tables) refine as position-numbered
+        solid boxes, matching their pair numbering.
         """
         from repro.refine import RefinePipeline
 
@@ -347,7 +367,7 @@ class SpatialQueryService:
         stats = result.stats
         start = time.perf_counter()
         refined = RefinePipeline(epsilon, backend=backend or "auto").refine(
-            result.pairs, objects, probe, stats=stats
+            result.pairs, build, probe, stats=stats
         )
         refine_seconds = time.perf_counter() - start
         stats.join_seconds += refine_seconds
@@ -365,7 +385,7 @@ class SpatialQueryService:
 
     def _budgeted_probe(
         self,
-        objects: "list[SpatialObject]",
+        source: _Source,
         probe_objects: "list[SpatialObject]",
         epsilon: float,
         algorithm: str,
@@ -387,7 +407,7 @@ class SpatialQueryService:
             max_bytes=budget,
             metrics=self._spill,
         )
-        build_side = [obj.inflated(epsilon) for obj in objects]
+        build_side = [obj.inflated(epsilon) for obj in source.objects]
         start = time.perf_counter()
         result = joiner.join(build_side, probe_objects)
         probe_seconds = time.perf_counter() - start
@@ -403,7 +423,11 @@ class SpatialQueryService:
         }
         if geometry == "exact":
             result = self._refine(
-                result, objects, probe_objects, epsilon, config.get("backend")
+                result,
+                source.refine_side(),
+                probe_objects,
+                epsilon,
+                config.get("backend"),
             )
         return result
 

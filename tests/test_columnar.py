@@ -12,7 +12,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.assignment import assign_dataset_b, assign_table_b
-from repro.core.local_join import flatten_hierarchy
 from repro.core.tree import TouchTree
 from repro.datasets.base import Dataset
 from repro.datasets.synthetic import uniform_boxes
@@ -350,7 +349,7 @@ class TestBatchedAssignmentParity:
         batched_tree = TouchTree(objects_a, num_partitions=16)
         batched_stats = JoinStatistics()
         table_b = CoordinateTable.from_objects(objects_b)
-        flat = flatten_hierarchy(batched_tree, batched_tree.leaf_slices)
+        flat = batched_tree.flat
         nodes, rows = assign_table_b(flat, table_b, batched_stats)
 
         assert batched_stats.filtered == scalar_stats.filtered
@@ -376,7 +375,7 @@ class TestBatchedAssignmentParity:
     def test_empty_b(self):
         tree = TouchTree([box_object(0, (0, 0), (1, 1))])
         table = CoordinateTable(np.empty((0, 4)), np.empty(0, dtype=np.int64))
-        nodes, rows = assign_table_b(flatten_hierarchy(tree, tree.leaf_slices), table)
+        nodes, rows = assign_table_b(tree.flat, table)
         assert len(nodes) == len(rows) == 0
 
     def test_all_filtered(self):
@@ -384,7 +383,7 @@ class TestBatchedAssignmentParity:
         far = [SpatialObject(7, MBR((50.0, 50.0), (51.0, 51.0)))]
         stats = JoinStatistics()
         nodes, rows = assign_table_b(
-            flatten_hierarchy(tree, tree.leaf_slices),
+            tree.flat,
             CoordinateTable.from_objects(far),
             stats,
         )

@@ -12,24 +12,27 @@ scalar ``locate_node``, with the same ``filtered``, and count the same
 ``node_tests`` as the stack walk.
 ``reference_flatten`` is the per-node aggregation ``flatten_hierarchy``
 used before it became one numpy pass per level.
+``reference_build`` and ``reference_flatten_hierarchy`` are the
+``TouchNode``-by-``TouchNode`` tree build and its lowering to flat
+arrays that TOUCH ran before the tree was built as arrays straight from
+the STR levels; the array build must reproduce all six arrays, the leaf
+table and the tree figures bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.assignment import assign_table_b, locate_node
-from repro.core.local_join import (
-    flatten_hierarchy,
-    leaf_order_table,
-    probe_assigned_nodes_columnar,
-)
+from repro.core.local_join import leaf_order_table, probe_assigned_nodes_columnar
 from repro.core.touch import TouchJoin
-from repro.core.tree import TouchTree
+from repro.core.tree import TouchNode, TouchTree
 from repro.datasets.synthetic import clustered_boxes, uniform_boxes
 from repro.geometry import hierarchy
 from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
+from repro.rtree.str_pack import str_order
+from repro.stats import memory as memmodel
 from repro.stats.counters import JoinStatistics
 
 
@@ -143,6 +146,106 @@ def reference_flatten(tree, leaf_slices):
     return [walk(node) for node in tree.iter_nodes()]
 
 
+# -- the reference: node-by-node build and flatten_hierarchy ----------------
+
+
+def _group_bounds(lo, hi, order, starts):
+    return (
+        np.minimum.reduceat(lo[order], starts, axis=0),
+        np.maximum.reduceat(hi[order], starts, axis=0),
+    )
+
+
+def _mbrs(lo, hi):
+    return [
+        MBR.trusted(tuple(row_lo), tuple(row_hi))
+        for row_lo, row_hi in zip(lo.tolist(), hi.tolist())
+    ]
+
+
+def reference_build(objects, table, fanout, leaf_capacity):
+    """``(root, leaf_slices, leaf_table, node_count)`` of the node build."""
+    leaf_order, starts = str_order((table.lo + table.hi) / 2.0, leaf_capacity)
+    bounds = [*starts.tolist(), len(leaf_order)]
+    ranges = list(zip(bounds, bounds[1:]))
+    lo, hi = _group_bounds(table.lo, table.hi, leaf_order, starts)
+    if objects is None:
+        nodes = [TouchNode(mbr, level=0) for mbr in _mbrs(lo, hi)]
+    else:
+        rows = leaf_order.tolist()
+        nodes = [
+            TouchNode(mbr, level=0, entities_a=[objects[row] for row in rows[a:b]])
+            for mbr, (a, b) in zip(_mbrs(lo, hi), ranges)
+        ]
+    leaf_ranges = dict(zip(nodes, ranges))
+    level = 0
+    while len(nodes) > 1:
+        level += 1
+        order, starts = str_order((lo + hi) / 2.0, fanout)
+        lo, hi = _group_bounds(lo, hi, order, starts)
+        grouped = [nodes[i] for i in order.tolist()]
+        bounds = [*starts.tolist(), len(grouped)]
+        nodes = [
+            TouchNode(mbr, level=level, children=grouped[a:b])
+            for mbr, a, b in zip(_mbrs(lo, hi), bounds, bounds[1:])
+        ]
+    root = nodes[0]
+
+    pieces = []
+    leaf_slices = {}
+    stop = 0
+    node_count = 0
+    for node in root.iter_subtree():
+        node_count += 1
+        if node.is_leaf:
+            a, b = leaf_ranges[node]
+            leaf_slices[node] = (stop, stop + b - a)
+            stop += b - a
+            pieces.append(leaf_order[a:b])
+    leaf_table = table.take(np.concatenate(pieces))
+    return root, leaf_slices, leaf_table, node_count
+
+
+def reference_flatten_hierarchy(root, leaf_slices):
+    """The six flat arrays, lowered from the nodes in pre-order."""
+    nodes = list(root.iter_subtree())
+    count = len(nodes)
+    index = {node: position for position, node in enumerate(nodes)}
+    corners = CoordinateTable.from_mbrs([node.mbr for node in nodes])
+    level = np.fromiter((node.level for node in nodes), np.int64, count)
+    fan = np.fromiter((len(node.children) for node in nodes), np.int64, count)
+    children_ptr = np.concatenate(([0], np.cumsum(fan)))
+    children_idx = np.fromiter(
+        (index[child] for node in nodes for child in node.children),
+        np.int64,
+        int(children_ptr[-1]),
+    )
+    leaves = np.flatnonzero(level == 0)
+    spans = np.fromiter(
+        (row for i in leaves.tolist() for row in leaf_slices[nodes[i]]),
+        np.int64,
+        2 * len(leaves),
+    )
+    sub_start = np.zeros(count, dtype=np.int64)
+    sub_stop = np.zeros(count, dtype=np.int64)
+    sub_start[leaves], sub_stop[leaves] = spans[0::2], spans[1::2]
+    inner = np.flatnonzero(fan)
+    runs = children_ptr[inner]
+    for step in range(1, int(level.max()) + 1):
+        at = level[inner] == step
+        settle = inner[at]
+        sub_start[settle] = np.minimum.reduceat(sub_start[children_idx], runs)[at]
+        sub_stop[settle] = np.maximum.reduceat(sub_stop[children_idx], runs)[at]
+    return (
+        np.ascontiguousarray(corners.lo),
+        np.ascontiguousarray(corners.hi),
+        children_ptr,
+        children_idx,
+        sub_start,
+        sub_stop,
+    )
+
+
 # -- fixtures ---------------------------------------------------------------
 
 
@@ -167,20 +270,25 @@ def _table(objects):
     return CoordinateTable.from_objects(list(objects))
 
 
+def _node_index(tree):
+    """Flat index of every view node: its position in ``iter_nodes()``."""
+    return {node: position for position, node in enumerate(tree.iter_nodes())}
+
+
 def _flat_assign(tree, table_b, stats):
     """The flat assignment, keyed by ``TouchNode`` as the reference probe takes it."""
-    nodes, rows = assign_table_b(flatten_hierarchy(tree, tree.leaf_slices), table_b, stats)
+    nodes, rows = assign_table_b(tree.flat, table_b, stats)
     by_index = list(tree.iter_nodes())
     return {by_index[node]: rows[nodes == node] for node in np.unique(nodes).tolist()}
 
 
 def _compare(tree, table_b, assigned):
-    table_a, leaf_slices = leaf_order_table(tree)
-    flat = flatten_hierarchy(tree, leaf_slices)
+    table_a, flat = leaf_order_table(tree)
+    index = _node_index(tree)
     want_stats, got_stats = JoinStatistics(), JoinStatistics()
-    want = reference_probe(table_a, leaf_slices, table_b, assigned, want_stats)
+    want = reference_probe(table_a, tree.leaf_slices, table_b, assigned, want_stats)
     seeds = np.repeat(
-        np.array([flat.index[node] for node in assigned], dtype=np.int64),
+        np.array([index[node] for node in assigned], dtype=np.int64),
         [len(rows) for rows in assigned.values()],
     )
     rows = np.concatenate([np.empty(0, dtype=np.int64), *assigned.values()])
@@ -313,7 +421,8 @@ class TestDescentMatchesStackWalk:
 
 def _check_assignment(tree, table_b, objects_b):
     """Land every B row three ways; returns the flat landing per row."""
-    flat = flatten_hierarchy(tree, tree.leaf_slices)
+    flat = tree.flat
+    index = _node_index(tree)
     n = len(table_b)
 
     flat_stats = JoinStatistics()
@@ -327,14 +436,14 @@ def _check_assignment(tree, table_b, objects_b):
     ref_stats = JoinStatistics()
     want = np.full(n, -1, dtype=np.int64)
     for node, node_rows in reference_assign(tree, table_b, ref_stats).items():
-        want[node_rows] = flat.index[node]
+        want[node_rows] = index[node]
 
     scalar_stats = JoinStatistics()
     scalar = np.full(n, -1, dtype=np.int64)
     for row, obj in enumerate(objects_b):
         node = locate_node(tree.root, obj.mbr, scalar_stats)
         if node is not None:
-            scalar[row] = flat.index[node]
+            scalar[row] = index[node]
         else:
             scalar_stats.filtered += 1
 
@@ -426,26 +535,104 @@ class TestFlatAssignmentMatchesReferences:
 # -- flattened hierarchy ----------------------------------------------------
 
 
+def tied_objects():
+    """Many equal STR centers (three stacked boxes per x) and duplicates."""
+    objects = [
+        SpatialObject(i, MBR((float(i % 5), 0.0), (float(i % 5) + 1.0, 1.0)))
+        for i in range(40)
+    ]
+    objects += [SpatialObject(40 + i, MBR((2.0, 2.0), (3.0, 3.0))) for i in range(25)]
+    objects += [
+        SpatialObject(65 + i, MBR((2.0 - i, 2.0 - i), (3.0 + i, 3.0 + i)))
+        for i in range(10)
+    ]
+    return objects
+
+
+BUILD_INPUTS = {
+    "uniform-1d": lambda: list(uniform_boxes(200, dim=1, seed=44)),
+    "uniform-2d": lambda: list(uniform_boxes(200, dim=2, seed=44)),
+    "uniform-3d": lambda: list(uniform_boxes(200, dim=3, seed=44)),
+    "ties": tied_objects,
+    "single": lambda: list(uniform_boxes(1, dim=2, seed=44)),
+}
+
+
 class TestFlattenHierarchy:
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    @pytest.mark.parametrize("fanout", [2, 8])
-    @pytest.mark.parametrize("partitions", [1, 7, 64])
+    @pytest.mark.parametrize("fanout", [2, 3, 8])
+    @pytest.mark.parametrize("partitions", [1, 7, 64, None])
     def test_aggregates_match_per_node_walk(self, dim, fanout, partitions):
         objects = list(uniform_boxes(200, dim=dim, seed=44))
         tree = TouchTree(objects, fanout=fanout, num_partitions=partitions)
-        flat = flatten_hierarchy(tree, tree.leaf_slices)
+        flat = tree.flat
         expected = reference_flatten(tree, tree.leaf_slices)
         got = list(zip(flat.sub_start.tolist(), flat.sub_stop.tolist()))
         assert got == expected
         nodes = list(tree.iter_nodes())
-        assert [flat.index[node] for node in nodes] == list(range(len(nodes)))
+        index = _node_index(tree)
+        assert len(nodes) == len(flat)
         for position, node in enumerate(nodes):
             kids = flat.children_idx[
                 flat.children_ptr[position] : flat.children_ptr[position + 1]
             ]
-            assert kids.tolist() == [flat.index[child] for child in node.children]
+            assert kids.tolist() == [index[child] for child in node.children]
             assert flat.node_lo[position].tolist() == list(node.mbr.lo)
             assert flat.node_hi[position].tolist() == list(node.mbr.hi)
+
+    @pytest.mark.parametrize("name", sorted(BUILD_INPUTS))
+    @pytest.mark.parametrize("fanout", [2, 3, 8])
+    @pytest.mark.parametrize("partitions", [1, 7, 64, None])
+    @pytest.mark.parametrize("source", ["objects", "table"])
+    def test_array_build_matches_node_build(self, name, fanout, partitions, source):
+        objects = BUILD_INPUTS[name]()
+        table = CoordinateTable.from_objects(objects)
+        tree = TouchTree(
+            objects if source == "objects" else table,
+            fanout=fanout,
+            num_partitions=partitions,
+        )
+        root, leaf_slices, leaf_table, node_count = reference_build(
+            objects if source == "objects" else None,
+            table,
+            fanout,
+            tree.leaf_capacity,
+        )
+        flat = tree.flat
+        got = (
+            flat.node_lo,
+            flat.node_hi,
+            flat.children_ptr,
+            flat.children_idx,
+            flat.sub_start,
+            flat.sub_stop,
+        )
+        for array, want in zip(got, reference_flatten_hierarchy(root, leaf_slices)):
+            assert array.dtype == want.dtype and array.shape == want.shape
+            assert array.tobytes() == want.tobytes()
+        assert tree.leaf_table.coords.tobytes() == leaf_table.coords.tobytes()
+        assert tree.leaf_table.ids.tobytes() == leaf_table.ids.tobytes()
+        assert tree.node_count() == node_count
+        assert tree.height == root.level + 1
+        assert tree.index_bytes == node_count * memmodel.node_bytes(
+            tree.dim, fanout
+        ) + memmodel.reference_list_bytes(len(objects))
+        # The node view mirrors the reference nodes, buckets included.
+        view = [
+            (node.level, node.mbr, [o.oid for o in node.entities_a])
+            for node in tree.iter_nodes()
+        ]
+        if source == "table":
+            assert all(not node.entities_a for node in tree.iter_nodes())
+            view = [(level, mbr) for level, mbr, _ in view]
+            want_view = [(node.level, node.mbr) for node in root.iter_subtree()]
+        else:
+            want_view = [
+                (node.level, node.mbr, [o.oid for o in node.entities_a])
+                for node in root.iter_subtree()
+            ]
+        assert view == want_view
+        assert list(tree.leaf_slices.values()) == list(leaf_slices.values())
 
 
 # -- memory accounting ------------------------------------------------------

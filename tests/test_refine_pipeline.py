@@ -770,6 +770,33 @@ class TestRefineViews:
             assert view_stats.exact_tests > 0
             assert refine_counters(view_stats) == refine_counters(object_stats)
 
+    def test_warm_exact_service_probe_builds_only_the_probe_view(
+        self, monkeypatch
+    ):
+        from repro.geometry.vertex_table import VertexTable
+        from repro.service import SpatialQueryService
+
+        polys = clustered_polygons(60, space=60.0, n_clusters=3, seed=51)
+        others = list(clustered_polygons(80, space=60.0, n_clusters=3, seed=52))
+        built = []
+        init = VertexTable.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(VertexTable, "__init__", counting)
+        service = SpatialQueryService(capacity=2)
+        service.register("polys", polys)
+        assert built == []  # registering builds no refine view
+        first = service.probe("polys", others, EPSILON, geometry="exact")
+        assert len(built) == 2  # cold: the build side's and the probe's
+        second = service.probe("polys", others, EPSILON, geometry="exact")
+        assert len(built) == 3  # warm: the probe side's alone
+        assert second.parameters["cache"] == "warm"
+        assert second.stats.exact_tests > 0
+        assert second.pairs == first.pairs
+
     def test_second_exact_run_rebuilds_nothing(self, monkeypatch):
         from repro.geometry.shapes import Shape
         from repro.geometry.vertex_table import VertexTable

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.local_join import flatten_hierarchy, leaf_order_table
+from repro.core.local_join import leaf_order_table
 from repro.core.tree import TouchNode, TouchTree
 from repro.datasets.synthetic import clustered_boxes, uniform_boxes
 from repro.geometry.columnar import CoordinateTable
@@ -176,7 +176,8 @@ class TestTreeMatchesReference:
     @pytest.mark.parametrize("fanout", [2, 8])
     def test_leaf_order_table_equals_leaf_by_leaf_build(self, name, fanout):
         tree = TouchTree(DATASETS[name], fanout=fanout, num_partitions=16)
-        table, slices = leaf_order_table(tree)
+        table, flat = leaf_order_table(tree)
+        slices = tree.leaf_slices
         rows = []
         expected_slices = []
         for leaf in tree.leaves():
@@ -186,8 +187,6 @@ class TestTreeMatchesReference:
         assert np.array_equal(table.coords, expected.coords)
         assert np.array_equal(table.ids, expected.ids)
         assert [slices[leaf] for leaf in tree.leaves()] == expected_slices
-        # flatten_hierarchy's contiguity guard accepts this layout.
-        flat = flatten_hierarchy(tree, slices)
         assert flat.sub_stop[0] - flat.sub_start[0] == len(rows)
 
 

@@ -127,3 +127,87 @@ class TestAccounting:
     def test_repr(self):
         node = TouchNode(MBR((0, 0), (1, 1)), level=0)
         assert "level=0" in repr(node)
+
+
+class TestColumnarBuildsNoNodes:
+    """The columnar phases read the tree's arrays; nodes are a lazy view."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        """Count every ``TouchNode``, and every ``MBR.trusted`` made while
+        a TOUCH join or prepare runs (the front door's own boxes, such as
+        the inflated build side's universe, are not TOUCH's)."""
+        from repro.core.touch import TouchJoin
+
+        counts = {"nodes": 0, "mbrs": 0}
+        inside = []
+        node_init = TouchNode.__init__
+        trusted = MBR.trusted.__func__
+
+        def counting_init(self, *args, **kwargs):
+            counts["nodes"] += 1
+            node_init(self, *args, **kwargs)
+
+        def counting_trusted(cls, lo, hi):
+            counts["mbrs"] += bool(inside)
+            return trusted(cls, lo, hi)
+
+        def scoped(method):
+            def run(*args, **kwargs):
+                inside.append(True)
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            return run
+
+        monkeypatch.setattr(TouchNode, "__init__", counting_init)
+        monkeypatch.setattr(MBR, "trusted", classmethod(counting_trusted))
+        monkeypatch.setattr(TouchJoin, "join", scoped(TouchJoin.join))
+        monkeypatch.setattr(TouchJoin, "prepare", scoped(TouchJoin.prepare))
+        return counts
+
+    def test_one_shot_and_prepare(self, monkeypatch):
+        from repro.bench.config import RunOptions
+        from repro.bench.runner import run_algorithm
+        from repro.core.touch import TouchJoin
+
+        a = uniform_boxes(400, space=30.0, side_range=(0.5, 2.0), seed=82)
+        b = uniform_boxes(300, space=30.0, side_range=(0.5, 2.0), seed=83)
+        objects_a = list(a)
+        counts = self._count(monkeypatch)
+        record = run_algorithm(
+            "TOUCH", a, b, 1.0, options=RunOptions(workers=0, backend="columnar")
+        )
+        index = TouchJoin(backend="columnar").prepare(objects_a)
+        assert record.result_pairs > 0 and record.extra["backend"] == "columnar"
+        assert counts == {"nodes": 0, "mbrs": 0}
+        # The object view is still there on demand, built once.
+        tree = index.payload["tree"]
+        assert sum(1 for _ in tree.iter_nodes()) == tree.node_count()
+        assert counts["nodes"] == tree.node_count()
+        tree.leaves()
+        assert counts["nodes"] == tree.node_count()
+
+
+class TestPhaseTimers:
+    def test_assign_seconds_exclude_the_hierarchy_build(self, monkeypatch):
+        import time
+
+        from repro.core.touch import TouchJoin
+        from repro.geometry.hierarchy import FlatHierarchy
+
+        delay = 0.2
+        flat_init = FlatHierarchy.__init__
+
+        def slow_init(self, *args, **kwargs):
+            time.sleep(delay)
+            flat_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlatHierarchy, "__init__", slow_init)
+        a = list(uniform_boxes(300, space=20.0, side_range=(0.5, 2.0), seed=84))
+        b = list(uniform_boxes(100, space=20.0, side_range=(0.5, 2.0), seed=85))
+        stats = TouchJoin(backend="columnar").join(a, b).stats
+        assert stats.build_seconds >= delay
+        assert stats.assign_seconds < delay
