@@ -2,8 +2,8 @@
 
 The paper's deployment splits the tissue into contiguous subsets and runs
 an independent in-memory join per core.  This bench verifies the
-decomposition semantics on one machine: the union of per-chunk TOUCH
-joins must produce the same result-pair count at every chunk count, while
+decomposition semantics on one machine, one worker joining the regions
+in turn: the union of per-chunk TOUCH joins must produce the same result-pair count at every chunk count, while
 per-chunk peak memory (one "core") shrinks.
 """
 
@@ -14,7 +14,7 @@ from repro.bench.runner import record_from_result
 from repro.bench.workloads import synthetic_pair
 from repro.datasets.transform import inflate
 from repro.joins.registry import make_algorithm
-from repro.parallel.chunked import ChunkedSpatialJoin
+from repro.parallel.engine import ParallelChunkedJoin
 
 _N_B = SCALE.large_b_steps[len(SCALE.large_b_steps) // 2]
 
@@ -27,7 +27,7 @@ def test_chunked(benchmark, n_chunks):
     reference = make_algorithm("TOUCH").join(build, dataset_b)
 
     def run():
-        algorithm = ChunkedSpatialJoin(lambda: make_algorithm("TOUCH"), n_chunks=n_chunks)
+        algorithm = ParallelChunkedJoin("TOUCH", workers=1, n_chunks=n_chunks)
         result = algorithm.join(build, dataset_b)
         return record_from_result(
             result, dataset_a.name, len(dataset_a), len(dataset_b), SCALE.large_epsilon

@@ -40,7 +40,6 @@ from repro.joins import (
     make_algorithm,
 )
 from repro.joins.registry import AlgorithmSpec
-from repro.parallel.chunked import ChunkedSpatialJoin
 from repro.partition import TwoLayerJoin
 from repro.stats import JoinStatistics
 
@@ -80,7 +79,6 @@ __all__ = [
     "available",
     "make_algorithm",
     "AlgorithmSpec",
-    "ChunkedSpatialJoin",
     "ParallelChunkedJoin",
     "__version__",
 ]

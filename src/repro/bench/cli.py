@@ -67,13 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="universe cutting for --workers: contiguous 1-D slabs "
         "(default, the paper's BlueGene/P layout) or a 2-D tile grid",
     )
-    dedup_kwargs = dict(
-        choices=("reference", "partition"),
-        default=None,
-        help="boundary-duplicate policy for --workers: per-pair "
-        "reference-point tests in the workers (default) or the "
-        "duplicate-free two-layer class mini-joins (no dedup pass)",
-    )
     max_bytes_kwargs = dict(
         type=int,
         default=None,
@@ -99,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", **backend_kwargs)
     run.add_argument("--workers", **workers_kwargs)
     run.add_argument("--decompose", **decompose_kwargs)
-    run.add_argument("--dedup", **dedup_kwargs)
     run.add_argument("--max-bytes", **max_bytes_kwargs)
     run.add_argument("--geometry", **geometry_kwargs)
     run.add_argument("--json", type=Path, default=None, help="also write rows as JSON")
@@ -116,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     everything.add_argument("--backend", **backend_kwargs)
     everything.add_argument("--workers", **workers_kwargs)
     everything.add_argument("--decompose", **decompose_kwargs)
-    everything.add_argument("--dedup", **dedup_kwargs)
     everything.add_argument("--max-bytes", **max_bytes_kwargs)
     everything.add_argument("--geometry", **geometry_kwargs)
     everything.add_argument(
@@ -262,12 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _options(args) -> RunOptions:
     """The one :class:`RunOptions` a ``run`` / ``all`` / ``explain`` call
-    builds from its flags (``explain`` has no ``--dedup``)."""
+    builds from its flags."""
     return RunOptions(
         backend=args.backend,
         workers=args.workers,
         decompose=args.decompose,
-        dedup=getattr(args, "dedup", None),
         max_bytes=args.max_bytes,
         geometry=args.geometry,
     )

@@ -206,14 +206,6 @@ def _backend_names() -> tuple[str, ...]:
     return tuple(BACKENDS)
 
 
-#: Valid values of the ``dedup`` execution option.
-DEDUP_MODES = ("reference", "partition")
-
-#: Valid values of the ``handoff`` execution option (mirrors
-#: :data:`repro.parallel.engine.HANDOFF_MODES` without importing the
-#: engine, which config must not drag in).
-HANDOFF_MODES = ("auto", "shm", "pickle")
-
 #: Valid values of the ``geometry`` execution option: ``"mbr"`` joins
 #: bounding boxes exactly as every PR before the filter-refine split,
 #: ``"exact"`` refines MBR candidates against the true shapes.
@@ -239,17 +231,10 @@ class RunOptions:
     decompose:
         Universe cutting for the multiprocess engine (``"slabs"`` |
         ``"tiles"``; engine default ``"slabs"``).
-    dedup:
-        Boundary-duplicate policy (``"reference"`` | ``"partition"``;
-        engine default ``"reference"``).
     backend:
         Geometry backend forwarded to backend-aware algorithms
         (``"object"`` | ``"columnar"`` | ``"auto"``; ``"auto"`` is
         columnar).
-    handoff:
-        Worker hand-off of the multiprocess engine (``"auto"`` |
-        ``"shm"`` | ``"pickle"``; engine default ``"auto"`` — shared
-        memory when available).
     reuse_index:
         Route the join through the build-once/probe-many query service:
         ``True`` for the process-wide default service, a live
@@ -269,14 +254,14 @@ class RunOptions:
         L∞ ε-reduction, bit-identical to the pre-pipeline behaviour.
         ``"exact"`` adds the refinement stage: MBR candidates are
         filtered down to pairs whose exact Euclidean shape distance is
-        within ε, using the datasets' shape payloads.
+        within ε, using the datasets' shape payloads.  The refine runs
+        once in the calling process, also behind the multiprocess
+        engine (whose workers return MBR candidates).
     """
 
     workers: int | None = None
     decompose: str | None = None
-    dedup: str | None = None
     backend: str | None = None
-    handoff: str | None = None
     reuse_index: "bool | object | None" = None
     max_bytes: int | None = None
     geometry: str | None = None
@@ -298,20 +283,10 @@ class RunOptions:
                 f"unknown decompose kind {self.decompose!r}; expected one of "
                 f"{', '.join(_decompose_kinds())}"
             )
-        if self.dedup is not None and self.dedup not in DEDUP_MODES:
-            raise ValueError(
-                f"unknown dedup mode {self.dedup!r}; expected one of "
-                f"{', '.join(DEDUP_MODES)}"
-            )
         if self.backend is not None and self.backend not in _backend_names():
             raise ValueError(
                 f"unknown backend {self.backend!r}; expected one of "
                 f"{', '.join(_backend_names())}"
-            )
-        if self.handoff is not None and self.handoff not in HANDOFF_MODES:
-            raise ValueError(
-                f"unknown handoff mode {self.handoff!r}; expected one of "
-                f"{', '.join(HANDOFF_MODES)}"
             )
         if self.geometry is not None and self.geometry not in GEOMETRY_MODES:
             raise ValueError(
@@ -324,7 +299,7 @@ class RunOptions:
         """The options encoded in the ``REPRO_*`` environment variables.
 
         The single reading of the environment: every variable maps to its
-        own field, so ``REPRO_DECOMPOSE`` / ``REPRO_DEDUP`` apply without
+        own field, so ``REPRO_DECOMPOSE`` / ``REPRO_BACKEND`` apply without
         ``REPRO_WORKERS`` and ``REPRO_WORKERS=0`` (like an explicit
         ``workers=0``) pins sequential execution.  Unset variables stay
         ``None`` so engine defaults apply.  Values are validated eagerly
@@ -334,9 +309,7 @@ class RunOptions:
         return cls(
             workers=workers,
             decompose=env_choice("REPRO_DECOMPOSE", _decompose_kinds()),
-            dedup=env_choice("REPRO_DEDUP", DEDUP_MODES),
             backend=env_choice("REPRO_BACKEND", _backend_names()),
-            handoff=env_choice("REPRO_HANDOFF", HANDOFF_MODES),
             max_bytes=env_int("REPRO_MAX_BYTES", minimum=1),
             geometry=env_choice("REPRO_GEOMETRY", GEOMETRY_MODES),
         )
@@ -348,9 +321,7 @@ class RunOptions:
             for field, value in (
                 ("workers", self.workers),
                 ("decompose", self.decompose),
-                ("dedup", self.dedup),
                 ("backend", self.backend),
-                ("handoff", self.handoff),
                 ("reuse_index", self.reuse_index),
                 ("max_bytes", self.max_bytes),
                 ("geometry", self.geometry),
@@ -365,9 +336,7 @@ class RunOptions:
         for field in (
             "workers",
             "decompose",
-            "dedup",
             "backend",
-            "handoff",
             "max_bytes",
             "geometry",
         ):

@@ -32,7 +32,6 @@ from repro.datasets.io import read_dataset, write_dataset
 from repro.datasets.neuroscience import density_subsets
 from repro.datasets.transform import inflate
 from repro.joins.registry import make_algorithm
-from repro.parallel.chunked import ChunkedSpatialJoin
 
 __all__ = ["ExperimentResult", "EXPERIMENTS", "run_experiment"]
 
@@ -438,9 +437,11 @@ def experiment_ablation_chunked(scale: Scale, options: RunOptions) -> Experiment
     dataset_a, dataset_b = synthetic_pair("uniform", scale.large_a, n_b, scale)
     build = inflate(dataset_a, scale.large_epsilon)
     for n_chunks in (1, 2, 4, 8):
-        algorithm = ChunkedSpatialJoin(
-            lambda: make_algorithm("TOUCH"), n_chunks=n_chunks
-        )
+        # One worker joins the regions one after another: the one-core
+        # simulation of the per-core deployment.
+        from repro.parallel.engine import ParallelChunkedJoin
+
+        algorithm = ParallelChunkedJoin("TOUCH", workers=1, n_chunks=n_chunks)
         result = algorithm.join(build, dataset_b)
         record = record_from_result(
             result, dataset_a.name, len(dataset_a), len(dataset_b), scale.large_epsilon
@@ -1103,7 +1104,7 @@ def run_experiment(
     """Run one experiment by id at the given (or ``REPRO_SCALE``) scale.
 
     ``options`` (the CLI's ``--backend`` / ``--workers`` / ``--decompose``
-    / ``--dedup`` / ``--max-bytes`` / ``--geometry`` flags) is resolved
+    / ``--max-bytes`` / ``--geometry`` flags) is resolved
     once over :meth:`RunOptions.from_env` and handed to the definition,
     which passes it to every :func:`run_algorithm` join.  Experiments
     that pick their own engine per run (``parallel_scaling``,

@@ -26,7 +26,7 @@ DEFAULT_COLUMNS = (
 #: Parallel-engine columns, surfaced (in this order) right after the
 #: default columns whenever rows carry them: the decomposition, the
 #: worker count, and the three phase wall-clocks recorded by the
-#: chunked/multiprocess engines in ``JoinStatistics.extra``.
+#: multiprocess engine in ``JoinStatistics.extra``.
 PARALLEL_COLUMNS = (
     "workers",
     "n_chunks",

@@ -119,26 +119,6 @@ def _check_shapes(dataset) -> None:
         raise MissingShapesError(dataset.name)
 
 
-def _shaped(objects):
-    """Objects with exact shapes attached (box fallback over ``obj.mbr``).
-
-    The multiprocess engine hands object lists to its workers, which
-    refine there: attaching the box *before* any epsilon inflation pins
-    the original extents, so the workers may refine against the
-    inflated build side.
-    """
-    from repro.geometry.objects import SpatialObject
-    from repro.geometry.shapes import Shape
-    from repro.geometry.vertex_table import shape_of
-
-    return [
-        obj
-        if isinstance(obj.geometry, Shape)
-        else SpatialObject(obj.oid, obj.mbr, shape_of(obj))
-        for obj in objects
-    ]
-
-
 def _service(reuse_index):
     """The query service a truthy ``reuse_index`` option names."""
     # Imported lazily, like the parallel engine.
@@ -237,9 +217,7 @@ def run_algorithm(
     - ``options.workers``: ``0`` forces sequential execution; ``>= 1``
       runs the algorithm through the multiprocess
       :class:`~repro.parallel.engine.ParallelChunkedJoin` over an
-      ``options.decompose`` (``slabs`` | ``tiles``) cutting with an
-      ``options.dedup`` (``reference`` | ``partition``)
-      boundary-duplicate policy;
+      ``options.decompose`` (``slabs`` | ``tiles``) cutting;
     - ``options.backend`` feeds backend-aware algorithms unless the call
       passes its own ``backend=`` override;
     - ``options.reuse_index`` routes the join through the
@@ -278,9 +256,11 @@ def run_algorithm(
                 "and cannot be combined with the multiprocess engine "
                 f"(workers={resolved.workers})"
             )
+        # Both sides go as given: a Dataset keeps its cached refine
+        # view for exact probes.
         result = _service(resolved.reuse_index).probe(
-            list(dataset_a),
-            list(dataset_b),
+            dataset_a,
+            dataset_b,
             epsilon,
             algorithm=algorithm_name,
             max_bytes=resolved.max_bytes,
@@ -314,11 +294,7 @@ def run_algorithm(
             spec,
             workers=resolved.workers,
             kind=resolved.decompose or "slabs",
-            dedup=resolved.dedup or "reference",
-            handoff=resolved.handoff or "auto",
             max_bytes=resolved.max_bytes,
-            geometry=resolved.geometry or "mbr",
-            refine_epsilon=epsilon if exact else None,
         )
     elif resolved.max_bytes is not None:
         # Imported lazily, like the engines: the memory governor pulls in
@@ -337,19 +313,14 @@ def run_algorithm(
         dataset_a = Dataset(dataset_a, name="adhoc")
     if exact and not isinstance(dataset_b, Dataset):
         dataset_b = Dataset(dataset_b, name="adhoc")
-    if exact and resolved.workers:
-        probe_b = _shaped(dataset_b)
-        build = [obj.inflated(epsilon) for obj in _shaped(dataset_a)]
-    elif isinstance(dataset_a, Dataset):
-        probe_b = dataset_b
+    if isinstance(dataset_a, Dataset):
         build = inflate(dataset_a, epsilon)
     else:
-        probe_b = dataset_b
         build = [obj.inflated(epsilon) for obj in dataset_a]
-    result = algorithm.join(build, probe_b)
-    if exact and not resolved.workers:
-        # The multiprocess engine refines inside its workers; every
-        # other execution path refines the candidate join here, against
+    result = algorithm.join(build, dataset_b)
+    if exact:
+        # Every execution path, the multiprocess engine included,
+        # returns MBR candidates; they are refined here once, against
         # the original (never inflated) datasets.
         result = _refine_result(
             result, dataset_a, dataset_b, epsilon, resolved.backend or "auto"

@@ -32,25 +32,14 @@ import numpy as np
 
 from repro.geometry.mbr import MBR
 
-try:  # pragma: no cover - stdlib on every supported platform
-    from multiprocessing import shared_memory as _shared_memory
-
-    HAVE_SHM = True
-except ImportError:  # pragma: no cover - stripped-down interpreters
-    _shared_memory = None  # type: ignore[assignment]
-    HAVE_SHM = False
-
 if TYPE_CHECKING:  # avoid a runtime cycle with repro.geometry.objects
     from repro.geometry.objects import SpatialObject
 
 __all__ = [
-    "HAVE_SHM",
     "BACKENDS",
     "resolve_backend",
     "validate_backend",
     "CoordinateTable",
-    "SharedTableHandle",
-    "SharedTableBlock",
     "DEFAULT_DIM",
     "intersects_many",
     "intersect_pairs",
@@ -114,7 +103,7 @@ class CoordinateTable:
     ids and coordinates exactly (float64 in, float64 out).
     """
 
-    __slots__ = ("coords", "ids", "_shm")
+    __slots__ = ("coords", "ids")
 
     def __init__(self, coords, ids) -> None:
         coords = np.ascontiguousarray(coords, dtype=np.float64)
@@ -129,7 +118,6 @@ class CoordinateTable:
             )
         self.coords = coords
         self.ids = ids
-        self._shm = None
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -247,94 +235,6 @@ class CoordinateTable:
             raise ValueError(f"bounds() of an empty table: {self!r} has no rows")
         return self.lo.min(axis=0), self.hi.max(axis=0)
 
-    # -- shared-memory hand-off ----------------------------------------
-    def to_shared(self, name: str | None = None) -> "SharedTableBlock":
-        """Publish the table into one shared-memory segment.
-
-        The segment holds the coordinate block followed by the id block;
-        the returned :class:`SharedTableBlock` owns the segment (the
-        caller must :meth:`~SharedTableBlock.close` it, normally with
-        ``unlink=True``, when every consumer is done) and exposes the
-        tiny picklable :class:`SharedTableHandle` that workers attach
-        with :meth:`from_shared` / :meth:`shm_slice`.
-        """
-        require_shm()
-        coords = np.ascontiguousarray(self.coords)
-        ids = np.ascontiguousarray(self.ids)
-        total = coords.nbytes + ids.nbytes
-        segment = _shared_memory.SharedMemory(
-            name=name, create=True, size=max(total, 1)
-        )
-        handle = SharedTableHandle(segment.name, len(self), self.dim)
-        buf = segment.buf
-        np.frombuffer(buf, dtype=np.float64, count=coords.size)[...] = (
-            coords.reshape(-1)
-        )
-        np.frombuffer(
-            buf, dtype=np.int64, count=ids.size, offset=coords.nbytes
-        )[...] = ids
-        return SharedTableBlock(segment, handle)
-
-    @classmethod
-    def from_shared(cls, handle: "SharedTableHandle") -> "CoordinateTable":
-        """Attach a published table as a zero-copy view.
-
-        The returned table's arrays alias the shared segment; the
-        attachment is held open for the lifetime of the table object.
-        The publishing process keeps ownership — this side never
-        unlinks.  Use :meth:`shm_slice` to materialise a private row
-        subset and drop the attachment immediately.
-        """
-        require_shm()
-        segment = _attach_segment(handle.name)
-        rows, dim = handle.rows, handle.dim
-        coords = np.frombuffer(
-            segment.buf, dtype=np.float64, count=rows * 2 * dim
-        ).reshape(rows, 2 * dim)
-        ids = np.frombuffer(
-            segment.buf, dtype=np.int64, count=rows, offset=coords.nbytes
-        )
-        table = cls.__new__(cls)
-        table.coords = coords
-        table.ids = ids
-        table._shm = segment
-        return table
-
-    @classmethod
-    def shm_slice(cls, handle: "SharedTableHandle", indices) -> "CoordinateTable":
-        """Copy the ``indices`` rows of a published table and detach.
-
-        The worker-side hand-off primitive: attach the parent's
-        segment, fancy-index just this worker's rows into private
-        arrays, then close the attachment so the parent's ``unlink``
-        is the only lifecycle event left.
-        """
-        view = cls.from_shared(handle)
-        try:
-            return cls(view.coords[indices], view.ids[indices])
-        finally:
-            view.release()
-
-    def release(self) -> None:
-        """Drop a :meth:`from_shared` attachment (no-op otherwise).
-
-        The table's arrays are invalidated (replaced by empty ones) so
-        the aliased buffer can actually close; callers must have copied
-        whatever rows they need first (:meth:`shm_slice` does).
-        """
-        segment, self._shm = self._shm, None
-        if segment is None:
-            return
-        dim = self.dim
-        self.coords = np.empty((0, 2 * dim), dtype=np.float64)
-        self.ids = np.empty(0, dtype=np.int64)
-        try:
-            segment.close()
-        except BufferError:  # pragma: no cover - a caller kept a view alive
-            # The attachment then lives until process exit; the segment
-            # itself is still owned (and unlinked) by the publisher.
-            pass
-
 
 def _corner_rows(mbrs: Sequence[MBR], ids) -> "np.ndarray":
     """``(N, 2 * D)`` corner rows of non-empty ``mbrs``, one ``np.fromiter``.
@@ -359,89 +259,6 @@ def _corner_rows(mbrs: Sequence[MBR], ids) -> "np.ndarray":
     return np.fromiter(corners, dtype=np.float64, count=n * 2 * dim).reshape(
         n, 2 * dim
     )
-
-
-def require_shm() -> None:
-    """Raise a clear error when the shm hand-off is used without support."""
-    if not HAVE_SHM:
-        raise RuntimeError(
-            "multiprocessing.shared_memory is unavailable on this platform; "
-            "use the pickle hand-off (handoff='pickle')"
-        )
-
-
-def _attach_segment(name: str):
-    """Attach an existing segment without adopting its lifecycle.
-
-    Python's resource tracker registers *attachments* as if they were
-    creations before 3.13, so a worker exiting would try to unlink a
-    segment the parent still owns.  Unregistering after the fact is
-    wrong too: under fork the worker shares the parent's tracker, so
-    the unregister would erase the *parent's* registration and its
-    later ``unlink`` would trip a tracker KeyError.  Instead the
-    registration is suppressed for the duration of the attach (the
-    3.13+ ``track=False`` semantics), leaving the parent as the sole
-    registered owner.
-    """
-    try:  # pragma: no cover - interpreter-version dependent
-        from multiprocessing import resource_tracker
-
-        register = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-    except Exception:
-        return _shared_memory.SharedMemory(name=name)
-    try:
-        return _shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = register
-
-
-class SharedTableHandle:
-    """Picklable locator of a table published with ``to_shared()``."""
-
-    __slots__ = ("name", "rows", "dim")
-
-    def __init__(self, name: str, rows: int, dim: int) -> None:
-        self.name = name
-        self.rows = rows
-        self.dim = dim
-
-    def __repr__(self) -> str:
-        return f"SharedTableHandle({self.name!r}, rows={self.rows}, dim={self.dim})"
-
-    def __getstate__(self):
-        return (self.name, self.rows, self.dim)
-
-    def __setstate__(self, state) -> None:
-        self.name, self.rows, self.dim = state
-
-
-class SharedTableBlock:
-    """Parent-side owner of one published shared-memory segment."""
-
-    __slots__ = ("segment", "handle")
-
-    def __init__(self, segment, handle: SharedTableHandle) -> None:
-        self.segment = segment
-        self.handle = handle
-
-    def close(self, unlink: bool = True) -> None:
-        """Close (and by default unlink) the segment; idempotent."""
-        segment, self.segment = self.segment, None
-        if segment is None:
-            return
-        segment.close()
-        if unlink:
-            try:
-                segment.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-    def __enter__(self) -> "SharedTableBlock":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 # -- flat candidate-range machinery ------------------------------------

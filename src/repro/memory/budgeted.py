@@ -10,7 +10,7 @@ mirroring the AsterixDB build/probe spill lifecycle (``spilledStatus``
 bookkeeping, ``freeMem`` accounting, unspill-on-close):
 
 1. **Partition & price.**  The universe is decomposed exactly as the
-   chunked/parallel engines do (:mod:`repro.parallel.decompose`), so the
+   parallel engine does (:mod:`repro.parallel.decompose`), so the
    boundary-ownership rule guarantees a duplicate-free merge.  Each
    partition is priced with the base algorithm's ``estimate_bytes``.
 2. **Admit or spill.**  Partitions charge the
@@ -30,7 +30,8 @@ bookkeeping, ``freeMem`` accounting, unspill-on-close):
 Pair parity with the unbudgeted algorithm is exact: every partition
 join is complete and sound for its members, and the reference-point
 ownership filter keeps each pair exactly once — the same argument the
-chunked-parity suite proves for :class:`ChunkedSpatialJoin`.
+parallel parity suite proves for
+:class:`~repro.parallel.engine.ParallelChunkedJoin`.
 
 Spill activity is recorded in ``stats.extra`` (see
 :data:`~repro.memory.budget.SPILL_COUNTER_KEYS`) and, when a shared
@@ -76,7 +77,7 @@ class BudgetedSpatialJoin(SpatialJoinAlgorithm):
         The byte budget.  Joins whose priced footprint fits run the base
         algorithm unchanged (zero spill counters).
     kind / axis:
-        Decomposition geometry, as in the chunked/parallel engines.
+        Decomposition geometry, as in the parallel engine.
     spill_root:
         Directory under which the per-join spill directory is created
         (system temp dir by default).

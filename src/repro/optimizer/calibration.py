@@ -61,7 +61,7 @@ DEFAULT_CALIBRATION: dict = {
     # Object loops measured ~3x the columnar kernels across the
     # backend-parity smokes.
     "backend_factor": {"object": 3.0, "columnar": 1.0, "auto": 1.0},
-    # Process spawn + shared-memory hand-off per worker, and how much
+    # Process spawn + pickled region hand-off per worker, and how much
     # of ideal linear speedup the engine typically achieves.
     "worker_spawn_seconds": 0.35,
     "parallel_efficiency": 0.6,

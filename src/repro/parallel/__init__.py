@@ -1,13 +1,12 @@
-"""Chunked and multiprocess execution of the paper's §3 decomposition.
+"""Multiprocess execution of the paper's §3 decomposition.
 
 - :mod:`repro.parallel.decompose` — slab/tile cutting and the shared
   boundary-ownership (reference-point) rule;
-- :mod:`repro.parallel.chunked` — sequential simulation (one "core" at a
-  time);
-- :mod:`repro.parallel.engine` — the real ``multiprocessing`` engine.
+- :mod:`repro.parallel.engine` — the ``multiprocessing`` engine
+  (``workers=1`` runs the regions one after another, the one-core
+  simulation of the paper's deployment).
 """
 
-from repro.parallel.chunked import ChunkedSpatialJoin
 from repro.parallel.decompose import (
     DECOMPOSE_KINDS,
     Decomposition,
@@ -32,7 +31,6 @@ def __getattr__(name: str):
 
 
 __all__ = [
-    "ChunkedSpatialJoin",
     "ParallelChunkedJoin",
     "Decomposition",
     "Region",

@@ -1,13 +1,11 @@
-"""Spatial decomposition shared by the chunked and multiprocess engines.
+"""Spatial decomposition of the multiprocess engine (and its neighbours).
 
 §3 of the paper: "the dataset is split into 16K contiguous subsets, each
 subset is loaded in the memory of a core and the distance join is
 performed locally (independent of the other cores and thus massively
-parallel)".  This module owns the geometry of that decomposition so the
-sequential simulation (:class:`~repro.parallel.chunked.ChunkedSpatialJoin`)
-and the real multiprocess engine
-(:class:`~repro.parallel.engine.ParallelChunkedJoin`) cut the universe —
-and deduplicate boundary pairs — *identically*:
+parallel)".  This module owns the geometry of that decomposition, which
+the multiprocess engine (:class:`~repro.parallel.engine.ParallelChunkedJoin`),
+the memory governor and the sharded serving tier share:
 
 - **slabs**: the universe is cut into ``n_chunks`` contiguous intervals
   along one axis (the paper's BlueGene/P layout);
@@ -29,7 +27,9 @@ region's own ``[lo, hi)`` in isolation) guarantees every reference point
 has exactly one owner even when floating-point rounding makes adjacent
 interval bounds disagree — the historical per-slab test lost pairs whose
 reference point landed exactly on an interior edge a slab believed it
-did not own.
+did not own.  :meth:`Decomposition.owner_indices` is the same rule over
+whole pair arrays (one ``searchsorted`` per partitioned axis), pinned
+to the scalar :meth:`Decomposition.owns` by ``tests/test_decompose.py``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.geometry.mbr import MBR
 
@@ -319,6 +321,24 @@ class Decomposition:
         """Does ``region`` own the pair under the reference-point rule?"""
         return self.owner_index(mbr_a, mbr_b) == region.index
 
+    def owner_indices(self, lo_a, lo_b) -> np.ndarray:
+        """:meth:`owner_index` of many pairs at once.
+
+        ``lo_a`` / ``lo_b`` are ``(N, D)`` low corners, row ``i`` of each
+        holding pair ``i``'s.  ``searchsorted(side="right") - 1``,
+        clipped to the edge list, is :meth:`owner_cell`'s
+        ``bisect_right`` rule; the cells fold into the flat C-order
+        region index.
+        """
+        flat = np.zeros(len(lo_a), dtype=np.int64)
+        for coordinate, axis in enumerate(self.axes):
+            edges = np.asarray(self.edges[coordinate], dtype=np.float64)
+            reference = np.maximum(lo_a[:, axis], lo_b[:, axis])
+            cell = np.searchsorted(edges, reference, side="right") - 1
+            np.clip(cell, 0, len(edges) - 1, out=cell)
+            flat = flat * self.shape[coordinate] + cell
+        return flat
+
     # -- routing -------------------------------------------------------
     def covering_indices(self, mbr: MBR) -> list[int]:
         """Flat indices of every region the MBR covers (routing rule).
@@ -345,16 +365,17 @@ class Decomposition:
 
     # -- the two-layer classification ----------------------------------
     def covers(self, region: Region, mbr: MBR) -> bool:
-        """Index-range membership used by ``dedup="partition"``.
+        """Index-range membership of the two-layer scheme.
 
         The MBR belongs to the regions whose interval index lies within
         ``[owner_cell(lo), owner_cell(hi)]`` on every partitioned axis —
         the multiple assignment of the two-layer scheme, resolved on the
-        same shared-edge ruler as pair ownership.  Unlike the closed
+        same shared-edge ruler as pair ownership (the serving tier's
+        shard placement, :meth:`covering_indices`).  Unlike the closed
         :meth:`Region.touches` test it excludes objects meeting a region
         only at its low boundary (their low corner is owned by the next
         region over); those replicas can never contribute an owned pair,
-        and dropping them is what makes the per-region mini-joins
+        and dropping them is what makes the per-region class mini-joins
         duplicate-free without any per-pair test.
         """
         for coordinate, axis in enumerate(self.axes):

@@ -1,7 +1,7 @@
 """Two-layer space-oriented partitioning: duplicate-free partition joins.
 
 The subsystem behind the registry's ``TwoLayer-*`` algorithms and the
-multiprocess engine's ``dedup="partition"`` mode: corner-ownership
+sharded serving tier's probe placement: corner-ownership
 class masks, the reduced mini-join matrix, and the
 :class:`~repro.partition.two_layer.TwoLayerJoin` algorithm itself.
 Unlike every reference-point path in the library, nothing in here ever
@@ -11,7 +11,6 @@ performs a per-pair ownership test (``stats.dedup_checks == 0``).
 from repro.partition.classes import (
     class_label,
     full_mask,
-    group_by_mask,
     mini_join_masks,
 )
 from repro.partition.two_layer import TwoLayerJoin
@@ -21,5 +20,4 @@ __all__ = [
     "full_mask",
     "mini_join_masks",
     "class_label",
-    "group_by_mask",
 ]

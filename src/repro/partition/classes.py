@@ -35,20 +35,18 @@ allowed mini-joins therefore reports each intersecting pair exactly
 once *without any per-pair ownership test*: ``stats.dedup_checks``
 stays 0.
 
-The same algebra drives the ``dedup="partition"`` mode of the
-multiprocess engine, with decomposition regions playing the tiles.
+The same algebra places probe replicas on the sharded serving tier's
+shards, with decomposition regions playing the tiles.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 __all__ = [
     "full_mask",
     "mini_join_masks",
     "class_label",
-    "group_by_mask",
 ]
 
 
@@ -84,15 +82,3 @@ def class_label(mask: int, n_axes: int) -> str:
             mask, format(mask, f"0{n_axes}b")
         )
     return format(mask, f"0{n_axes}b")
-
-
-def group_by_mask(objects: Sequence, masks: Iterable[int]) -> dict[int, list]:
-    """Bucket ``objects`` by their parallel class ``masks`` (order kept)."""
-    groups: dict[int, list] = {}
-    for obj, mask in zip(objects, masks):
-        bucket = groups.get(mask)
-        if bucket is None:
-            groups[mask] = [obj]
-        else:
-            bucket.append(obj)
-    return groups

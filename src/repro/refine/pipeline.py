@@ -87,7 +87,7 @@ class OidRows:
         if len(repeated):
             raise ValueError(
                 f"duplicate oid {int(self._sorted[repeated[0]])} in {where}: "
-                "refine needs one object per oid"
+                "pairs name objects by oid, so each oid must be unique"
             )
 
     def rows(self, oids, side: str):

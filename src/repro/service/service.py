@@ -46,11 +46,15 @@ class _Source:
 
     __slots__ = ("name", "objects", "fingerprint", "_dataset")
 
-    def __init__(self, name: str, objects: list, fingerprint: str) -> None:
+    def __init__(
+        self, name: str, objects: list, fingerprint: str, dataset=None
+    ) -> None:
         self.name = name
         self.objects = objects
         self.fingerprint = fingerprint
-        self._dataset: Dataset | None = None
+        # A caller's Dataset over the objects is used as is, cached view
+        # and all.
+        self._dataset: Dataset | None = dataset
 
     def refine_side(self) -> Dataset:
         """The objects as a :class:`Dataset`, made on first use."""
@@ -128,7 +132,12 @@ class SpatialQueryService:
                         f"unknown dataset {dataset!r}; registered: {known}"
                     ) from None
         objects = list(dataset)
-        return _Source("dataset", objects, dataset_fingerprint(objects))
+        return _Source(
+            "dataset",
+            objects,
+            dataset_fingerprint(objects),
+            dataset if isinstance(dataset, Dataset) else None,
+        )
 
     # -- queries -------------------------------------------------------
     def probe(
@@ -227,15 +236,12 @@ class SpatialQueryService:
                     if plan is not None:
                         result.stats.extra["plan"] = plan.as_dict()
                     return result
-            probe = probe_objects
 
         def builder() -> BuiltIndex:
             build_side = [obj.inflated(epsilon) for obj in objects]
             return algo.prepare(build_side)
 
         built, warm = self.cache.get_or_build(key, builder)
-        if isinstance(probe, Dataset):
-            probe = list(probe)
         start = time.perf_counter()
         result = algo.probe(built, probe)
         probe_seconds = time.perf_counter() - start
@@ -347,7 +353,7 @@ class SpatialQueryService:
         self,
         result: JoinResult,
         build: Dataset,
-        probe: "list[SpatialObject] | CoordinateTable",
+        probe: "Dataset | list[SpatialObject] | CoordinateTable",
         epsilon: float,
         backend: str | None,
     ) -> JoinResult:
@@ -356,7 +362,9 @@ class SpatialQueryService:
         The build side is the *registered* objects — never the inflated
         copies the index was built from — so the exact predicate sees
         original extents; its refine view is cached with the
-        registration, so a warm exact probe builds only the probe side's.
+        registration, so a warm exact probe builds only the probe side's
+        — and not even that when the probe is a :class:`Dataset`, whose
+        own cached view is read.
         MBR-batch probes (columnar tables) refine as position-numbered
         solid boxes, matching their pair numbering.
         """

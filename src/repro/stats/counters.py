@@ -35,8 +35,8 @@ class JoinStatistics:
     dedup_checks:
         Per-pair ownership tests performed to suppress duplicates from
         multiple assignment (reference-point tests in PBSM cells and grid
-        local joins, region-ownership tests in the chunked/parallel
-        engines, result-set membership probes in the quadtree join).
+        local joins, region-ownership tests in the parallel
+        engine, result-set membership probes in the quadtree join).
         The two-layer partition join is duplicate-free by construction
         and keeps this at exactly 0.
     filtered:
@@ -91,7 +91,7 @@ class JoinStatistics:
     def merge(self, other: "JoinStatistics") -> None:
         """Accumulate another statistics object into this one.
 
-        Used by the chunked and multiprocess engines to combine
+        Used by the multiprocess engine to combine
         per-chunk statistics: counters add up (total work is invariant
         under parallelisation), timings add up (sequential-equivalent
         work), and the memory footprint takes the maximum, matching the

@@ -194,9 +194,6 @@ class TestParallelRunner:
         monkeypatch.setenv("REPRO_WORKERS", "3")
         monkeypatch.setenv("REPRO_DECOMPOSE", "tiles")
         assert RunOptions.from_env() == RunOptions(workers=3, decompose="tiles")
-        monkeypatch.setenv("REPRO_DEDUP", "partition")
-        assert RunOptions.from_env().dedup == "partition"
-        monkeypatch.delenv("REPRO_DEDUP")
         monkeypatch.delenv("REPRO_DECOMPOSE")
         assert RunOptions.from_env() == RunOptions(workers=3)
         monkeypatch.delenv("REPRO_WORKERS")
@@ -217,10 +214,6 @@ class TestParallelRunner:
         with pytest.raises(ValueError, match="REPRO_DECOMPOSE='shards'"):
             RunOptions.from_env()
         monkeypatch.delenv("REPRO_DECOMPOSE")
-        monkeypatch.setenv("REPRO_DEDUP", "hope")
-        with pytest.raises(ValueError, match="REPRO_DEDUP='hope'"):
-            RunOptions.from_env()
-        monkeypatch.delenv("REPRO_DEDUP")
         monkeypatch.setenv("REPRO_BACKEND", "fortran")
         with pytest.raises(ValueError, match="REPRO_BACKEND='fortran'"):
             RunOptions.from_env()

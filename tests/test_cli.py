@@ -44,15 +44,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--algorithm", "MagicJoin"])
 
-    def test_dedup_flag(self):
-        args = build_parser().parse_args(
-            ["run", "fig9", "--workers", "2", "--dedup", "partition"]
-        )
-        assert args.dedup == "partition"
-        args = build_parser().parse_args(["all", "--workers", "2"])
-        assert args.dedup is None
+    def test_no_dedup_flag(self):
+        # The engine has one boundary-duplicate policy; there is no flag.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["run", "fig9", "--dedup", "hope"])
+            build_parser().parse_args(
+                ["run", "fig9", "--workers", "2", "--dedup", "partition"]
+            )
 
     def test_explain_flags(self):
         args = build_parser().parse_args(

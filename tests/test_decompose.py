@@ -1,7 +1,9 @@
 """The shared slab/tile decomposition and boundary-ownership rule."""
 
 import pickle
+import random
 
+import numpy as np
 import pytest
 
 from repro.geometry.mbr import MBR
@@ -226,3 +228,70 @@ class TestEveryReferenceHasOneOwner:
                     for region in decomposition.regions
                 )
                 assert owners == 1
+
+
+def _ownership_boxes(decomposition, dim, n, rng):
+    """Adversarial low corners: lattice-snapped boxes (many land on
+    region edges), zero-extent points exactly on every interior edge,
+    and boxes starting past either universe bound."""
+    edges = [edge for per_axis in decomposition.edges for edge in per_axis]
+    boxes = []
+    for i in range(n):
+        choice = i % 3
+        if choice == 0:  # on the 0.25 lattice over [-1.5, 11.5]
+            lo = [rng.randint(-6, 46) / 4.0 for _ in range(dim)]
+            hi = [c + rng.randint(0, 8) / 4.0 for c in lo]
+        elif choice == 1:  # a point whose coordinates sit on edges
+            lo = [rng.choice(edges) for _ in range(dim)]
+            hi = list(lo)
+        else:  # past the universe on some axes
+            lo = [rng.choice((-3.0, 12.5, rng.uniform(0.0, 10.0))) for _ in range(dim)]
+            hi = [c + 1.0 for c in lo]
+        boxes.append(MBR(tuple(lo), tuple(hi)))
+    return boxes
+
+
+class TestVectorisedOwnership:
+    """``owner_indices`` over pair arrays agrees with the scalar rule."""
+
+    @pytest.mark.parametrize("kind", ["slabs", "tiles"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n_chunks", [1, 5, 8])
+    def test_matches_scalar_owns(self, kind, dim, n_chunks):
+        universe = UNIVERSE_2D if dim == 2 else UNIVERSE_3D
+        decomposition = Decomposition.build(universe, kind=kind, n_chunks=n_chunks)
+        rng = random.Random(n_chunks * 10 + dim)
+        boxes_a = _ownership_boxes(decomposition, dim, 90, rng)
+        boxes_b = _ownership_boxes(decomposition, dim, 90, rng)
+        pairs = [(a, b) for a in boxes_a for b in boxes_b]
+        lo_a = np.array([a.lo for a, _ in pairs])
+        lo_b = np.array([b.lo for _, b in pairs])
+        owners = decomposition.owner_indices(lo_a, lo_b)
+        assert owners.dtype == np.int64
+        for region in decomposition.regions:
+            expected = [decomposition.owns(region, a, b) for a, b in pairs]
+            assert (owners == region.index).tolist() == expected, region
+
+    def test_empty_pair_arrays(self):
+        decomposition = Decomposition.build(UNIVERSE_2D, kind="tiles", n_chunks=4)
+        empty = np.empty((0, 2))
+        assert len(decomposition.owner_indices(empty, empty)) == 0
+
+    @pytest.mark.parametrize("kind", ["slabs", "tiles"])
+    def test_references_past_the_universe_clip_to_the_outer_regions(self, kind):
+        decomposition = Decomposition.build(UNIVERSE_2D, kind=kind, n_chunks=4)
+        below = np.array([[-5.0, -5.0]])
+        above = np.array([[15.0, 15.0]])
+        last = len(decomposition.regions) - 1
+        assert decomposition.owner_indices(below, below).tolist() == [0]
+        assert decomposition.owner_indices(above, above).tolist() == [last]
+        # The reference is the larger low corner, so one side past the
+        # upper bound moves the pair to the last region.
+        assert decomposition.owner_indices(below, above).tolist() == [last]
+
+    def test_interior_edge_owned_by_right_hand_slab(self):
+        decomposition = Decomposition.slabs(UNIVERSE_2D, 4, axis=0)
+        edge = MBR((5.0, 0.0), (5.0, 0.0))
+        assert decomposition.owner_index(edge, edge) == 2  # right-hand slab
+        corner = np.array([[5.0, 0.0]])
+        assert decomposition.owner_indices(corner, corner).tolist() == [2]

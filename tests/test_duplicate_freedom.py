@@ -16,15 +16,14 @@ boundaries.  Three adversarial workloads probe that:
   each is replicated into every partition along an axis.
 
 Checked for every registered algorithm, both geometry backends where
-supported, and through the sequential, chunked and multiprocess engines
-under both dedup policies.
+supported, sequentially and through the multiprocess engine at one
+worker (the one-core chunked simulation, at 4 and 9 regions) and two.
 """
 
 import pytest
 
 from repro.geometry.objects import box_object, point_object
 from repro.joins.registry import ALGORITHMS, BACKEND_AWARE, AlgorithmSpec
-from repro.parallel.chunked import ChunkedSpatialJoin
 from repro.parallel.engine import ParallelChunkedJoin
 from repro.validation import assert_matches_ground_truth
 
@@ -121,24 +120,20 @@ class TestBackendDuplicateFreedom:
 @pytest.mark.parametrize("algorithm", ENGINE_ALGORITHMS)
 class TestEngineDuplicateFreedom:
     def test_chunked(self, algorithm, workload):
+        # The one-core simulation on a finer cut: 9 slabs, or a 3 x 3
+        # tile grid whose four interior corners each touch four tiles.
         objects_a, objects_b = WORKLOADS[workload]()
         for kind in ("slabs", "tiles"):
-            engine = ChunkedSpatialJoin(
-                AlgorithmSpec.create(algorithm), n_chunks=4, kind=kind
-            )
+            engine = ParallelChunkedJoin(algorithm, workers=1, n_chunks=9, kind=kind)
             result = engine.join(objects_a, objects_b)
             assert_matches_ground_truth(result, objects_a, objects_b)
 
-    @pytest.mark.parametrize("dedup", ["reference", "partition"])
-    def test_parallel(self, algorithm, workload, dedup):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_parallel(self, algorithm, workload, workers):
         objects_a, objects_b = WORKLOADS[workload]()
         for kind in ("slabs", "tiles"):
             engine = ParallelChunkedJoin(
-                algorithm, workers=2, n_chunks=4, kind=kind, dedup=dedup
+                algorithm, workers=workers, n_chunks=4, kind=kind
             )
             result = engine.join(objects_a, objects_b)
             assert_matches_ground_truth(result, objects_a, objects_b)
-            if dedup == "partition" and algorithm.startswith(("NL", "TwoLayer")):
-                # Neither the engine nor these inner algorithms perform
-                # any ownership test: the whole path is dedup-free.
-                assert result.stats.dedup_checks == 0

@@ -360,15 +360,15 @@ class TestServiceAcceptance:
 
 @pytest.mark.parallel
 class TestParallelBudget:
-    @pytest.mark.parametrize("dedup", ["reference", "partition"])
-    def test_worker_budgets_preserve_parity(self, dedup, dense_pair):
+    @pytest.mark.parametrize("kind", ["slabs", "tiles"])
+    def test_worker_budgets_preserve_parity(self, kind, dense_pair):
         from repro.parallel.engine import ParallelChunkedJoin
 
         a, b = dense_pair
         baseline = make_algorithm("TOUCH").join(a, b).pair_set()
         estimated = footprint("TOUCH", dense_pair)
         engine = ParallelChunkedJoin(
-            "TOUCH", workers=2, dedup=dedup, max_bytes=estimated // 2
+            "TOUCH", workers=2, kind=kind, max_bytes=estimated // 2
         )
         result = engine.join(a, b)
         assert result.pair_set() == baseline

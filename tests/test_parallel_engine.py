@@ -1,5 +1,8 @@
-"""Unit tests for the multiprocess engine: specs, merge, phase timings."""
+"""Unit tests for the multiprocess engine: specs, merge, phase timings
+and worker crashes (boundary ownership and the one-core chunked
+simulation are in ``test_parallel_chunked.py``)."""
 
+import multiprocessing
 import pickle
 
 import pytest
@@ -7,8 +10,12 @@ import pytest
 from repro.datasets.synthetic import uniform_boxes
 from repro.geometry.objects import box_object
 from repro.joins.nested_loop import NestedLoopJoin
-from repro.joins.registry import ALGORITHMS, AlgorithmSpec
-from repro.parallel.engine import ParallelChunkedJoin, shutdown_pools
+from repro.joins.registry import ALGORITHMS, AlgorithmSpec, make_algorithm
+from repro.parallel.engine import (
+    ParallelChunkedJoin,
+    WorkerCrashError,
+    shutdown_pools,
+)
 from repro.stats.counters import JoinStatistics
 from repro.validation import assert_matches_ground_truth
 
@@ -51,10 +58,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="kind"):
             ParallelChunkedJoin("TOUCH", workers=1, kind="shards")
 
-    def test_rejects_unpicklable_factory(self):
-        captured = NestedLoopJoin()
-        with pytest.raises(TypeError, match="picklable"):
-            ParallelChunkedJoin(lambda: captured, workers=1)
+    @pytest.mark.parametrize("max_bytes", [0, -1, True, 1.5])
+    def test_rejects_bad_max_bytes(self, max_bytes):
+        with pytest.raises(ValueError, match="positive integer byte count"):
+            ParallelChunkedJoin("TOUCH", workers=2, max_bytes=max_bytes)
+
+    def test_rejects_bare_factory(self):
+        with pytest.raises(TypeError, match="registry name or an AlgorithmSpec"):
+            ParallelChunkedJoin(NestedLoopJoin, workers=1)
 
     def test_rejects_overrides_with_spec(self):
         with pytest.raises(TypeError, match="registry name"):
@@ -65,10 +76,6 @@ class TestConstruction:
         assert join.name == "Parallel[TOUCHx4@2w]"
         join = ParallelChunkedJoin("NL", workers=3, kind="tiles")
         assert join.name == "Parallel[NLxauto:tiles@3w]"
-
-    def test_accepts_picklable_class_factory(self):
-        join = ParallelChunkedJoin(NestedLoopJoin, workers=1, n_chunks=2)
-        assert_matches_ground_truth(join.join(A, B), A, B)
 
 
 class TestExecution:
@@ -114,8 +121,16 @@ class TestExecution:
         assert result.pairs == [(0, 0)]
         assert result.stats.duplicates_suppressed >= 1
 
+    def test_repeated_oid_in_a_region_raises(self):
+        # Ownership looks pairs' rows up by oid, so an oid must name one
+        # object per side.
+        a = [box_object(3, (0.0, 0.0), (1.0, 1.0)), box_object(3, (0.5, 0.0), (2.0, 1.0))]
+        b = [box_object(0, (0.5, 0.0), (1.0, 1.0))]
+        with pytest.raises(ValueError, match="duplicate oid 3"):
+            ParallelChunkedJoin("NL", workers=1, n_chunks=2).join(a, b)
+
     def test_geometry_objects_survive_the_round_trip(self):
-        # The worker rebuilds objects from coordinate buffers; ids and
+        # The worker joins pickled coordinate slices; ids and
         # coordinates must round-trip exactly (float64 in, float64 out).
         a = [box_object(7, (0.1, 0.2), (0.30000000000000004, 0.4))]
         b = [box_object(9, (0.3, 0.2), (0.5, 0.4))]
@@ -183,3 +198,80 @@ class TestPoolLifecycle:
         # Pools are recreated transparently after a shutdown.
         result = ParallelChunkedJoin("NL", workers=1, n_chunks=1).join(A, B)
         assert_matches_ground_truth(result, A, B)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the workers must inherit the patched class",
+)
+def test_touch_engine_builds_no_objects(monkeypatch):
+    """A columnar TOUCH engine join stays on tables in parent and workers."""
+    from repro.datasets.transform import inflate
+    from repro.geometry.columnar import CoordinateTable
+
+    a, b = inflate(A, 1.0), B
+    expected = make_algorithm("TOUCH").join(a, b).pair_set()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a SpatialObject list was built")
+
+    shutdown_pools()  # fresh workers fork after the patch
+    monkeypatch.setattr(CoordinateTable, "to_objects", forbidden)
+    try:
+        join = ParallelChunkedJoin("TOUCH", workers=2, n_chunks=4, start_method="fork")
+        assert join.join(a, b).pair_set() == expected
+    finally:
+        shutdown_pools()
+
+
+def _kill_worker(task):
+    import os
+    import signal
+
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parallel
+class TestWorkerCrash:
+    """Fault injection: a dead worker surfaces, the pool is replaced."""
+
+    def setup_method(self):
+        shutdown_pools()
+
+    def teardown_method(self):
+        shutdown_pools()
+
+    @staticmethod
+    def _datasets():
+        a = uniform_boxes(120, space=20.0, side_range=(0.5, 2.0), seed=31)
+        b = uniform_boxes(150, space=20.0, side_range=(0.5, 2.0), seed=32)
+        return list(a), list(b)
+
+    def test_worker_crash_raises_and_evicts_pool(self, monkeypatch):
+        import repro.parallel.engine as engine
+
+        objects_a, objects_b = self._datasets()
+        monkeypatch.setattr(engine, "_run_chunk", _kill_worker)
+        join = ParallelChunkedJoin("TOUCH", workers=2, n_chunks=4)
+        with pytest.raises(WorkerCrashError) as crash:
+            join.join(objects_a, objects_b)
+        # The error carries the engine's statistics, crash marker set.
+        assert crash.value.stats.extra["worker_crashed"] is True
+        assert (join.start_method, 2) not in engine._EXECUTORS
+
+    def test_engine_recovers_after_crash(self, monkeypatch):
+        import repro.parallel.engine as engine
+
+        objects_a, objects_b = self._datasets()
+        expected = make_algorithm("TOUCH").join(objects_a, objects_b)
+        original = engine._run_chunk
+        monkeypatch.setattr(engine, "_run_chunk", _kill_worker)
+        with pytest.raises(WorkerCrashError):
+            ParallelChunkedJoin("TOUCH", workers=2, n_chunks=4).join(
+                objects_a, objects_b
+            )
+        monkeypatch.setattr(engine, "_run_chunk", original)
+        result = ParallelChunkedJoin("TOUCH", workers=2, n_chunks=4).join(
+            objects_a, objects_b
+        )
+        assert result.pair_set() == expected.pair_set()

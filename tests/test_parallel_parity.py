@@ -2,27 +2,23 @@
 
 The contract pinned here, for every registered algorithm:
 
-- **pair parity** — sequential, chunked (slabs and tiles) and the
-  multiprocess engine at 1/2/4 workers, under both boundary-duplicate
-  policies (``dedup="reference"`` and the duplicate-free two-layer
-  ``dedup="partition"``), return identical *sorted pair sets* on
-  uniform, gaussian (skewed) and clustered data;
-- **counter parity** — for the same ``(kind, n_chunks, dedup)``
-  configuration the multiprocess engine reports exactly the same summed
-  comparison counters independent of the worker count (parallelism may
-  change wall-clock, never work); ``dedup="reference"`` additionally
-  matches the sequential chunked simulation;
+- **pair parity** — sequential and the multiprocess engine at 1/2/4
+  workers over slabs and tiles return identical *sorted pair sets* on
+  uniform, gaussian (skewed) and clustered data, equal to
+  ``brute_force_pairs``;
+- **counter parity** — for the same ``(kind, n_chunks)`` configuration
+  the engine reports exactly the same summed comparison counters
+  independent of the worker count (parallelism may change wall-clock,
+  never work); one worker is the one-core simulation of the chunked
+  deployment;
 - **degenerate inputs** — empty sides, every object inside one slab,
   objects spanning every slab boundary, and zero-extent MBRs sitting
   exactly on slab edges neither lose nor duplicate pairs.
 
 The whole module is marked ``parallel`` so CI can run it standalone
-(``pytest -m parallel``) on every supported Python version; the
-``REPRO_PARITY_DEDUP`` environment variable restricts the engine runs
-to one dedup policy so the CI matrix can split them across legs.
+(``pytest -m parallel``) on every supported Python version.
 """
 
-import os
 import random
 
 import pytest
@@ -30,7 +26,6 @@ import pytest
 from repro.datasets.synthetic import clustered_boxes, gaussian_boxes, uniform_boxes
 from repro.geometry.objects import SpatialObject, box_object, point_object
 from repro.joins.registry import ALGORITHMS, BACKEND_AWARE, AlgorithmSpec
-from repro.parallel.chunked import ChunkedSpatialJoin
 from repro.parallel.engine import ParallelChunkedJoin
 from repro.validation import assert_matches_ground_truth, brute_force_pairs
 
@@ -39,19 +34,6 @@ pytestmark = pytest.mark.parallel
 N_CHUNKS = 4
 WORKER_STEPS = (1, 2, 4)
 KINDS = ("slabs", "tiles")
-
-#: Engine dedup policies under test; REPRO_PARITY_DEDUP=<mode> narrows
-#: the sweep to one of them (the CI matrix runs one leg per mode).  An
-#: unknown value fails loudly — silently emptying the sweep would turn
-#: the whole suite into a vacuous pass with zero engine coverage.
-_DEDUP_ENV = os.environ.get("REPRO_PARITY_DEDUP")
-if _DEDUP_ENV not in (None, "", "reference", "partition"):
-    raise ValueError(
-        f"REPRO_PARITY_DEDUP={_DEDUP_ENV!r}: expected 'reference' or 'partition'"
-    )
-DEDUP_MODES = tuple(
-    mode for mode in ("reference", "partition") if _DEDUP_ENV in (None, "", mode)
-)
 
 #: Dense small workloads: every distribution the satellite asks for.
 DATASETS = {
@@ -71,49 +53,23 @@ DATASETS = {
 
 
 def engine_results(name: str, objects_a, objects_b, backend: str | None = None):
-    """Run one algorithm through every engine; yield labelled results.
+    """Run one algorithm sequentially and through every engine
+    configuration; yield ``(label, counter_key, result)``.
 
     The counter key groups runs whose summed work must be identical:
-    chunked and the reference-dedup parallel engine share one key per
-    decomposition kind, the partition-dedup engine (whose mini-join
-    structure legitimately performs different work) gets its own.
+    one per decomposition kind, whatever the worker count.
     """
     overrides = {"backend": backend} if backend else {}
     spec = AlgorithmSpec.create(name, **overrides)
     yield "sequential", None, spec.make().join(objects_a, objects_b)
     for kind in KINDS:
-        if "reference" in DEDUP_MODES:
-            chunked = ChunkedSpatialJoin(spec, n_chunks=N_CHUNKS, kind=kind)
-            yield (
-                f"chunked:{kind}",
-                f"{kind}:reference",
-                chunked.join(objects_a, objects_b),
-            )
         for workers in WORKER_STEPS:
-            for dedup in DEDUP_MODES:
-                parallel = ParallelChunkedJoin(
-                    spec, workers=workers, n_chunks=N_CHUNKS, kind=kind, dedup=dedup
-                )
-                yield (
-                    f"parallel:{kind}:{workers}w:{dedup}",
-                    f"{kind}:{dedup}",
-                    parallel.join(objects_a, objects_b),
-                )
-        # One forced-pickle run per (kind, dedup): the shared-memory
-        # hand-off (the auto default above) and the pickled-buffer path
-        # must produce byte-identical pairs and counters.
-        for dedup in DEDUP_MODES:
             parallel = ParallelChunkedJoin(
-                spec,
-                workers=2,
-                n_chunks=N_CHUNKS,
-                kind=kind,
-                dedup=dedup,
-                handoff="pickle",
+                spec, workers=workers, n_chunks=N_CHUNKS, kind=kind
             )
             yield (
-                f"parallel:{kind}:2w:{dedup}:pickle",
-                f"{kind}:{dedup}",
+                f"parallel:{kind}:{workers}w",
+                kind,
                 parallel.join(objects_a, objects_b),
             )
 
@@ -140,12 +96,6 @@ def assert_engine_parity(name: str, objects_a, objects_b, backend=None):
             f"{name} via {label}: summed comparisons {result.stats.comparisons} "
             f"!= {expected} of the first {counter_key} engine"
         )
-        # Engine runs that resolved to the shm hand-off must not have
-        # pickled a single coordinate buffer on the hot path.
-        if result.stats.extra.get("handoff") == "shm":
-            assert result.stats.extra.get("pickled_coord_bytes") == 0, (
-                f"{name} via {label}: shm hand-off pickled coordinate buffers"
-            )
 
 
 class TestEveryAlgorithm:

@@ -514,6 +514,21 @@ class TestRunnerIntegration:
         for key in ("candidate_pairs", "true_hits", "exact_tests"):
             assert parallel.extra[key] == sequential.extra[key]
 
+    def test_one_core_tiles_exact_matches_sequential(self):
+        # The engine hands back MBR candidates from any layout; the
+        # parent refines them once, so the exact counters match too.
+        polys = clustered_polygons(30, seed=33)
+        lines = clustered_linestrings(40, seed=34)
+        sequential = run_algorithm("TOUCH", polys, lines, EPSILON, options=EXACT)
+        parallel = run_algorithm(
+            "TOUCH", polys, lines, EPSILON,
+            options=RunOptions(workers=1, decompose="tiles", geometry="exact"),
+        )
+        assert parallel.extra["decompose"] == "tiles"
+        assert parallel.result_pairs == sequential.result_pairs
+        for key in ("candidate_pairs", "true_hits", "exact_tests"):
+            assert parallel.extra[key] == sequential.extra[key]
+
 
 class TestPipelineValidation:
     def test_rejects_negative_epsilon(self):
@@ -796,6 +811,39 @@ class TestRefineViews:
         assert second.parameters["cache"] == "warm"
         assert second.stats.exact_tests > 0
         assert second.pairs == first.pairs
+
+    def test_warm_exact_dataset_probe_reuses_its_view(self, monkeypatch):
+        from repro.geometry.vertex_table import VertexTable
+        from repro.service import SpatialQueryService
+
+        polys = clustered_polygons(60, space=60.0, n_clusters=3, seed=51)
+        others = clustered_polygons(80, space=60.0, n_clusters=3, seed=52)
+        service = SpatialQueryService(capacity=2)
+        service.register("polys", polys)
+        first = service.probe("polys", others, EPSILON, geometry="exact")
+        others.refine_view()
+        built = []
+        init = VertexTable.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(VertexTable, "__init__", counting)
+        second = service.probe("polys", others, EPSILON, geometry="exact")
+        assert second.parameters["cache"] == "warm"
+        assert built == []  # the probe Dataset's cached view is read
+        assert sorted(second.pairs) == sorted(first.pairs)
+        assert second.stats.exact_tests > 0
+        # Through run_algorithm both Datasets keep their views.
+        options = RunOptions(reuse_index=service, geometry="exact")
+        polys.refine_view()
+        run_algorithm("TOUCH", polys, others, EPSILON, options=options)
+        built.clear()
+        warm = run_algorithm("TOUCH", polys, others, EPSILON, options=options)
+        assert warm.extra["cache"] == "warm"
+        assert built == []
+        assert warm.result_pairs == len(first)
 
     def test_second_exact_run_rebuilds_nothing(self, monkeypatch):
         from repro.geometry.shapes import Shape

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.bench.config import DEDUP_MODES, RunOptions
+from repro.bench.config import RunOptions
 from repro.bench.runner import explain, run_algorithm
 from repro.datasets.synthetic import uniform_boxes
 from repro.joins.registry import BACKEND_AWARE
@@ -33,7 +33,6 @@ class TestRunOptionsObject:
         options = RunOptions()
         assert options.workers is None
         assert options.decompose is None
-        assert options.dedup is None
         assert options.backend is None
         assert options.reuse_index is None
         assert options.describe() == {}
@@ -48,7 +47,6 @@ class TestRunOptionsObject:
         [
             ({"workers": -1}, "workers must be >= 0"),
             ({"decompose": "hexagons"}, "unknown decompose kind"),
-            ({"dedup": "vote"}, "unknown dedup mode"),
             ({"backend": "gpu"}, "unknown backend"),
         ],
     )
@@ -58,10 +56,10 @@ class TestRunOptionsObject:
 
     def test_over_set_fields_win(self):
         base = RunOptions(workers=4, decompose="slabs", backend="object")
-        overlay = RunOptions(workers=0, dedup="partition")
+        overlay = RunOptions(workers=0, geometry="exact")
         merged = overlay.over(base)
         assert merged == RunOptions(
-            workers=0, decompose="slabs", dedup="partition", backend="object"
+            workers=0, decompose="slabs", backend="object", geometry="exact"
         )
 
     def test_over_none_defers(self):
@@ -76,10 +74,11 @@ class TestRunOptionsObject:
             "reuse_index": True,
         }
 
-    def test_dedup_modes_match_engine(self):
-        from repro.parallel.engine import ParallelChunkedJoin
-
-        assert DEDUP_MODES == ParallelChunkedJoin.DEDUP_MODES
+    @pytest.mark.parametrize("field", ["dedup", "handoff"])
+    def test_no_engine_mode_fields(self, field):
+        # The engine has one hand-off and one boundary-duplicate policy.
+        with pytest.raises(TypeError):
+            RunOptions(**{field: "auto"})
 
 
 class TestFromEnv:
@@ -87,7 +86,6 @@ class TestFromEnv:
         for name in (
             "REPRO_WORKERS",
             "REPRO_DECOMPOSE",
-            "REPRO_DEDUP",
             "REPRO_BACKEND",
         ):
             monkeypatch.delenv(name, raising=False)
@@ -96,10 +94,9 @@ class TestFromEnv:
     def test_reads_every_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
         monkeypatch.setenv("REPRO_DECOMPOSE", "tiles")
-        monkeypatch.setenv("REPRO_DEDUP", "partition")
         monkeypatch.setenv("REPRO_BACKEND", "object")
         assert RunOptions.from_env() == RunOptions(
-            workers=3, decompose="tiles", dedup="partition", backend="object"
+            workers=3, decompose="tiles", backend="object"
         )
 
     @pytest.mark.parametrize(
@@ -108,7 +105,6 @@ class TestFromEnv:
             ("REPRO_WORKERS", "many"),
             ("REPRO_WORKERS", "-2"),
             ("REPRO_DECOMPOSE", "hexagons"),
-            ("REPRO_DEDUP", "vote"),
             ("REPRO_BACKEND", "gpu"),
         ],
     )
@@ -125,7 +121,7 @@ class TestCurrentOptions:
     shows the resolved fields without running the join.
     """
 
-    ENV = ("REPRO_WORKERS", "REPRO_DECOMPOSE", "REPRO_DEDUP", "REPRO_BACKEND")
+    ENV = ("REPRO_WORKERS", "REPRO_DECOMPOSE", "REPRO_BACKEND")
 
     def test_default_is_empty(self, pair, monkeypatch):
         for name in self.ENV:
@@ -184,14 +180,12 @@ class TestRunAlgorithmPrecedence:
     def test_options_beat_environment_field_by_field(self, pair, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         monkeypatch.setenv("REPRO_DECOMPOSE", "tiles")
-        monkeypatch.setenv("REPRO_DEDUP", "partition")
         monkeypatch.setenv("REPRO_BACKEND", "object")
         a, b = pair
         # Fields set on options win; the rest come from the environment.
         record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(decompose="slabs"))
         assert record.extra["workers"] == 2
         assert record.extra["decompose"] == "slabs"
-        assert record.extra["dedup"] == "partition"
         record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=0))
         assert "n_chunks" not in record.extra
         assert record.extra["backend"] == "object"
@@ -212,19 +206,15 @@ class TestRunAlgorithmPrecedence:
         assert "workers" in plan["pinned"]
 
     @pytest.mark.parallel
-    def test_env_decompose_and_dedup_read_on_their_own(self, pair, monkeypatch):
-        """``REPRO_DECOMPOSE`` / ``REPRO_DEDUP`` apply even when the worker
-        count comes from ``options`` rather than ``REPRO_WORKERS``."""
+    def test_env_decompose_read_on_its_own(self, pair, monkeypatch):
+        """``REPRO_DECOMPOSE`` applies even when the worker count comes
+        from ``options`` rather than ``REPRO_WORKERS``."""
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         monkeypatch.setenv("REPRO_DECOMPOSE", "tiles")
-        monkeypatch.setenv("REPRO_DEDUP", "partition")
-        assert RunOptions.from_env() == RunOptions(
-            decompose="tiles", dedup="partition"
-        )
+        assert RunOptions.from_env() == RunOptions(decompose="tiles")
         a, b = pair
         record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=2))
         assert record.extra["decompose"] == "tiles"
-        assert record.extra["dedup"] == "partition"
 
     @pytest.mark.parallel
     def test_environment_still_applies_when_unspecified(self, pair, monkeypatch):
@@ -321,49 +311,6 @@ class TestRemovedKwargs:
         assert from_env.algorithm == modern.algorithm
         assert from_env.extra["workers"] == modern.extra["workers"] == 2
         assert from_env.result_pairs == modern.result_pairs
-
-
-class TestHandoffOption:
-    """The shared-memory hand-off mode rides the same options stack."""
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="unknown handoff mode"):
-            RunOptions(handoff="carrier-pigeon")
-
-    def test_modes_match_engine(self):
-        from repro.bench.config import HANDOFF_MODES
-        from repro.parallel.engine import HANDOFF_MODES as ENGINE_MODES
-
-        assert HANDOFF_MODES == ENGINE_MODES
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HANDOFF", "pickle")
-        assert RunOptions.from_env().handoff == "pickle"
-        monkeypatch.setenv("REPRO_HANDOFF", "postal")
-        with pytest.raises(ValueError, match="REPRO_HANDOFF"):
-            RunOptions.from_env()
-
-    def test_over_and_describe(self):
-        base = RunOptions(handoff="shm")
-        assert base.over(RunOptions()).handoff == "shm"
-        assert RunOptions(handoff="pickle").over(base).handoff == "pickle"
-        assert base.describe() == {"handoff": "shm"}
-
-    @pytest.mark.parallel
-    def test_handoff_flows_to_engine(self, pair):
-        a, b = pair
-        record = run_algorithm(
-            "TOUCH", a, b, EPS, options=RunOptions(workers=2, handoff="pickle")
-        )
-        assert record.extra["handoff"] == "pickle"
-        assert record.extra["pickled_coord_bytes"] > 0
-
-    @pytest.mark.parallel
-    def test_env_handoff_flows_through(self, pair, monkeypatch):
-        a, b = pair
-        monkeypatch.setenv("REPRO_HANDOFF", "pickle")
-        record = run_algorithm("TOUCH", a, b, EPS, options=RunOptions(workers=2))
-        assert record.extra["handoff"] == "pickle"
 
 
 class TestCompiledBackendRejected:

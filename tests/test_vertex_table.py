@@ -1,4 +1,4 @@
-"""Columnar VertexTable: construction, slicing, shared-memory hand-off."""
+"""Columnar VertexTable: construction and shape fallback."""
 
 import numpy as np
 import pytest
@@ -41,45 +41,6 @@ class TestConstruction:
         assert table.offsets[0] == 0
         assert int(table.offsets[-1]) == len(table.vertices)
         assert np.all(np.diff(table.offsets) > 0)
-
-    def test_take_preserves_ids_and_shapes(self):
-        objects = mixed_objects()
-        table = VertexTable.from_objects(objects)
-        sub = table.take([3, 1])
-        assert len(sub) == 2
-        assert list(sub.ids) == [3, 1]
-        assert sub.shape_at(0).vertices == shape_of(objects[3]).vertices
-        assert sub.shape_at(1).vertices == shape_of(objects[1]).vertices
-
-
-class TestSharedMemory:
-    def test_shared_round_trip(self):
-        table = VertexTable.from_objects(mixed_objects())
-        block = table.to_shared()
-        try:
-            remote = VertexTable.from_shared(block.handle)
-            try:
-                assert len(remote) == len(table)
-                for i in range(len(table)):
-                    assert remote.shape_at(i).vertices == table.shape_at(i).vertices
-            finally:
-                remote.release()
-        finally:
-            block.close()
-
-    def test_shm_slice_selects_members(self):
-        table = VertexTable.from_objects(mixed_objects())
-        block = table.to_shared()
-        try:
-            sliced = VertexTable.shm_slice(block.handle, [0, 4])
-            try:
-                assert list(sliced.ids) == [0, 4]
-                assert sliced.shape_at(0).vertices == table.shape_at(0).vertices
-                assert sliced.shape_at(1).vertices == table.shape_at(4).vertices
-            finally:
-                sliced.release()
-        finally:
-            block.close()
 
 
 class TestShapeOf:
