@@ -328,7 +328,7 @@ def overlap_mask(table: CoordinateTable, lo, hi):
     """``(N,)`` mask of table rows intersecting the box ``(lo, hi)``."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
-    return (table.lo <= hi).all(axis=1) & (table.hi >= lo).all(axis=1)
+    return axes_overlap_mask(table, range(table.dim), lo, hi)
 
 
 def pairs_overlap_mask(box_lo, box_hi, boxes, table: CoordinateTable, rows):

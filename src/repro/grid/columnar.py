@@ -33,6 +33,7 @@ __all__ = [
     "SortedEntries",
     "box_entry_counts",
     "cell_directory",
+    "cells_spanned",
     "entry_join_candidates",
     "grid_join_pairs",
     "index_entries",
@@ -40,6 +41,18 @@ __all__ = [
     "probe_join_candidates",
     "grid_probe_pairs",
 ]
+
+
+def cells_spanned(spans):
+    """Per row of ``(M, D)`` integer cell spans, the cells it covers.
+
+    Multiplies one column at a time: the same integers as
+    ``spans.prod(axis=1)``, without a reduction along the short axis.
+    """
+    cells = spans[:, 0].copy()
+    for d in range(1, spans.shape[1]):
+        cells *= spans[:, d]
+    return cells
 
 
 def _radix_of(sizes):
@@ -153,7 +166,7 @@ class ColumnarGrid:
         ``hi_idx[i]`` (as :meth:`index_ranges` returns them).
         """
         spans = hi_idx - lo_idx + 1
-        per_object = spans.prod(axis=1)
+        per_object = cells_spanned(spans)
         total = int(per_object.sum())
         obj_idx = np.repeat(np.arange(len(spans), dtype=np.int64), per_object)
         keys = np.empty(total, dtype=np.int64)

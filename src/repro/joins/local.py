@@ -24,6 +24,7 @@ from repro.grid.columnar import (
     CellDirectory,
     ColumnarGrid,
     box_entry_counts,
+    cells_spanned,
     grid_join_pairs,
     index_entries,
 )
@@ -274,7 +275,7 @@ def grid_kernel_columnar(
     entries_b = grid.entries(table_b, with_class_masks=True)
     stats.replicated_entries += len(entries_b[0]) - n_b
     lo_a, hi_a = grid.index_ranges(table_a)
-    a_entries = int((hi_a - lo_a + 1).prod(axis=1).sum())
+    a_entries = int(cells_spanned(hi_a - lo_a + 1).sum())
     index_b = index_entries(entries_b[1], grid.total_cells, a_entries)
     rows_a = np.arange(n_a)
     if isinstance(index_b, CellDirectory):

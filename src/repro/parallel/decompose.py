@@ -50,21 +50,17 @@ __all__ = [
     "Region",
     "Decomposition",
     "DECOMPOSE_KINDS",
-    "DEFAULT_OBJECTS_PER_CHUNK",
-    "MAX_ADAPTIVE_CHUNKS",
+    "CHUNKS_PER_WORKER",
 ]
 
 #: Valid values of the ``kind`` / ``--decompose`` selector.
 DECOMPOSE_KINDS = ("slabs", "tiles")
 
-#: Target object count per chunk for the adaptive heuristic: small
-#: enough that per-core state stays cache-friendly, large enough that
-#: per-chunk fixed costs (index build, IPC) stay amortised.
-DEFAULT_OBJECTS_PER_CHUNK = 4096
-
-#: Upper bound of the adaptive heuristic; beyond this, replication of
-#: boundary straddlers starts to dominate the shrinking per-chunk work.
-MAX_ADAPTIVE_CHUNKS = 256
+#: Regions per worker of the default decomposition.  Every region pays
+#: a join's fixed cost (tree build, pickling, merge), so a few regions
+#: per worker beat many small ones; two rather than one lets a worker
+#: that finishes early take a second region when the data is skewed.
+CHUNKS_PER_WORKER = 2
 
 
 def slab_bounds(lo: float, hi: float, n_chunks: int) -> list[tuple[float, float]]:
@@ -105,23 +101,15 @@ def tile_grid(n_chunks: int, extent_x: float, extent_y: float) -> tuple[int, int
     return best
 
 
-def adaptive_chunk_count(
-    n_objects: int,
-    workers: int = 1,
-    target_per_chunk: int = DEFAULT_OBJECTS_PER_CHUNK,
-    max_chunks: int = MAX_ADAPTIVE_CHUNKS,
-) -> int:
-    """Pick a chunk count from the workload size and worker count.
+def adaptive_chunk_count(workers: int) -> int:
+    """The default region count: :data:`CHUNKS_PER_WORKER` per worker.
 
-    Enough chunks that (a) every worker has at least one region to own
-    and (b) no region holds more than ``target_per_chunk`` objects on
-    average, capped at ``max_chunks`` so boundary replication cannot run
-    away on huge inputs.
+    It does not grow with the input: more regions only add per-region
+    fixed costs and boundary replication once every worker is busy.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    by_size = math.ceil(n_objects / target_per_chunk) if n_objects > 0 else 1
-    return min(max_chunks, max(1, workers, by_size))
+    return CHUNKS_PER_WORKER * workers
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,8 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
     workers:
         Worker-process count (>= 1).
     n_chunks:
-        Region count; ``None`` picks it adaptively from the object count
-        and worker count (:func:`~repro.parallel.decompose.adaptive_chunk_count`).
+        Region count; ``None`` picks it from the worker count
+        (:func:`~repro.parallel.decompose.adaptive_chunk_count`).
     kind:
         ``"slabs"`` (1-D, the paper's layout) or ``"tiles"`` (2-D grid).
     axis:
@@ -293,9 +293,7 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
         table_b: CoordinateTable,
         stats: JoinStatistics,
     ) -> PairArrays:
-        n_chunks = self.n_chunks or adaptive_chunk_count(
-            len(table_a) + len(table_b), self.workers
-        )
+        n_chunks = self.n_chunks or adaptive_chunk_count(self.workers)
         stats.extra["workers"] = self.workers
         stats.extra["n_chunks"] = n_chunks
         stats.extra["decompose"] = self.kind

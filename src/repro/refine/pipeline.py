@@ -17,9 +17,11 @@ distance is within epsilon.  Per candidate pair, in order:
    without an exact test.  Counted in ``true_hits``.
 3. **Exact test** — the segment-cross minimum distance plus containment
    checks for filled shapes.  Counted in ``exact_tests``.  The columnar
-   backend first tries a witness (:func:`witness_sq`): one segment pair
-   of the cross product, so a witness within epsilon keeps the pair with
-   the reference decision, and only the rest pay for the full pass.
+   backend settles each pair with the cheapest sufficient test
+   (:meth:`RefinePipeline._exact_within`): two witnesses, one segment
+   float of the pair each, then a segment pass over the segments near
+   the other shape's MBR, then containment for points inside the other
+   shape's MBR.
 
 The accounting identity ``true_hits + exact_tests == candidate_pairs -
 false_hit_prunes`` holds by construction and is pinned by the parity
@@ -51,7 +53,8 @@ from repro.refine import kernels
 from repro.stats.counters import JoinStatistics
 
 __all__ = [
-    "MissingShapesError", "OidRows", "RefinePipeline", "RefineView", "witness_sq",
+    "MissingShapesError", "OidRows", "RefinePipeline", "RefineView",
+    "first_witness_sq", "segment_pass_sq", "witness_sq",
 ]
 
 
@@ -119,10 +122,11 @@ class RefineView:
 
     Built from spatial objects: their shapes, else solid boxes over
     ``obj.mbr``.  Holds the side's
-    :class:`~repro.geometry.vertex_table.VertexTable`, MBR and
-    interior-rectangle columns (NaN rows: no interior), for 2-D sides
-    the ``(2, V)`` vertex and ``(4, S)`` segment tables with CSR
-    offsets, and the :class:`OidRows` lookup.  A
+    :class:`~repro.geometry.vertex_table.VertexTable`, ``(d, n)`` MBR
+    and interior-rectangle columns (NaN: no interior), each row's
+    coordinate ``magnitude``, for 2-D sides the ``(2, V)`` vertex and
+    ``(4, S)`` segment tables with CSR offsets and the ``(2, S)``
+    segment box columns, and the :class:`OidRows` lookup.  A
     :class:`~repro.datasets.base.Dataset` builds its view once and
     caches it (:meth:`~repro.datasets.base.Dataset.refine_view`); plain
     object lists get a fresh one per refine call.
@@ -130,7 +134,8 @@ class RefineView:
 
     __slots__ = (
         "has_shapes", "oid_rows", "table", "dim", "mbr_lo", "mbr_hi",
-        "int_lo", "int_hi", "points", "segs", "seg_offsets",
+        "int_lo", "int_hi", "magnitude", "points", "segs", "seg_offsets",
+        "seg_lo", "seg_hi",
     )
 
     def __init__(self, objects: Sequence, name: str | None = None):
@@ -147,24 +152,30 @@ class RefineView:
                 )
         table = VertexTable.from_shapes(shapes, [obj.oid for obj in objects])
         self.table = table
-        self.mbr_lo = self.mbr_hi = np.empty((0, self.dim))
+        mbr_lo = mbr_hi = np.empty((0, self.dim))
         if shapes:
             starts = table.offsets[:-1]
-            self.mbr_lo = np.minimum.reduceat(table.vertices, starts, axis=0)
-            self.mbr_hi = np.maximum.reduceat(table.vertices, starts, axis=0)
-        self.int_lo = np.full_like(self.mbr_lo, np.nan)
-        self.int_hi = np.full_like(self.mbr_hi, np.nan)
+            mbr_lo = np.minimum.reduceat(table.vertices, starts, axis=0)
+            mbr_hi = np.maximum.reduceat(table.vertices, starts, axis=0)
+        int_lo = np.full_like(mbr_lo, np.nan)
+        int_hi = np.full_like(mbr_hi, np.nan)
         for i, shape in enumerate(shapes):
             interior = shape.interior_rectangle()
             if interior is not None:
-                self.int_lo[i] = interior.lo
-                self.int_hi[i] = interior.hi
-        self.points = self.segs = self.seg_offsets = None
+                int_lo[i] = interior.lo
+                int_hi[i] = interior.hi
+        self.mbr_lo, self.mbr_hi, self.int_lo, self.int_hi = (
+            np.ascontiguousarray(rows.T) for rows in (mbr_lo, mbr_hi, int_lo, int_hi)
+        )
+        self.magnitude = np.maximum(abs(mbr_lo), abs(mbr_hi)).max(axis=1, initial=0.0)
+        self.points = self.segs = self.seg_offsets = self.seg_lo = self.seg_hi = None
         if self.dim == 2:
             self.points = np.ascontiguousarray(table.vertices.T)
             self.segs, self.seg_offsets = kernels.segment_table(
                 table.vertices, table.offsets, table.kinds
             )
+            self.seg_lo = np.minimum(self.segs[:2], self.segs[2:])
+            self.seg_hi = np.maximum(self.segs[:2], self.segs[2:])
 
     def vertex_runs(self, rows):
         """``(start, count)`` of each row's run in the vertex buffer."""
@@ -176,18 +187,36 @@ class RefineView:
         start = self.seg_offsets[rows]
         return start, self.seg_offsets[rows + 1] - start
 
-    def contain(self, rows, points):
+    def vertex_segment(self, rows, local):
+        """Segment-table column of a segment touching vertex ``local[k]``
+        of row ``rows[k]``."""
+        _, count = self.vertex_runs(rows)
+        kinds = self.table.kinds[rows]
+        return self.seg_offsets[rows] + kernels.vertex_segments(kinds, count, local)
+
+    def in_mbr(self, rows, points, margin):
+        """Whether ``points[k]`` lies in row ``rows[k]``'s closed MBR
+        widened by ``margin`` (a scalar or one value per row)."""
+        inside = np.ones(len(rows), dtype=bool)
+        for d, (lo, hi) in enumerate(zip(self.mbr_lo, self.mbr_hi)):
+            point = points[:, d]
+            inside &= (lo[rows] - margin <= point) & (point <= hi[rows] + margin)
+        return inside
+
+    def contain(self, rows, points, margin):
         """Whether filled shape ``rows[k]`` contains ``points[k]``.
 
         Boxes test the closed box, polygons ray-cast their rings; the
-        other kinds are not filled and contain nothing.
+        other kinds are not filled and contain nothing.  A point more
+        than ``margin[k]`` outside a ring's MBR is outside the ring
+        (:func:`kernels.rounding_margin`), so only the others are cast.
         """
         kinds = self.table.kinds[rows]
         inside = np.zeros(len(rows), dtype=bool)
-        box = kinds == KIND_CODES["box"]
-        lo, hi, point = self.mbr_lo[rows[box]], self.mbr_hi[rows[box]], points[box]
-        inside[box] = ((lo <= point) & (point <= hi)).all(axis=1)
-        ring = kinds == KIND_CODES["polygon"]
+        box = np.flatnonzero(kinds == KIND_CODES["box"])
+        inside[box] = self.in_mbr(rows[box], points[box], 0.0)
+        ring = np.flatnonzero(kinds == KIND_CODES["polygon"])
+        ring = ring[self.in_mbr(rows[ring], points[ring], margin[ring])]
         runs = self.seg_runs(rows[ring])
         inside[ring] = kernels.polygons_contain(self.segs, *runs, points[ring])
         return inside
@@ -196,28 +225,66 @@ class RefineView:
         return self.table.vertices[self.table.offsets[rows]]
 
 
-def witness_sq(view_a, rows_a, view_b, rows_b):
-    """Per 2-D pair, the witness float of its closest vertex pair.
+def _vertex_pair_sq(view_a, rows_a, local_a, view_b, rows_b, local_b):
+    """Segment float between a segment touching vertex ``local_a[k]`` of
+    A's row and one touching vertex ``local_b[k]`` of B's row.
 
-    The squared distance, as :func:`kernels.min_cross_sq` computes it,
-    between one segment touching each vertex of the pair's closest
-    vertex pair.  Those two segments are in the pair's segment cross
-    product, so the witness is one of the floats the reference minimum
-    is taken over: never below it, and ``witness <= eps^2`` decides
-    "within" exactly as the full pass would.
+    Both segments are in the pair's segment cross product, so the float
+    is one the reference minimum is taken over: never below it, and
+    ``float <= eps^2`` decides "within" exactly as the full pass would.
     """
-    start_a, count_a = view_a.vertex_runs(rows_a)
-    start_b, count_b = view_b.vertex_runs(rows_b)
+    return kernels.segment_pairs_sq(
+        view_a.segs, view_a.vertex_segment(rows_a, local_a),
+        view_b.segs, view_b.vertex_segment(rows_b, local_b),
+    )
+
+
+def first_witness_sq(view_a, rows_a, view_b, rows_b):
+    """Per 2-D pair, the segment float at local vertex 0 of each side."""
+    first = np.zeros(len(rows_a), dtype=np.int64)
+    return _vertex_pair_sq(view_a, rows_a, first, view_b, rows_b, first)
+
+
+def witness_sq(view_a, rows_a, view_b, rows_b):
+    """Per 2-D pair, the segment float of its closest vertex pair."""
     local_a, local_b = kernels.closest_vertices(
-        view_a.points, start_a, count_a, view_b.points, start_b, count_b
+        view_a.points, *view_a.vertex_runs(rows_a),
+        view_b.points, *view_b.vertex_runs(rows_b),
     )
-    cols_a = view_a.seg_offsets[rows_a] + kernels.vertex_segments(
-        view_a.table.kinds[rows_a], count_a, local_a
+    return _vertex_pair_sq(view_a, rows_a, local_a, view_b, rows_b, local_b)
+
+
+def segment_pass_sq(view_a, rows_a, view_b, rows_b, reach_sq):
+    """Per 2-D pair, the segment-cross minimum over the segments near
+    the other shape's MBR.
+
+    Each side keeps the segments whose boxes lie within squared reach
+    ``reach_sq[k]`` of the other side's MBR
+    (:func:`kernels.near_segments`), and :func:`kernels.min_cross_sq`
+    crosses the kept runs; a pair with a side left empty gets ``inf``.
+    With a reach of at least ``epsilon`` plus
+    :func:`kernels.rounding_margin`, every dropped segment pair computes
+    above ``eps^2``, so the result is ``<= eps^2`` exactly when the full
+    cross product's minimum is.
+    """
+    box_a = view_a.mbr_lo[:, rows_a], view_a.mbr_hi[:, rows_a]
+    box_b = view_b.mbr_lo[:, rows_b], view_b.mbr_hi[:, rows_b]
+    cols_a, kept_a = kernels.near_segments(
+        view_a.seg_lo, view_a.seg_hi, *view_a.seg_runs(rows_a), *box_b, reach_sq
     )
-    cols_b = view_b.seg_offsets[rows_b] + kernels.vertex_segments(
-        view_b.table.kinds[rows_b], count_b, local_b
+    cols_b, kept_b = kernels.near_segments(
+        view_b.seg_lo, view_b.seg_hi, *view_b.seg_runs(rows_b), *box_a, reach_sq
     )
-    return kernels.segment_pairs_sq(view_a.segs, cols_a, view_b.segs, cols_b)
+    best = np.full(len(rows_a), np.inf)
+    both = np.flatnonzero((kept_a > 0) & (kept_b > 0))
+    if len(both):
+        start_a = np.cumsum(kept_a) - kept_a
+        start_b = np.cumsum(kept_b) - kept_b
+        best[both] = kernels.min_cross_sq(
+            view_a.segs[:, cols_a], start_a[both], kept_a[both],
+            view_b.segs[:, cols_b], start_b[both], kept_b[both],
+        )
+    return best
 
 
 def _view(side) -> RefineView:
@@ -329,41 +396,46 @@ class RefinePipeline:
                 f"dimensionality mismatch: object #{int(oids.a[0])} is "
                 f"{view_a.dim}-D, object #{int(oids.b[0])} is {view_b.dim}-D"
             )
-        mbr_gap = kernels.box_gap_sq_batch(
-            view_a.mbr_lo[rows_a],
-            view_a.mbr_hi[rows_a],
-            view_b.mbr_lo[rows_b],
-            view_b.mbr_hi[rows_b],
+        mbr_gap = kernels.box_gap_sq_pairs(
+            view_a.mbr_lo, view_a.mbr_hi, rows_a, view_b.mbr_lo, view_b.mbr_hi, rows_b
         )
-        alive = mbr_gap <= eps_sq
-        stats.false_hit_prunes += int(len(rows_a) - int(alive.sum()))
-        int_gap = kernels.box_gap_sq_batch(
-            view_a.int_lo[rows_a],
-            view_a.int_hi[rows_a],
-            view_b.int_lo[rows_b],
-            view_b.int_hi[rows_b],
-        )
-        keep = alive & (int_gap <= eps_sq)
-        stats.true_hits += int(keep.sum())
-        exact = np.flatnonzero(alive & ~keep)
+        alive = np.flatnonzero(mbr_gap <= eps_sq)
+        stats.false_hit_prunes += len(rows_a) - len(alive)
+        rows_a, rows_b = rows_a[alive], rows_b[alive]
+        hit = kernels.box_gap_sq_pairs(
+            view_a.int_lo, view_a.int_hi, rows_a, view_b.int_lo, view_b.int_hi, rows_b
+        ) <= eps_sq
+        stats.true_hits += int(hit.sum())
+        keep = np.zeros(len(mbr_gap), dtype=bool)
+        keep[alive] = hit
+        exact = np.flatnonzero(~hit)
         stats.exact_tests += len(exact)
         if len(exact):
-            keep[exact] = self._exact_within(
-                view_a, rows_a[exact], view_b, rows_b[exact], eps_sq
+            keep[alive[exact]] = self._exact_within(
+                view_a, rows_a[exact], view_b, rows_b[exact]
             )
         return keep
 
-    @staticmethod
-    def _exact_within(view_a, rows_a, view_b, rows_b, eps_sq):
-        """Exact tests of indeterminate pairs: witness, segment pass,
-        containment.
+    def _exact_within(self, view_a, rows_a, view_b, rows_b):
+        """Exact tests of indeterminate pairs, cheapest sufficient test
+        first.
 
-        The witness (:func:`witness_sq`) keeps most pairs that are
-        within; only the rest run the full segment cross product and
-        then, still apart, the containment test.  Box/point pairs never
-        get here: their interior rectangle is the whole shape, so the
-        true-hit screen decides them.
+        1. the first-vertex witness (:func:`first_witness_sq`), then the
+           closest-vertex witness (:func:`witness_sq`) on the rest: each
+           is one segment float of the pair, so one within epsilon
+           keeps the pair with the reference decision;
+        2. the segment pass (:func:`segment_pass_sq`) over the segments
+           within epsilon plus :func:`kernels.rounding_margin` of the
+           other shape's MBR;
+        3. for pairs still apart, containment of each side's first
+           vertex in the other side, ray-cast only when the vertex lies
+           in the other MBR widened by the same margin.
+
+        Box/point pairs never get here: their interior rectangle is the
+        whole shape, so the true-hit screen decides them.
         """
+        epsilon = self.epsilon
+        eps_sq = epsilon * epsilon
         if view_a.dim != 2:
             kind_a = KIND_NAMES[int(view_a.table.kinds[rows_a[0]])]
             kind_b = KIND_NAMES[int(view_b.table.kinds[rows_b[0]])]
@@ -371,21 +443,24 @@ class RefinePipeline:
                 f"exact {kind_a}/{kind_b} distance requires 2-D shapes, "
                 f"got {view_a.dim}-D"
             )
-        within = witness_sq(view_a, rows_a, view_b, rows_b) <= eps_sq
+        within = first_witness_sq(view_a, rows_a, view_b, rows_b) <= eps_sq
         open_ = np.flatnonzero(~within)
+        if len(open_):
+            ra, rb = rows_a[open_], rows_b[open_]
+            within[open_] = witness_sq(view_a, ra, view_b, rb) <= eps_sq
+            open_ = open_[~within[open_]]
         if not len(open_):
             return within
         ra, rb = rows_a[open_], rows_b[open_]
-        best = kernels.min_cross_sq(
-            view_a.segs, *view_a.seg_runs(ra),
-            view_b.segs, *view_b.seg_runs(rb),
-        )
-        near = best <= eps_sq
+        magnitude = np.maximum(view_a.magnitude[ra], view_b.magnitude[rb])
+        margin = kernels.rounding_margin(magnitude, epsilon)
+        reach = epsilon + margin
+        near = segment_pass_sq(view_a, ra, view_b, rb, reach * reach) <= eps_sq
         # Boundaries apart: a filled shape may still swallow the other whole.
         apart = np.flatnonzero(~near)
         if len(apart):
-            ra, rb = ra[apart], rb[apart]
-            near[apart] = view_a.contain(ra, view_b.first_vertices(rb))
-            near[apart] |= view_b.contain(rb, view_a.first_vertices(ra))
+            ra, rb, margin = ra[apart], rb[apart], margin[apart]
+            near[apart] = view_a.contain(ra, view_b.first_vertices(rb), margin)
+            near[apart] |= view_b.contain(rb, view_a.first_vertices(ra), margin)
         within[open_] = near
         return within

@@ -8,8 +8,7 @@ import pytest
 
 from repro.geometry.mbr import MBR
 from repro.parallel.decompose import (
-    DEFAULT_OBJECTS_PER_CHUNK,
-    MAX_ADAPTIVE_CHUNKS,
+    CHUNKS_PER_WORKER,
     Decomposition,
     adaptive_chunk_count,
     slab_bounds,
@@ -63,23 +62,14 @@ class TestTileGrid:
 
 
 class TestAdaptiveChunkCount:
-    def test_at_least_one_chunk_per_worker(self):
-        assert adaptive_chunk_count(10, workers=4) == 4
-
-    def test_scales_with_objects(self):
-        n = 10 * DEFAULT_OBJECTS_PER_CHUNK
-        assert adaptive_chunk_count(n, workers=2) == 10
-
-    def test_capped(self):
-        huge = 10_000 * DEFAULT_OBJECTS_PER_CHUNK
-        assert adaptive_chunk_count(huge, workers=2) == MAX_ADAPTIVE_CHUNKS
-
-    def test_empty_input(self):
-        assert adaptive_chunk_count(0, workers=1) == 1
+    def test_two_chunks_per_worker(self):
+        assert CHUNKS_PER_WORKER == 2
+        assert adaptive_chunk_count(workers=1) == 2
+        assert adaptive_chunk_count(workers=4) == 8
 
     def test_rejects_bad_workers(self):
         with pytest.raises(ValueError, match="workers"):
-            adaptive_chunk_count(10, workers=0)
+            adaptive_chunk_count(workers=0)
 
 
 class TestSlabDecomposition:

@@ -106,8 +106,7 @@ class TestExecution:
 
     def test_adaptive_chunk_count_used(self):
         result = ParallelChunkedJoin("NL", workers=2).join(A, B)
-        # 210 objects, well under one target chunk: one region per worker.
-        assert result.stats.extra["n_chunks"] == 2
+        assert result.stats.extra["n_chunks"] == 4
 
     def test_memory_is_per_chunk_peak(self):
         one = ParallelChunkedJoin("TOUCH", workers=1, n_chunks=1).join(A, B)

@@ -273,6 +273,56 @@ class TestContainmentAndEdgeCases:
             assert refined == [(0, 0)]
             assert stats.exact_tests == 1
 
+    @pytest.mark.parametrize(
+        "case,cast",
+        [
+            ("polygon in polygon", 1),
+            ("polygon around polygon", 1),
+            ("box in polygon", 1),
+            ("diagonal triangles", 0),
+        ],
+    )
+    def test_ray_cast_runs_only_inside_the_other_mbr(self, monkeypatch, case, cast):
+        # A swallowed shape's first vertex lies in the other MBR, so it
+        # is cast and the pair kept; triangles whose MBRs are within
+        # epsilon diagonally, but each first vertex outside the other
+        # MBR, are apart without a cast.
+        from repro.refine import kernels
+
+        cases = dict(CONTAINMENT_CASES)
+        cases["diagonal triangles"] = (
+            [shaped(EDGE_TRIANGLE)],
+            [shaped(Polygon([(5, 5), (9, 5), (5, 9)], oid=0))],
+        )
+        casts = []
+        real = kernels.polygons_contain
+        monkeypatch.setattr(
+            kernels, "polygons_contain",
+            lambda segs, start, *rest: casts.append(len(start))
+            or real(segs, start, *rest),
+        )
+        refined, stats = filter_refine("NL", *cases[case], EDGE_EPSILON, "columnar")
+        assert refined == ([(0, 0)] if cast else [])
+        assert stats.exact_tests == 1
+        assert sum(casts) == cast
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_vertex_just_outside_the_ring_mbr_is_cast(self, backend):
+        # The ring's edge (X1, Y1)-(X2, 0) rounds its crossing at y = 0
+        # two ulps past X2, so the reference ray cast puts the line's
+        # first vertex, one ulp right of the MBR, inside the triangle,
+        # while every segment pair computes above 0.  Only a gate
+        # widened by the rounding margin casts it.
+        x1, x2 = -3379211.8877550564, 1000617.5
+        y1 = x2 - x1
+        ring = Polygon([(x1, y1), (x2, 0.0), (x1, -10.0)], oid=0)
+        line = LineString([(np.nextafter(x2, np.inf), 0.0), (x2 - 1.0, y1 + 100.0)], oid=0)
+        stats = JoinStatistics()
+        kept = RefinePipeline(0.0, backend=backend).refine(
+            [(0, 0)], [shaped(ring)], [shaped(line)], stats=stats
+        )
+        assert kept == [(0, 0)] and stats.exact_tests == 1
+
 
 class TestChunkBoundaries:
     @pytest.mark.parametrize("chunk", [1, 7])
@@ -628,6 +678,135 @@ class TestUnknownAndDuplicateOids:
             boxes.refine_view()
 
 
+def box_gap_sq_rows(lo_a, hi_a, lo_b, hi_b):
+    """The row form of the box screens: ``(P, d)`` corners, one
+    ``sum(axis=1)`` per pair (the reference for the column form)."""
+    gap = np.maximum(lo_a - hi_b, lo_b - hi_a)
+    gap = np.maximum(gap, 0.0)
+    return (gap * gap).sum(axis=1)
+
+
+class TestColumnScreens:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equal_the_row_reference_float_for_float(self, dim):
+        from repro.geometry.shapes import box_gap_sq
+        from repro.refine import kernels
+
+        rng = np.random.default_rng(dim)
+        n = 500
+
+        def boxes():
+            lo = rng.uniform(-50.0, 50.0, (n, dim))
+            hi = lo + rng.exponential(3.0, (n, dim))
+            missing = rng.random(n) < 0.2  # rows without an interior
+            lo[missing] = hi[missing] = np.nan
+            return lo, hi
+
+        (lo_a, hi_a), (lo_b, hi_b) = boxes(), boxes()
+        rows_a, rows_b = rng.integers(0, n, 4000), rng.integers(0, n, 4000)
+        got = kernels.box_gap_sq_pairs(
+            np.ascontiguousarray(lo_a.T), np.ascontiguousarray(hi_a.T), rows_a,
+            np.ascontiguousarray(lo_b.T), np.ascontiguousarray(hi_b.T), rows_b,
+        )
+        want = box_gap_sq_rows(lo_a[rows_a], hi_a[rows_a], lo_b[rows_b], hi_b[rows_b])
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got).any() and (got == 0.0).any() and (got > 0.0).any()
+        for k in np.flatnonzero(~np.isnan(got))[:300].tolist():
+            i, j = rows_a[k], rows_b[k]
+            assert got[k] == box_gap_sq(lo_a[i], hi_a[i], lo_b[j], hi_b[j])
+
+
+def count_crossed(monkeypatch):
+    """The segment pairs of each later :func:`kernels.min_cross_sq` call."""
+    from repro.refine import kernels
+
+    crossed = []
+    real = kernels.min_cross_sq
+    monkeypatch.setattr(
+        kernels, "min_cross_sq",
+        lambda *args: crossed.append(int((args[2] * args[5]).sum())) or real(*args),
+    )
+    return crossed
+
+
+def refine_both(objects_a, objects_b, epsilon, monkeypatch):
+    """The columnar refine of the all-pairs candidates, checked against
+    the object backend; returns its kept pairs and the segment pairs
+    :func:`kernels.min_cross_sq` crossed."""
+    crossed = count_crossed(monkeypatch)
+    candidates = [(a.oid, b.oid) for a in objects_a for b in objects_b]
+    stats, reference_stats = JoinStatistics(), JoinStatistics()
+    kept = RefinePipeline(epsilon, backend="columnar").refine(
+        candidates, objects_a, objects_b, stats=stats
+    )
+    reference = RefinePipeline(epsilon, backend="object").refine(
+        candidates, objects_a, objects_b, stats=reference_stats
+    )
+    assert kept == reference
+    assert refine_counters(stats) == refine_counters(reference_stats)
+    return kept, crossed
+
+
+class TestSegmentPrune:
+    """The segment pass drops segments farther than epsilon plus the
+    rounding margin from the other MBR without changing a decision."""
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    def test_segment_box_exactly_epsilon_away(self, monkeypatch, shift):
+        # Both witnesses miss; the line's first segment, whose box lies
+        # exactly 2.5 below the square, is the one at distance epsilon.
+        def moved(points):
+            return [(x + shift, y + shift) for x, y in points]
+
+        square = Polygon(moved([(4, 4), (0, 4), (0, 0), (4, 0)]), oid=0)
+        line = LineString(moved([(-20, -2.5), (20, -2.5), (7, 2)]), oid=0)
+        kept, crossed = refine_both([shaped(square)], [shaped(line)], 2.5, monkeypatch)
+        # The line's last segment lies 3 right of the square: pruned.
+        assert crossed == [4]
+        if not shift:
+            assert kept == [(0, 0)]
+
+    def test_rounding_at_a_large_offset_is_kept(self, monkeypatch):
+        # The line's last segment starts one ulp right of the triangle's
+        # MBR, yet computes 0.0 against the edge (X1, 0)-(X2, 0), whose
+        # far end rounds one ulp past X2: at epsilon 0 only a prune
+        # widened by the rounding margin keeps that segment.
+        x1, x2 = -786052.0742121477, 1000000.25
+        triangle = Polygon([(x2, 5.0), (x1, 0.0), (x2, 0.0)], oid=0)
+        line = LineString(
+            [(x2 - 100.0, 50.0), (x2 + 10.0, 1.0), (np.nextafter(x2, np.inf), 0.0)],
+            oid=0,
+        )
+        kept, _ = refine_both([shaped(triangle)], [shaped(line)], 0.0, monkeypatch)
+        assert kept == [(0, 0)]
+
+    def test_prune_crosses_fewer_segment_pairs(self, monkeypatch):
+        from repro.refine import kernels
+        from repro.refine.pipeline import segment_pass_sq
+
+        real = kernels.min_cross_sq
+        crossed = count_crossed(monkeypatch)
+        eps_sq = EPSILON * EPSILON
+        for dataset_a, dataset_b in dense_datasets():
+            view_a, view_b = dataset_a.refine_view(), dataset_b.refine_view()
+            rows_a, rows_b = np.divmod(
+                np.arange(len(dataset_a) * len(dataset_b)), len(dataset_b)
+            )
+            near = kernels.box_gap_sq_pairs(
+                view_a.mbr_lo, view_a.mbr_hi, rows_a, view_b.mbr_lo, view_b.mbr_hi, rows_b
+            ) <= eps_sq
+            rows_a, rows_b = rows_a[near], rows_b[near]
+            runs_a, runs_b = view_a.seg_runs(rows_a), view_b.seg_runs(rows_b)
+            full = real(view_a.segs, *runs_a, view_b.segs, *runs_b)
+            magnitude = np.maximum(view_a.magnitude[rows_a], view_b.magnitude[rows_b])
+            reach = EPSILON + kernels.rounding_margin(magnitude, EPSILON)
+            crossed.clear()
+            best = segment_pass_sq(view_a, rows_a, view_b, rows_b, reach * reach)
+            assert ((best <= eps_sq) == (full <= eps_sq)).all()
+            assert (best >= full).all()
+            assert 0 < sum(crossed) < int((runs_a[1] * runs_b[1]).sum()) // 2
+
+
 def witness_and_reference(shapes_a, shapes_b):
     """Every pair's witness float and ``min_cross_sq`` minimum."""
     from repro.refine import kernels
@@ -699,6 +878,21 @@ class TestWitnessPass:
                 for sb in shapes[j].segments()
             }
             assert witness[k] in floats
+
+    @pytest.mark.parametrize("seed,lattice", [(0, False), (1, False), (2, True)])
+    def test_first_witness_is_a_segment_float_of_the_pair(self, seed, lattice):
+        # Local vertex 0 heads each shape's first segment, whatever its
+        # kind: the float is that segment pair's.
+        from repro.geometry.shapes import segment_distance_sq
+        from repro.refine.pipeline import RefineView, first_witness_sq
+
+        shapes = random_shapes(seed, lattice=lattice)
+        view = RefineView([shaped(shape, i) for i, shape in enumerate(shapes)])
+        rows_a, rows_b = np.divmod(np.arange(len(shapes) ** 2), len(shapes))
+        first = first_witness_sq(view, rows_a, view, rows_b)
+        for k, (i, j) in enumerate(zip(rows_a.tolist(), rows_b.tolist())):
+            segs_a, segs_b = shapes[i].segments(), shapes[j].segments()
+            assert first[k] == segment_distance_sq(*segs_a[0], *segs_b[0])
 
     def test_linestring_tail_witness_stays_on_its_own_object(self):
         # The line's last vertex, heading no segment, is the one closest
