@@ -140,9 +140,6 @@ class VertexTable:
         vertices = [tuple(row) for row in self.vertices[lo:hi]]
         return cls(vertices, oid=int(self.ids[index]))
 
-    def to_shapes(self) -> list[Shape]:
-        return [self.shape_at(i) for i in range(len(self))]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kinds = sorted({KIND_NAMES[int(k)] for k in self.kinds})
         return (

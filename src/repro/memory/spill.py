@@ -87,7 +87,6 @@ class SpillStore:
         self.bytes_written = 0
         self.bytes_read = 0
         self.partitions_written = 0
-        self._live = 0
         self._closed = False
 
     # -- lifecycle -----------------------------------------------------
@@ -103,11 +102,6 @@ class SpillStore:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    @property
-    def live_partitions(self) -> int:
-        """Partitions currently on disk (written, not yet read back)."""
-        return self._live
 
     # -- spill / unspill -----------------------------------------------
     def write(
@@ -131,7 +125,6 @@ class SpillStore:
             raise SpillError(f"failed to spill partition {pid} to {path}: {exc}") from exc
         self.bytes_written += file_bytes
         self.partitions_written += 1
-        self._live += 1
         return SpilledPartition(pid, path, len(objects_a), len(objects_b), file_bytes)
 
     def read(
@@ -158,7 +151,6 @@ class SpillStore:
                 f"got {len(objects_a)}x{len(objects_b)}"
             )
         self.bytes_read += partition.file_bytes
-        self._live -= 1
         try:
             os.unlink(partition.path)
         except OSError:

@@ -25,29 +25,30 @@ sufficient test (:meth:`repro.refine.pipeline.RefinePipeline._exact_within`):
 
 1. a *first-vertex witness*: :func:`segment_pairs_sq` of the segments
    at local vertex 0 of each side (:func:`vertex_segments`);
-2. the *closest-vertex witness*: the same float for one segment
-   touching each vertex of the pair's closest vertex pair
-   (:func:`closest_vertices`).  Both witnesses are floats
-   :func:`min_cross_sq` minimises over, so neither is below the
-   minimum, and ``witness <= eps^2`` implies the reference decision
-   "within";
+2. a *nearest-vertex walk*: A's vertex nearest the centre of B's MBR,
+   B's nearest that, A's nearest B's — one linear pass per step
+   (:func:`nearest_vertices`) — then the same float for one segment
+   touching each vertex.  Both witnesses are floats :func:`min_cross_sq`
+   minimises over, so ``witness <= eps^2`` implies the reference
+   decision "within"; the vertex distances only choose the segments;
 3. :func:`min_cross_sq` over only the segments whose boxes lie within
    ``epsilon`` plus :func:`rounding_margin` of the other shape's MBR
-   (:func:`near_segments`); the margin bounds the rounding of
-   :func:`_segment_distance_sq`, so every dropped segment pair
-   computes above ``eps^2`` and the decision is unchanged;
+   (:func:`near_segments`): every dropped segment pair computes above
+   ``eps^2``;
 4. :func:`polygons_contain` only for first vertices inside the other
    MBR widened by the same margin.
 
-On the benchmark's ``exact_polygons`` workload (11 403 exact tests at
-seed 20130622) the first witness settles 4 673 pairs and the second
-4 804; the prune cuts the segment pass from 117 155 to 8 635 segment
+On ``exact_polygons`` the first witness settles 4 673 of 11 403 exact
+tests (seed 20130622) and the walk 4 804 of the other 6 730 (4 768 of
+6 723 at seed 4242): the pairs the all-pairs closest vertex pair
+settled, at ``O(ca + cb)`` vertex work per pair instead of ``O(ca *
+cb)``.  The prune cuts the segment pass from 117 155 to 8 635 segment
 pairs, and no point is ray-cast.
 
-The batched kernels walk a flat ``(pair, segment pair)`` index space in
-chunks of :data:`CHUNK_SEGMENT_PAIRS`, so every temporary stays the
-same size however many vertices a pair carries; a pair may straddle
-chunk edges.
+The batched kernels walk a flat ``(pair, segment pair)`` (or ``(pair,
+vertex)``) index space in chunks of :data:`CHUNK_SEGMENT_PAIRS`, so
+every temporary stays the same size however many vertices a pair
+carries; a pair may straddle chunk edges.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ from repro.geometry.shapes import KIND_CODES
 __all__ = [
     "CHUNK_SEGMENT_PAIRS",
     "box_gap_sq_pairs",
-    "closest_vertices",
     "min_cross_sq",
     "near_segments",
+    "nearest_vertices",
     "polygons_contain",
     "rounding_margin",
     "segment_pairs_sq",
@@ -280,27 +281,20 @@ def min_cross_sq(segs_a, start_a, count_a, segs_b, start_b, count_b):
     return best
 
 
-def closest_vertices(points_a, start_a, count_a, points_b, start_b, count_b):
-    """Per pair, the local vertex indices of its closest vertex pair.
+def nearest_vertices(points, start, count, qx, qy):
+    """Per pair, the run-local index of its vertex nearest a query point.
 
-    ``points_a`` / ``points_b`` are ``(2, V)`` vertex tables (rows
-    ``x, y``, one column per vertex).  Pair ``k`` crosses columns
-    ``start_a[k]:start_a[k] + count_a[k]`` of ``points_a`` with the
-    matching run of ``points_b`` under the plain squared distance.
-    Returns ``(i, j)``: vertex ``start_a[k] + i[k]`` of A and
-    ``start_b[k] + j[k]`` of B are a closest pair (the first in
-    cross-product order on ties).
+    Pair ``k`` scans columns ``start[k]:start[k] + count[k]`` of the
+    ``(2, V)`` vertex table ``points`` (rows ``x, y``) under the plain
+    squared distance to ``(qx[k], qy[k])``; the first nearest wins ties.
     """
-    best = np.full(len(start_a), np.inf)
-    where = np.zeros(len(start_a), dtype=np.int64)
-    ax, ay = points_a
-    bx, by = points_b
-    for p0, p1, starts, pair, local in _chunks(count_a * count_b):
-        row_a, row_b = np.divmod(local, count_b[pair])
-        row_a += start_a[pair]
-        row_b += start_b[pair]
-        dx = ax[row_a] - bx[row_b]
-        dy = ay[row_a] - by[row_b]
+    best = np.full(len(start), np.inf)
+    where = np.zeros(len(start), dtype=np.int64)
+    x, y = points
+    for p0, p1, starts, pair, local in _chunks(count):
+        rows = start[pair] + local
+        dx = x[rows] - qx[pair]
+        dy = y[rows] - qy[pair]
         dist = dx * dx + dy * dy
         low = np.minimum.reduceat(dist, starts)
         hits = np.flatnonzero(dist == low[pair - p0])
@@ -309,7 +303,7 @@ def closest_vertices(points_a, start_a, count_a, points_b, start_b, count_b):
         better = low < best[p0:p1]
         best[p0:p1][better] = low[better]
         where[p0:p1][better] = local[first][better]
-    return np.divmod(where, count_b)
+    return where
 
 
 def vertex_segments(kinds, count, local):

@@ -18,10 +18,7 @@ distance is within epsilon.  Per candidate pair, in order:
 3. **Exact test** — the segment-cross minimum distance plus containment
    checks for filled shapes.  Counted in ``exact_tests``.  The columnar
    backend settles each pair with the cheapest sufficient test
-   (:meth:`RefinePipeline._exact_within`): two witnesses, one segment
-   float of the pair each, then a segment pass over the segments near
-   the other shape's MBR, then containment for points inside the other
-   shape's MBR.
+   (:meth:`RefinePipeline._exact_within`).
 
 The accounting identity ``true_hits + exact_tests == candidate_pairs -
 false_hit_prunes`` holds by construction and is pinned by the parity
@@ -246,10 +243,18 @@ def first_witness_sq(view_a, rows_a, view_b, rows_b):
 
 
 def witness_sq(view_a, rows_a, view_b, rows_b):
-    """Per 2-D pair, the segment float of its closest vertex pair."""
-    local_a, local_b = kernels.closest_vertices(
-        view_a.points, *view_a.vertex_runs(rows_a),
-        view_b.points, *view_b.vertex_runs(rows_b),
+    """Per 2-D pair, the segment float of the vertex pair a walk finds:
+    A's vertex nearest the centre of B's MBR, B's nearest that, A's
+    nearest B's (:func:`kernels.nearest_vertices`)."""
+    runs_a = view_a.vertex_runs(rows_a)
+    runs_b = view_b.vertex_runs(rows_b)
+    centre = (view_b.mbr_lo[:, rows_b] + view_b.mbr_hi[:, rows_b]) * 0.5
+    local_a = kernels.nearest_vertices(view_a.points, *runs_a, *centre)
+    local_b = kernels.nearest_vertices(
+        view_b.points, *runs_b, *view_a.points[:, runs_a[0] + local_a]
+    )
+    local_a = kernels.nearest_vertices(
+        view_a.points, *runs_a, *view_b.points[:, runs_b[0] + local_b]
     )
     return _vertex_pair_sq(view_a, rows_a, local_a, view_b, rows_b, local_b)
 
@@ -418,21 +423,13 @@ class RefinePipeline:
 
     def _exact_within(self, view_a, rows_a, view_b, rows_b):
         """Exact tests of indeterminate pairs, cheapest sufficient test
-        first.
-
-        1. the first-vertex witness (:func:`first_witness_sq`), then the
-           closest-vertex witness (:func:`witness_sq`) on the rest: each
-           is one segment float of the pair, so one within epsilon
-           keeps the pair with the reference decision;
-        2. the segment pass (:func:`segment_pass_sq`) over the segments
-           within epsilon plus :func:`kernels.rounding_margin` of the
-           other shape's MBR;
-        3. for pairs still apart, containment of each side's first
-           vertex in the other side, ray-cast only when the vertex lies
-           in the other MBR widened by the same margin.
-
-        Box/point pairs never get here: their interior rectangle is the
-        whole shape, so the true-hit screen decides them.
+        first: the first-vertex witness (:func:`first_witness_sq`), the
+        nearest-vertex walk (:func:`witness_sq`), the pruned segment
+        pass (:func:`segment_pass_sq`), then gated containment — the
+        cascade and why none changes a decision are in
+        :mod:`repro.refine.kernels`.  Box/point pairs never get here:
+        their interior rectangle is the whole shape, so the true-hit
+        screen decides them.
         """
         epsilon = self.epsilon
         eps_sq = epsilon * epsilon

@@ -64,7 +64,3 @@ class RTreeNode:
         for node in self.iter_subtree():
             if node.is_leaf:
                 yield from node.objects
-
-    def count_objects(self) -> int:
-        """Number of objects stored below (and in) this node."""
-        return sum(len(node.objects) for node in self.iter_subtree())

@@ -45,22 +45,46 @@ def brute_force_exact_pairs(
 
     Every pair whose *shapes* lie within Euclidean distance ``epsilon``
     (``epsilon=0`` degenerates to intersection), evaluated scalar-wise
-    with no MBR filter, no shortcuts and no candidate stage — the set
+    by :func:`~repro.geometry.shapes.shape_distance_sq` with no
+    candidate stage and no refine shortcut — the set
     :class:`~repro.refine.RefinePipeline` must reproduce through any
     registry algorithm and backend.  MBR-only objects count as solid
     boxes over their MBR (:func:`~repro.geometry.vertex_table.shape_of`).
+
+    A pair is skipped unevaluated only when its shapes' vertex bounds
+    lie more than ``epsilon + 2**-20 * (M + epsilon)`` apart on some
+    axis, ``M`` the largest coordinate magnitude of either side.  The
+    shape distance is at least that gap, and the scalar distance and
+    ray cast round by a few dozen ``2**-53 * M`` at most: the slack
+    covers that over ``2**25`` times, so every skipped pair computes
+    above ``epsilon**2`` (bar the proper-crossing override's rounding
+    artefact, :func:`~repro.refine.kernels.rounding_margin`).
     """
+    import numpy as np
+
     from repro.geometry.shapes import shape_distance_sq
     from repro.geometry.vertex_table import shape_of
 
+    shapes_a = [shape_of(a) for a in objects_a]
+    shapes_b = [shape_of(b) for b in objects_b]
+    if not shapes_a or not shapes_b:
+        return set()
+    if len({shape.dim for shape in shapes_a + shapes_b}) > 1:
+        raise ValueError("dimensionality mismatch between the shapes")
+    lo_a, hi_a, lo_b, hi_b = (
+        np.array([bound(shape.vertices, axis=0) for shape in shapes])
+        for shapes in (shapes_a, shapes_b)
+        for bound in (np.min, np.max)
+    )
+    magnitude = max(abs(bound).max() for bound in (lo_a, hi_a, lo_b, hi_b))
+    reach = epsilon + 2.0**-20 * (magnitude + epsilon)
     threshold = float(epsilon) ** 2
-    shapes_b = [(b.oid, shape_of(b)) for b in objects_b]
     pairs: set[Pair] = set()
-    for a in objects_a:
-        shape_a = shape_of(a)
-        for oid_b, shape_b in shapes_b:
-            if shape_distance_sq(shape_a, shape_b) <= threshold:
-                pairs.add((a.oid, oid_b))
+    for i, a in enumerate(objects_a):
+        near = np.maximum(lo_b - hi_a[i], lo_a[i] - hi_b).max(axis=1) <= reach
+        for j in np.flatnonzero(near).tolist():
+            if shape_distance_sq(shapes_a[i], shapes_b[j]) <= threshold:
+                pairs.add((a.oid, objects_b[j].oid))
     return pairs
 
 

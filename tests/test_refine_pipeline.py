@@ -953,6 +953,143 @@ class TestWitnessPass:
         assert (witness[within] <= EPSILON * EPSILON).mean() > 0.9
 
 
+def closest_vertices(points_a, start_a, count_a, points_b, start_b, count_b):
+    """Per pair, the local vertex indices of its closest vertex pair.
+
+    The all-pairs witness the nearest-vertex walk replaced, kept as its
+    reference: pair ``k`` crosses columns ``start_a[k]:start_a[k] +
+    count_a[k]`` of the ``(2, V)`` table ``points_a`` with the matching
+    run of ``points_b``; returns ``(i, j)``, a closest pair (the first
+    in cross-product order on ties).
+    """
+    from repro.refine.kernels import _chunks
+
+    best = np.full(len(start_a), np.inf)
+    where = np.zeros(len(start_a), dtype=np.int64)
+    ax, ay = points_a
+    bx, by = points_b
+    for p0, p1, starts, pair, local in _chunks(count_a * count_b):
+        row_a, row_b = np.divmod(local, count_b[pair])
+        row_a += start_a[pair]
+        row_b += start_b[pair]
+        dx = ax[row_a] - bx[row_b]
+        dy = ay[row_a] - by[row_b]
+        dist = dx * dx + dy * dy
+        low = np.minimum.reduceat(dist, starts)
+        hits = np.flatnonzero(dist == low[pair - p0])
+        first = hits[np.diff(pair[hits], prepend=-1) != 0]
+        better = low < best[p0:p1]
+        best[p0:p1][better] = low[better]
+        where[p0:p1][better] = local[first][better]
+    return np.divmod(where, count_b)
+
+
+def nearest_scalar(xs, ys, qx, qy):
+    """Offset of the first vertex nearest ``(qx, qy)``, scalar-wise."""
+    best, where = np.inf, 0
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        dx, dy = x - qx, y - qy
+        dist = dx * dx + dy * dy
+        if dist < best:
+            best, where = dist, i
+    return where
+
+
+class TestNearestVertexWalk:
+    """The witness walks to a near vertex pair in three linear passes:
+    A's vertex nearest the centre of B's MBR, B's nearest that, A's
+    nearest B's."""
+
+    @pytest.mark.parametrize("chunk", [None, 1, 7])
+    def test_equals_scalar_first_minimum_on_lattice_ties(self, monkeypatch, chunk):
+        # Half-unit lattice vertices and queries: distances are exact and
+        # many runs hold two or more vertices at the least distance.
+        from repro.refine import kernels
+
+        if chunk is not None:
+            monkeypatch.setattr(kernels, "CHUNK_SEGMENT_PAIRS", chunk)
+        rng = np.random.default_rng(5)
+        counts = rng.integers(1, 10, size=60)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        points = rng.integers(0, 9, size=(2, int(offsets[-1]))) / 2.0
+        runs = rng.integers(0, len(counts), size=300)
+        start, count = offsets[runs], counts[runs]
+        qx, qy = rng.integers(0, 9, size=(2, len(runs))) / 2.0
+        local = kernels.nearest_vertices(points, start, count, qx, qy)
+        ties = 0
+        for k in range(len(runs)):
+            xs, ys = points[:, start[k] : start[k] + count[k]]
+            assert local[k] == nearest_scalar(xs, ys, qx[k], qy[k])
+            dist = (xs - qx[k]) ** 2 + (ys - qy[k]) ** 2
+            ties += int((dist == dist.min()).sum() > 1)
+        assert ties > 30
+
+    def test_indices_stay_in_their_runs(self, monkeypatch):
+        # Every kind, including a linestring whose nearest vertex is its
+        # tail, which heads no segment and maps to the last one.
+        from repro.geometry.shapes import BoxShape, segment_distance_sq
+        from repro.refine import kernels
+
+        calls = []
+
+        def record(points, start, count, qx, qy, real=kernels.nearest_vertices):
+            local = real(points, start, count, qx, qy)
+            calls.append((count, local))
+            return local
+
+        monkeypatch.setattr(kernels, "nearest_vertices", record)
+        line = LineString([(0.0, 0.0), (3.0, 0.0), (6.0, 0.0)], oid=0)
+        shapes = [
+            line,
+            Point([(6.0, 4.0)], oid=1),
+            BoxShape((8.0, 1.0), (9.0, 2.0), oid=2),
+            Polygon([(1.0, 5.0), (4.0, 5.0), (2.0, 8.0)], oid=3),
+        ]
+        rows_a, rows_b, witness, best = witness_and_reference(shapes, shapes)
+        assert len(calls) == 3
+        for count, local in calls:
+            assert ((0 <= local) & (local < count)).all()
+        assert (witness >= best).all()
+        # Line against the point: the tail (6, 0) is A's last pick.
+        k = 1
+        assert calls[2][1][k] == 2
+        assert witness[k] == segment_distance_sq(*line.segments()[-1], 6.0, 4.0, 6.0, 4.0)
+
+    def test_walk_settles_what_closest_vertices_settles(self):
+        # On the dense sets the walk settles all but one within pair the
+        # all-pairs reference settles.  The walk is a local search: on
+        # that polygon pair it stops at two corners 10.9 apart (squared)
+        # that are each other's nearest, while the closest vertex pair
+        # lies across the facing edges, 5.2 apart; the segment pass
+        # then decides the pair.
+        from repro.refine import kernels
+        from repro.refine.pipeline import _vertex_pair_sq, witness_sq
+
+        eps_sq = EPSILON * EPSILON
+        missed = []
+        for dataset_a, dataset_b in dense_datasets():
+            view_a, view_b = dataset_a.refine_view(), dataset_b.refine_view()
+            rows_a, rows_b = np.divmod(
+                np.arange(len(dataset_a) * len(dataset_b)), len(dataset_b)
+            )
+            local_a, local_b = closest_vertices(
+                view_a.points, *view_a.vertex_runs(rows_a),
+                view_b.points, *view_b.vertex_runs(rows_b),
+            )
+            reference = _vertex_pair_sq(
+                view_a, rows_a, local_a, view_b, rows_b, local_b
+            ) <= eps_sq
+            walk = witness_sq(view_a, rows_a, view_b, rows_b) <= eps_sq
+            best = kernels.min_cross_sq(
+                view_a.segs, *view_a.seg_runs(rows_a),
+                view_b.segs, *view_b.seg_runs(rows_b),
+            )
+            assert not (walk & (best > eps_sq)).any()
+            assert reference.sum() > 50
+            missed.append(int((reference & ~walk).sum()))
+        assert missed == [1, 0]
+
+
 class TestRefineViews:
     @pytest.mark.parametrize("algorithm", [info.name for info in available()])
     def test_view_refine_equals_object_backend(self, algorithm):
@@ -1064,3 +1201,81 @@ class TestRefineViews:
         for key in ("candidate_pairs", "false_hit_prunes", "true_hits",
                     "exact_tests", "refined_pairs"):
             assert second.extra[key] == first.extra[key]
+
+
+def unscreened_exact_pairs(objects_a, objects_b, epsilon):
+    """The oracle without its axis screen: every pair, scalar-wise."""
+    from repro.geometry.shapes import shape_distance_sq
+
+    threshold = float(epsilon) ** 2
+    return {
+        (a.oid, b.oid)
+        for a in objects_a
+        for b in objects_b
+        if shape_distance_sq(shape_of(a), shape_of(b)) <= threshold
+    }
+
+
+def shifted(shapes, offset):
+    """Lattice shapes moved by ``offset`` on both axes (still exact)."""
+    return [
+        type(shape)([(x + offset, y + offset) for x, y in shape.vertices])
+        for shape in shapes
+    ]
+
+
+def oracle_cases():
+    """Object-list pairs with the epsilons each is checked at."""
+    cases = [(a, b, (0.0, EPSILON)) for a, b in dense_pairs()]
+    for seed, lattice in ((0, False), (1, False), (2, True)):
+        objects = [shaped(shape, i) for i, shape in enumerate(random_shapes(seed, lattice=lattice))]
+        cases.append((objects, objects, (0.0, 0.5, 1.0, 3.0)))
+    far = shifted(random_shapes(2, lattice=True), 1e6)
+    objects = [shaped(shape, i) for i, shape in enumerate(far)]
+    cases.append((objects, objects, (0.0, 0.5, 1.0)))
+    for objects_a, objects_b in CONTAINMENT_CASES.values():
+        cases.append((objects_a, objects_b, (0.0, EDGE_EPSILON)))
+    # Triangles sharing the vertex (2, 0), and two MBR-touching ones apart.
+    touching = (
+        Polygon([(0, 0), (2, 0), (0, 2)]),
+        Polygon([(2, 2), (0.1, 2), (2, 0.1)]),
+        Polygon([(2, 0), (4, 0), (4, 2)]),
+    )
+    objects = [shaped(shape, oid) for oid, shape in enumerate(touching)]
+    cases.append((objects, objects, (0.0, 0.5)))
+    point_boxes = [mbr_only((0.0, 30.0), (0.0, 30.0), 0), mbr_only((1.0, 25.0), (1.0, 25.0), 1)]
+    cases.append((point_boxes, point_boxes, (0.0, 5.0, 26**0.5)))
+    touching_boxes = [mbr_only((0.0, 0.0), (1.0, 1.0), 0), mbr_only((1.0, 0.5), (2.0, 2.0), 1)]
+    cases.append((touching_boxes, touching_boxes, (0.0,)))
+    return cases
+
+
+class TestScreenedOracle:
+    """The oracle's axis screen skips only pairs the scalar loop would
+    find apart, and skips most pairs of a spread-out set."""
+
+    def test_equals_the_unscreened_scalar_loop(self):
+        for objects_a, objects_b, epsilons in oracle_cases():
+            for epsilon in epsilons:
+                assert brute_force_exact_pairs(
+                    objects_a, objects_b, epsilon
+                ) == unscreened_exact_pairs(objects_a, objects_b, epsilon)
+
+    def test_screen_skips_most_pairs(self, monkeypatch):
+        from repro.geometry import shapes
+
+        calls = []
+        monkeypatch.setattr(
+            shapes, "shape_distance_sq",
+            lambda a, b, real=shapes.shape_distance_sq: calls.append(1) or real(a, b),
+        )
+        objects_a, objects_b = dense_pairs()[0]
+        oracle = brute_force_exact_pairs(objects_a, objects_b, EPSILON)
+        assert len(oracle) > 0
+        assert 0 < len(calls) < len(objects_a) * len(objects_b) // 2
+
+    def test_mixed_dimensions_raise(self):
+        flat = mbr_only((0.0, 0.0), (1.0, 1.0))
+        cube = mbr_only((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="dimensionality mismatch"):
+            brute_force_exact_pairs([flat], [cube], 1.0)
