@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from repro import execute
 from repro.bench.config import RunOptions, Scale, current_scale
 from repro.bench.runner import RunRecord, record_from_result, run_algorithm
 from repro.bench.workloads import (
@@ -798,7 +799,6 @@ def experiment_bench_spill(scale: Scale, options: RunOptions) -> ExperimentResul
     cost of trading memory for disk.
     """
     from repro.joins.base import dimensionality
-    from repro.memory import BudgetedSpatialJoin
 
     out = ExperimentResult(
         "bench_spill",
@@ -831,10 +831,7 @@ def experiment_bench_spill(scale: Scale, options: RunOptions) -> ExperimentResul
         out.add(record, budget="unbounded", footprint_bytes=footprint)
         for divisor in SPILL_BUDGET_DIVISORS:
             budget = max(1, footprint // divisor)
-            joiner = BudgetedSpatialJoin(
-                lambda: make_algorithm(algorithm, **overrides),
-                max_bytes=budget,
-            )
+            joiner = execute.executor(algorithm, overrides, max_bytes=budget)
             result = joiner.join(build, probe)
             if result.pair_set() != baseline_pairs:
                 raise AssertionError(
@@ -882,7 +879,6 @@ def experiment_filter_refine(scale: Scale, options: RunOptions) -> ExperimentRes
     and the true-hit shortcut rate, so the sweep shows what the exact
     predicate costs on top of the MBR filter.
     """
-    from repro.refine import RefinePipeline
     from repro.validation import brute_force_exact_pairs
 
     out = ExperimentResult(
@@ -906,13 +902,10 @@ def experiment_filter_refine(scale: Scale, options: RunOptions) -> ExperimentRes
             distribution, scale.large_a, n_b, scale
         )
         oracle = brute_force_exact_pairs(dataset_a, dataset_b, epsilon)
-        # inflate() carries each object's exact shape through unchanged,
-        # so the refine stage below sees original (uninflated) extents.
-        build = inflate(dataset_a, epsilon)
-        probe = list(dataset_b)
         for algorithm in REFINE_ALGORITHMS:
-            candidates = make_algorithm(algorithm, **overrides).join(
-                build, probe
+            candidates = execute.join(
+                make_algorithm(algorithm, **overrides),
+                dataset_a, dataset_b, epsilon,
             )
             record = record_from_result(
                 candidates, dataset_a.name, len(dataset_a), len(dataset_b),
@@ -920,21 +913,20 @@ def experiment_filter_refine(scale: Scale, options: RunOptions) -> ExperimentRes
             )
             out.add(record, geometry="mbr")
 
-            exact = make_algorithm(algorithm, **overrides).join(build, probe)
+            exact = execute.join(
+                make_algorithm(algorithm, **overrides),
+                dataset_a, dataset_b, epsilon,
+                geometry="exact", backend=options.backend,
+            )
             stats = exact.stats
-            refine_start = time.perf_counter()
-            refined = RefinePipeline(
-                epsilon, backend=options.backend or "auto"
-            ).refine(exact.pairs, build, dataset_b, stats=stats)
-            refine_seconds = time.perf_counter() - refine_start
-            refined_set = set(refined)
+            refined_set = exact.pair_set()
             if refined_set != oracle:
                 raise AssertionError(
                     f"{algorithm} on {dataset_a.name} diverges from the "
                     f"exact oracle: {len(oracle - refined_set)} missing, "
                     f"{len(refined_set - oracle)} spurious"
                 )
-            if not refined_set <= exact.pair_set():
+            if not refined_set <= candidates.pair_set():
                 raise AssertionError(
                     f"{algorithm} on {dataset_a.name} refined pairs "
                     "outside the candidate set"
@@ -950,24 +942,14 @@ def experiment_filter_refine(scale: Scale, options: RunOptions) -> ExperimentRes
                     f"{stats.candidate_pairs} candidates - "
                     f"{stats.false_hit_prunes} false-hit prunes"
                 )
-            stats.join_seconds += refine_seconds
-            stats.total_seconds += refine_seconds
-            stats.result_pairs = len(refined)
             record = record_from_result(
                 exact, dataset_a.name, len(dataset_a), len(dataset_b),
                 epsilon,
             )
             out.add(
                 record,
-                geometry="exact",
-                candidate_pairs=stats.candidate_pairs,
-                false_hit_prunes=stats.false_hit_prunes,
-                true_hits=stats.true_hits,
-                exact_tests=stats.exact_tests,
-                refined_pairs=len(refined),
-                refine_seconds=refine_seconds,
                 refine_selectivity=(
-                    len(refined) / stats.candidate_pairs
+                    stats.refined_pairs / stats.candidate_pairs
                     if stats.candidate_pairs
                     else 1.0
                 ),

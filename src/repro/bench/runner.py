@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro import execute
 from repro.bench.config import RunOptions
 from repro.datasets.base import Dataset
 from repro.datasets.transform import inflate
 from repro.joins.base import JoinResult
-from repro.joins.registry import AlgorithmSpec, make_algorithm
 
 __all__ = ["RunRecord", "RunOptions", "run_algorithm", "explain"]
 
@@ -82,13 +82,27 @@ def record_from_result(
     n_b: int,
     epsilon: float,
 ) -> RunRecord:
-    """Flatten a :class:`JoinResult` into a :class:`RunRecord`."""
+    """Flatten a :class:`JoinResult` into a :class:`RunRecord`.
+
+    Refined results (``parameters["geometry"] == "exact"``) also carry
+    the filter-refine accounting; only they do, which keeps
+    ``geometry="mbr"`` records byte-identical to the filter alone.
+    """
     stats = result.stats
     extra = {
         key: value
         for key, value in stats.extra.items()
         if isinstance(value, (int, float, str))
     }
+    if result.parameters.get("geometry") == "exact":
+        extra.update(
+            geometry="exact",
+            candidate_pairs=stats.candidate_pairs,
+            false_hit_prunes=stats.false_hit_prunes,
+            true_hits=stats.true_hits,
+            exact_tests=stats.exact_tests,
+            refined_pairs=stats.refined_pairs,
+        )
     return RunRecord(
         algorithm=result.algorithm,
         dataset=dataset_name,
@@ -129,36 +143,6 @@ def _service(reuse_index):
     return default_service()
 
 
-def _plan_run(
-    algorithm_name: str,
-    dataset_a,
-    dataset_b,
-    epsilon: float,
-    resolved: RunOptions,
-    overrides: dict,
-):
-    """One optimizer call shared by ``run_algorithm("auto")`` / :func:`explain`.
-
-    Resolved options that are set act as *pins* the optimizer must
-    respect; everything left ``None`` (backend, workers, decompose,
-    geometry) is chosen by the cost model.
-    """
-    from repro.optimizer import choose_plan, sketch_dataset
-
-    return choose_plan(
-        sketch_dataset(dataset_a),
-        sketch_dataset(dataset_b),
-        float(epsilon),
-        algorithm=None if algorithm_name == "auto" else algorithm_name,
-        backend=overrides.get("backend") or resolved.backend,
-        workers=resolved.workers,
-        decompose=resolved.decompose,
-        geometry=resolved.geometry,
-        reuse_index=bool(resolved.reuse_index),
-        max_bytes=resolved.max_bytes,
-    )
-
-
 def explain(
     algorithm_name: str,
     dataset_a: Dataset | Sequence,
@@ -189,9 +173,9 @@ def explain(
             geometry=resolved.geometry or "mbr",
             **algorithm_overrides,
         )
-    return _plan_run(
-        algorithm_name, dataset_a, dataset_b, epsilon, resolved,
-        algorithm_overrides,
+    return execute.plan(
+        algorithm_name, dataset_a, dataset_b, epsilon,
+        RunOptions(backend=algorithm_overrides.get("backend")).over(resolved),
     )
 
 
@@ -227,15 +211,18 @@ def run_algorithm(
       the same (dataset A, algorithm, config, backend, ε) probe a
       cached index (``extra["cache"]`` reports ``"warm"`` / ``"cold"``);
       the multiprocess engine cannot be combined with it.
+
+    The phases (plan, executor, refine) are those of
+    :mod:`repro.execute`.
     """
     resolved = (options or RunOptions()).over(RunOptions.from_env())
     plan = None
     if algorithm_name == "auto" and not resolved.reuse_index:
         # The reuse_index path plans inside the query service instead
         # (the service owns the fingerprints and pins sequential probes).
-        plan = _plan_run(
-            algorithm_name, dataset_a, dataset_b, epsilon, resolved,
-            algorithm_overrides,
+        plan = execute.plan(
+            algorithm_name, dataset_a, dataset_b, epsilon,
+            RunOptions(backend=algorithm_overrides.get("backend")).over(resolved),
         )
         algorithm_name = plan.algorithm
         if "backend" not in algorithm_overrides:
@@ -249,6 +236,8 @@ def run_algorithm(
     if exact:
         _check_shapes(dataset_a)
         _check_shapes(dataset_b)
+    dataset_name = dataset_a.name if isinstance(dataset_a, Dataset) else "adhoc"
+    n_a, n_b = len(dataset_a), len(dataset_b)
     if resolved.reuse_index:
         if resolved.workers:
             raise ValueError(
@@ -267,123 +256,41 @@ def run_algorithm(
             geometry=resolved.geometry or "mbr",
             **algorithm_overrides,
         )
-        dataset_name = (
-            dataset_a.name if isinstance(dataset_a, Dataset) else "adhoc"
+    else:
+        algorithm = execute.executor(
+            algorithm_name,
+            algorithm_overrides,
+            workers=resolved.workers,
+            decompose=resolved.decompose,
+            max_bytes=resolved.max_bytes,
         )
-        record = record_from_result(
-            result, dataset_name, len(dataset_a), len(dataset_b), epsilon
-        )
+        if exact and not isinstance(dataset_a, Dataset):
+            # Refine reads each side's cached view, which Datasets own.
+            dataset_a = Dataset(dataset_a, name="adhoc")
+        if exact and not isinstance(dataset_b, Dataset):
+            dataset_b = Dataset(dataset_b, name="adhoc")
+        # The one-shot steps of execute.join, with the inflate called
+        # through this module so that ``runner.inflate`` stays the
+        # entry that times the ε-reduction.
+        result = algorithm.join(inflate(dataset_a, epsilon), dataset_b)
+        if exact:
+            # Every execution path, the multiprocess engine included,
+            # returns MBR candidates; they are refined here once, against
+            # the original (never inflated) datasets.
+            result = execute.refine(
+                result, dataset_a, dataset_b, epsilon, resolved.backend
+            )
+        if plan is not None:
+            result.stats.extra["plan"] = plan.as_dict()
+    record = record_from_result(result, dataset_name, n_a, n_b, epsilon)
+    if resolved.reuse_index:
         record.extra["cache"] = result.parameters.get("cache", "")
         record.extra["index_build_seconds"] = result.parameters.get(
             "build_seconds", 0.0
         )
-        if "plan" in result.stats.extra:
-            # The service records the plan as a nested dict, which the
-            # scalar filter in record_from_result drops; restore it.
-            record.extra["plan"] = result.stats.extra["plan"]
-        if exact:
-            _add_refine_extras(record, result)
-        return record
-    if resolved.workers:
-        # Imported lazily: repro.parallel pulls in multiprocessing
-        # machinery the sequential harness never needs.
-        from repro.parallel.engine import ParallelChunkedJoin
-
-        spec = AlgorithmSpec.create(algorithm_name, **algorithm_overrides)
-        algorithm = ParallelChunkedJoin(
-            spec,
-            workers=resolved.workers,
-            kind=resolved.decompose or "slabs",
-            max_bytes=resolved.max_bytes,
-        )
-    elif resolved.max_bytes is not None:
-        # Imported lazily, like the engines: the memory governor pulls in
-        # the decomposition machinery sequential runs never need.
-        from repro.memory import BudgetedSpatialJoin
-
-        algorithm = BudgetedSpatialJoin(
-            AlgorithmSpec.create(algorithm_name, **algorithm_overrides),
-            max_bytes=resolved.max_bytes,
-            kind=resolved.decompose or "tiles",
-        )
-    else:
-        algorithm = make_algorithm(algorithm_name, **algorithm_overrides)
-    if exact and not isinstance(dataset_a, Dataset):
-        # Refine reads each side's cached view, which Datasets own.
-        dataset_a = Dataset(dataset_a, name="adhoc")
-    if exact and not isinstance(dataset_b, Dataset):
-        dataset_b = Dataset(dataset_b, name="adhoc")
-    if isinstance(dataset_a, Dataset):
-        build = inflate(dataset_a, epsilon)
-    else:
-        build = [obj.inflated(epsilon) for obj in dataset_a]
-    result = algorithm.join(build, dataset_b)
-    if exact:
-        # Every execution path, the multiprocess engine included,
-        # returns MBR candidates; they are refined here once, against
-        # the original (never inflated) datasets.
-        result = _refine_result(
-            result, dataset_a, dataset_b, epsilon, resolved.backend or "auto"
-        )
-    if plan is not None:
-        result.stats.extra["plan"] = plan.as_dict()
-    dataset_name = dataset_a.name if isinstance(dataset_a, Dataset) else "adhoc"
-    record = record_from_result(
-        result, dataset_name, len(dataset_a), len(dataset_b), epsilon
-    )
-    if plan is not None:
+    if "plan" in result.stats.extra:
+        # The plan is a nested dict, which the scalar filter in
+        # record_from_result drops; restore it.
         record.extra["plan"] = result.stats.extra["plan"]
-    if exact:
-        _add_refine_extras(record, result)
     return record
 
-
-def _refine_result(
-    result: JoinResult,
-    dataset_a: Dataset,
-    dataset_b: Dataset,
-    epsilon: float,
-    backend: str,
-) -> JoinResult:
-    """Run the refine stage over a filter result, folding in counters.
-
-    Candidates are refined as row arrays against each dataset's cached
-    refine view, so the kept pairs stay :class:`PairArrays`.
-    """
-    import time
-
-    from repro.refine import RefinePipeline
-
-    stats = result.stats
-    start = time.perf_counter()
-    refined = RefinePipeline(epsilon, backend=backend).refine(
-        result.pair_arrays(), dataset_a, dataset_b, stats=stats
-    )
-    refine_seconds = time.perf_counter() - start
-    stats.join_seconds += refine_seconds
-    stats.total_seconds += refine_seconds
-    stats.extra["refine_seconds"] = refine_seconds
-    stats.result_pairs = len(refined.a)
-    return JoinResult(
-        result.algorithm,
-        refined,
-        stats,
-        {**result.parameters, "geometry": "exact"},
-    )
-
-
-def _add_refine_extras(record: RunRecord, result: JoinResult) -> None:
-    """Surface filter-refine accounting on exact-mode run records.
-
-    Only exact runs get these keys, which keeps ``geometry="mbr"``
-    records byte-identical to the pre-pipeline harness.
-    """
-    stats = result.stats
-    record.extra.update(
-        geometry="exact",
-        candidate_pairs=stats.candidate_pairs,
-        false_hit_prunes=stats.false_hit_prunes,
-        true_hits=stats.true_hits,
-        exact_tests=stats.exact_tests,
-        refined_pairs=stats.refined_pairs,
-    )

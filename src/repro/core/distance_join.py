@@ -18,6 +18,8 @@ from __future__ import annotations
 from typing import Literal, Sequence
 
 from repro.core.refine import refine_pairs
+from repro.datasets.transform import inflate
+from repro.execute import executor, join
 from repro.geometry.mbr import check_epsilon
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import JoinResult, SpatialJoinAlgorithm
@@ -27,24 +29,25 @@ __all__ = ["distance_join", "spatial_join", "inflate_dataset"]
 JoinOrder = Literal["auto", "keep", "swap"]
 
 
-def inflate_dataset(objects: Sequence[SpatialObject], epsilon: float) -> list[SpatialObject]:
-    """Minkowski-inflate every object's MBR by ``epsilon``."""
-    return [obj.inflated(epsilon) for obj in objects]
+#: Minkowski-inflate every object's MBR by ε (the ε-reduction of §4).
+inflate_dataset = inflate
 
 
-def _resolve_order(
-    objects_a: Sequence[SpatialObject],
-    objects_b: Sequence[SpatialObject],
-    order: JoinOrder,
-) -> bool:
-    """Return ``True`` when the datasets should be swapped (B built first)."""
-    if order == "keep":
-        return False
-    if order == "swap":
-        return True
-    if order == "auto":
-        return len(objects_b) < len(objects_a)
-    raise ValueError(f"unknown join order {order!r}")
+def _ordered(objects_a, objects_b, order: JoinOrder, run) -> JoinResult:
+    """``run(build, probe)`` under the join-order heuristic (§5.2.3).
+
+    ``"auto"`` builds on the smaller dataset, ``"keep"`` on A and
+    ``"swap"`` on B.  Pairs come back in ``(oid_a, oid_b)`` orientation
+    either way; a swapped run is marked ``parameters["swapped"]``.
+    """
+    if order not in ("auto", "keep", "swap"):
+        raise ValueError(f"unknown join order {order!r}")
+    if order == "keep" or (order == "auto" and len(objects_b) >= len(objects_a)):
+        return run(objects_a, objects_b)
+    result = run(objects_b, objects_a)
+    result.pairs = [(a, b) for (b, a) in result.pairs]
+    result.parameters = {**result.parameters, "swapped": True}
+    return result
 
 
 def spatial_join(
@@ -59,13 +62,7 @@ def spatial_join(
     (§5.2.3).  Result pairs are always reported in ``(oid_a, oid_b)``
     orientation regardless of the internal order.
     """
-    swap = _resolve_order(objects_a, objects_b, order)
-    if not swap:
-        return algorithm.join(objects_a, objects_b)
-    result = algorithm.join(objects_b, objects_a)
-    result.pairs = [(a, b) for (b, a) in result.pairs]
-    result.parameters = {**result.parameters, "swapped": True}
-    return result
+    return _ordered(objects_a, objects_b, order, algorithm.join)
 
 
 def distance_join(
@@ -110,43 +107,15 @@ def distance_join(
     iff their MBRs are within L∞ distance ε of each other.
     """
     check_epsilon(epsilon)
-    if workers:
-        # Imported lazily: repro.core must not require multiprocessing
-        # machinery for plain sequential joins.
-        from repro.joins.registry import AlgorithmSpec
-        from repro.parallel.engine import ParallelChunkedJoin
-
-        if algorithm is None:
-            algorithm = AlgorithmSpec.create("TOUCH")
-        if not isinstance(algorithm, (str, AlgorithmSpec)):
-            raise TypeError(
-                "workers requires a registry name or AlgorithmSpec (live "
-                f"algorithm instances cannot cross process boundaries), "
-                f"got {type(algorithm).__name__}"
-            )
-        algorithm = ParallelChunkedJoin(algorithm, workers=workers, kind=decompose)
-    elif algorithm is None:
-        from repro.core.touch import TouchJoin
-
-        algorithm = TouchJoin()
-    else:
-        from repro.joins.registry import AlgorithmSpec, make_algorithm
-
-        if isinstance(algorithm, str):
-            algorithm = make_algorithm(algorithm)
-        elif isinstance(algorithm, AlgorithmSpec):
-            algorithm = algorithm.make()
-
-    swap = _resolve_order(objects_a, objects_b, order)
-    if swap:
-        build, probe = inflate_dataset(objects_b, epsilon), list(objects_a)
-    else:
-        build, probe = inflate_dataset(objects_a, epsilon), list(objects_b)
-
-    result = algorithm.join(build, probe)
-    if swap:
-        result.pairs = [(a, b) for (b, a) in result.pairs]
-        result.parameters = {**result.parameters, "swapped": True}
+    algorithm = executor(
+        "TOUCH" if algorithm is None else algorithm,
+        workers=workers,
+        decompose=decompose,
+    )
+    result = _ordered(
+        objects_a, objects_b, order,
+        lambda build, probe: join(algorithm, build, probe, epsilon),
+    )
     result.parameters = {**result.parameters, "epsilon": epsilon}
 
     if refine:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.datasets.base import Dataset
@@ -25,14 +27,19 @@ def sample_fraction(dataset: Dataset, fraction: float, seed: int | None = None) 
     )
 
 
-def inflate(dataset: Dataset, epsilon: float) -> Dataset:
-    """Dataset with every MBR Minkowski-inflated by ``epsilon``.
+def inflate(dataset: "Dataset | Sequence", epsilon: float):
+    """Every MBR Minkowski-inflated by ``epsilon`` (the ε-reduction of §4).
 
-    One array operation over the coordinate table, bit-identical to
-    :meth:`MBR.expand` per box; at ``epsilon == 0`` the table is shared
-    unchanged.  The result is table-backed and keeps the geometries.
+    A :class:`Dataset` inflates in one array operation over its
+    coordinate table, bit-identical to :meth:`MBR.expand` per box; at
+    ``epsilon == 0`` the table is shared unchanged.  The result is
+    table-backed and keeps the geometries.  Any other object sequence
+    becomes a list of :meth:`SpatialObject.inflated` copies, shapes
+    carried through.
     """
     epsilon = check_epsilon(epsilon)
+    if not isinstance(dataset, Dataset):
+        return [obj.inflated(epsilon) for obj in dataset]
     table = dataset.to_table()
     if epsilon:
         dim = table.dim

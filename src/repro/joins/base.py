@@ -267,46 +267,6 @@ class SpatialJoinAlgorithm(abc.ABC):
         """
         raise NotImplementedError  # pragma: no cover - guarded by join()
 
-    # -- filter-refine pipeline -----------------------------------------
-    def filter_pairs(
-        self,
-        dataset_a: Sequence[SpatialObject],
-        dataset_b: Sequence[SpatialObject],
-    ) -> JoinResult:
-        """Filter stage of a filter-refine join: the MBR candidate join.
-
-        Identical to :meth:`join` except the result is understood as
-        *candidates* for exact refinement; callers follow up with
-        :meth:`refine`, which does the candidate/true-hit/exact
-        accounting.  The pure-MBR path never calls either, which keeps
-        ``geometry="mbr"`` runs bit-identical to the pre-pipeline
-        behaviour.
-        """
-        return self.join(dataset_a, dataset_b)
-
-    def refine(
-        self,
-        pairs: Sequence[Pair],
-        objects_a: Sequence[SpatialObject],
-        objects_b: Sequence[SpatialObject],
-        epsilon: float,
-        stats: JoinStatistics | None = None,
-        backend: str = "auto",
-    ) -> list[Pair]:
-        """Refine stage: keep candidates whose exact distance is <= epsilon.
-
-        ``objects_a`` / ``objects_b`` must carry **original** (never
-        epsilon-inflated) extents — refinement evaluates the true
-        shapes, falling back to solid boxes over ``obj.mbr`` for
-        objects without shape payloads.  Counters land on ``stats``
-        (``candidate_pairs`` / ``false_hit_prunes`` / ``true_hits`` /
-        ``exact_tests`` / ``refined_pairs``).
-        """
-        from repro.refine import RefinePipeline
-
-        pipeline = RefinePipeline(epsilon, backend=backend)
-        return pipeline.refine(pairs, objects_a, objects_b, stats=stats)
-
     # -- build/probe lifecycle -----------------------------------------
     @classmethod
     def supports_prepare(cls) -> bool:

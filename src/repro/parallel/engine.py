@@ -57,6 +57,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from repro.datasets.base import Dataset
+from repro import execute
 from repro.geometry.columnar import CoordinateTable, axes_overlap_mask
 from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
@@ -163,12 +164,7 @@ def _run_chunk(task):
     """
     spec, decomposition, region_index, table_a, table_b, max_bytes = task
     start = time.perf_counter()
-    if max_bytes is None:
-        algorithm = spec.make()
-    else:
-        from repro.memory import BudgetedSpatialJoin
-
-        algorithm = BudgetedSpatialJoin(spec.make, max_bytes)
+    algorithm = execute.executor(spec, max_bytes=max_bytes)
     result = algorithm.join(Dataset.from_table(table_a), Dataset.from_table(table_b))
     pairs = result.pair_arrays()
     owned = _owned_mask(decomposition, region_index, table_a, table_b, pairs)

@@ -13,12 +13,10 @@ from __future__ import annotations
 import time
 from typing import Sequence
 
+from repro import execute
 from repro.datasets.base import Dataset
 from repro.geometry.objects import SpatialObject
-from repro.geometry.vertex_table import shape_of
-from repro.joins.base import JoinResult
 from repro.joins.registry import make_algorithm
-from repro.refine import RefinePipeline
 from repro.service.service import SpatialQueryService
 
 __all__ = ["probe_batches", "run_serve_workload"]
@@ -78,8 +76,8 @@ def run_serve_workload(
     ``geometry`` is an explicit parameter (not part of ``**config``)
     because the rebuild path forwards ``config`` verbatim to
     :func:`~repro.joins.registry.make_algorithm`, which owns no such
-    knob; with ``geometry="exact"`` the rebuild reference attaches
-    shapes *before* ε-inflation and refines each one-shot result, so
+    knob; with ``geometry="exact"`` each rebuild join refines through
+    :func:`repro.execute.join` against the original ``dataset_a``, so
     the parity assertion compares exact against exact.
     """
     service = service or SpatialQueryService(capacity=4)
@@ -126,36 +124,25 @@ def run_serve_workload(
         rebuild_algorithm = (
             served[0].algorithm if algorithm == "auto" else algorithm
         )
-        exact = geometry == "exact"
-        source = dataset_a
-        if exact:
-            # Shapes must ride the build side *before* ε-inflation: a
-            # shape-less object refines as a solid box over its MBR, and
-            # after inflation that box would over-approximate the true
-            # extent.  ``inflated()`` carries the attached shape through
-            # unchanged, so the refine stage sees original geometry.
-            source = [
-                SpatialObject(obj.oid, obj.mbr, shape_of(obj))
-                for obj in dataset_a
-            ]
-        build_side = [obj.inflated(epsilon) for obj in source]
-        # One Dataset for every batch's refine, so its view is built once.
-        refine_side = Dataset(build_side, name="build") if exact else None
-        rebuild_pairs = 0
-        rebuild_comparisons = 0
+        # One Dataset for every batch, so an exact refine builds A's
+        # view once.
+        source = (
+            dataset_a
+            if isinstance(dataset_a, Dataset)
+            else Dataset(list(dataset_a), name="build")
+        )
         rebuild_start = time.perf_counter()
-        rebuild_results = []
-        for chunk in batches:
-            one_shot = make_algorithm(rebuild_algorithm, **config)
-            result = one_shot.join(build_side, chunk)
-            if exact:
-                refined = RefinePipeline(
-                    epsilon, backend=config.get("backend") or "auto"
-                ).refine(result.pairs, refine_side, chunk, stats=result.stats)
-                result = JoinResult(
-                    result.algorithm, refined, result.stats, result.parameters
-                )
-            rebuild_results.append(result)
+        rebuild_results = [
+            execute.join(
+                make_algorithm(rebuild_algorithm, **config),
+                source,
+                chunk,
+                epsilon,
+                geometry=geometry,
+                backend=config.get("backend"),
+            )
+            for chunk in batches
+        ]
         rebuild_seconds = time.perf_counter() - rebuild_start
         for index, (cached, fresh) in enumerate(zip(served, rebuild_results)):
             if cached.pair_set() != fresh.pair_set():
@@ -166,11 +153,11 @@ def run_serve_workload(
                     f"the rebuild-per-query join: {missing} missing, "
                     f"{spurious} spurious"
                 )
-            rebuild_pairs += len(fresh)
-            rebuild_comparisons += fresh.stats.comparisons
         summary["rebuild_seconds"] = rebuild_seconds
-        summary["rebuild_pairs"] = rebuild_pairs
-        summary["rebuild_comparisons"] = rebuild_comparisons
+        summary["rebuild_pairs"] = sum(len(r) for r in rebuild_results)
+        summary["rebuild_comparisons"] = sum(
+            r.stats.comparisons for r in rebuild_results
+        )
         summary["speedup"] = (
             rebuild_seconds / serve_seconds if serve_seconds > 0 else float("inf")
         )

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from repro.bench.config import GEOMETRY_MODES
+from repro import execute
+from repro.bench.config import GEOMETRY_MODES, RunOptions
 from repro.datasets.base import Dataset
+from repro.datasets.transform import inflate
 from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR, check_epsilon
 from repro.geometry.objects import SpatialObject
-from repro.joins.base import BuiltIndex, JoinResult, dimensionality
+from repro.joins.base import JoinResult, dimensionality
 from repro.joins.registry import make_algorithm
 from repro.memory.budget import SpillMetrics, validate_max_bytes
 from repro.service.cache import IndexCache, IndexKey
@@ -36,7 +38,9 @@ from repro.service.fingerprint import dataset_fingerprint
 if TYPE_CHECKING:
     from repro.optimizer.plan import Plan
 
-__all__ = ["SpatialQueryService", "default_service", "reset_default_service"]
+__all__ = [
+    "ProbeQuery", "SpatialQueryService", "default_service", "reset_default_service",
+]
 
 
 class _Source:
@@ -63,7 +67,77 @@ class _Source:
         return self._dataset
 
 
-class SpatialQueryService:
+class ProbeQuery(NamedTuple):
+    """One probe's resolved arguments: what its filter and refine read."""
+
+    source: _Source
+    probe: "Dataset | list[SpatialObject] | CoordinateTable"
+    epsilon: float
+    algorithm: str
+    config: dict
+    geometry: str
+    budget: int | None
+    plan: "Plan | None" = None
+
+    def make_plan(self) -> "Plan":
+        """The optimizer's plan for this query.
+
+        The service always probes sequentially, so ``workers`` is pinned
+        to 0; ``reuse_index=True`` marks the index cache as in play.
+        """
+        return execute.plan(
+            self.algorithm,
+            self.source.objects,
+            self.probe,
+            self.epsilon,
+            RunOptions(
+                backend=self.config.get("backend"),
+                workers=0,
+                geometry=self.geometry,
+                reuse_index=True,
+                max_bytes=self.budget,
+            ),
+            fingerprint=self.source.fingerprint,
+        )
+
+
+class ProbeAliases:
+    """``query`` and ``probe_mbrs``: historical spellings of ``probe``,
+    shared by the single-process and the sharded service."""
+
+    def query(
+        self,
+        dataset: "str | Sequence[SpatialObject]",
+        probe: "Sequence[SpatialObject] | CoordinateTable",
+        epsilon: float,
+        algorithm: str = "TOUCH",
+        geometry: str | None = None,
+        **config,
+    ) -> JoinResult:
+        """Alias for ``probe`` with a probe dataset (historical name)."""
+        return self.probe(
+            dataset, probe, epsilon, algorithm=algorithm, geometry=geometry, **config
+        )
+
+    def probe_mbrs(
+        self,
+        dataset: "str | Sequence[SpatialObject]",
+        mbrs: Iterable[MBR],
+        epsilon: float,
+        algorithm: str = "TOUCH",
+        geometry: str | None = None,
+        **config,
+    ) -> JoinResult:
+        """Alias for ``probe`` with a raw MBR batch (historical name)."""
+        boxes = list(mbrs)
+        if not boxes:
+            raise ValueError("probe_mbrs requires at least one query MBR")
+        return self.probe(
+            dataset, boxes, epsilon, algorithm=algorithm, geometry=geometry, **config
+        )
+
+
+class SpatialQueryService(ProbeAliases):
     """Named datasets + cached built indexes + probe APIs.
 
     Parameters
@@ -121,7 +195,7 @@ class SpatialQueryService:
                 name: len(source.objects) for name, source in self._datasets.items()
             }
 
-    def _resolve(self, dataset: "str | Sequence[SpatialObject]") -> _Source:
+    def _source(self, dataset: "str | Sequence[SpatialObject]") -> _Source:
         if isinstance(dataset, str):
             with self._lock:
                 try:
@@ -193,76 +267,15 @@ class SpatialQueryService:
         The returned :class:`~repro.joins.base.JoinResult` carries
         ``parameters["cache"]`` (``"warm"`` | ``"cold"`` | ``"spilled"``)
         and ``parameters["build_seconds"]`` of the underlying index.
+
+        A probe is :meth:`resolve`, then :meth:`candidates`, then
+        :meth:`refine`; the sharded tier runs the three itself, so its
+        ownership filter comes between filter and refine.
         """
-        probe, epsilon, geometry, budget, source, config = self._normalize(
-            dataset, probe, epsilon, geometry, max_bytes, config
+        query = self.resolve(
+            dataset, probe, epsilon, algorithm, max_bytes, geometry, **config
         )
-        objects = source.objects
-        plan = None
-        if algorithm == "auto":
-            plan = self._plan(
-                source, probe, epsilon, algorithm, config, geometry, budget
-            )
-            algorithm = plan.algorithm
-            if "backend" not in config:
-                config = {**config, "backend": plan.backend}
-        key = IndexKey.create(
-            source.fingerprint,
-            algorithm,
-            config,
-            config.get("backend"),
-            epsilon,
-            geometry=geometry,
-        )
-        algo = make_algorithm(algorithm, **config)
-
-        if budget is not None and not isinstance(probe, CoordinateTable):
-            probe_objects = list(probe) if isinstance(probe, Dataset) else probe
-            if objects and probe_objects:
-                dim = dimensionality(objects, probe_objects)
-                estimated = algo.estimate_bytes(
-                    len(objects), len(probe_objects), dim
-                )
-                if estimated > budget:
-                    result = self._budgeted_probe(
-                        source,
-                        probe_objects,
-                        epsilon,
-                        algorithm,
-                        budget,
-                        config,
-                        geometry=geometry,
-                    )
-                    if plan is not None:
-                        result.stats.extra["plan"] = plan.as_dict()
-                    return result
-
-        def builder() -> BuiltIndex:
-            build_side = [obj.inflated(epsilon) for obj in objects]
-            return algo.prepare(build_side)
-
-        built, warm = self.cache.get_or_build(key, builder)
-        start = time.perf_counter()
-        result = algo.probe(built, probe)
-        probe_seconds = time.perf_counter() - start
-        with self._lock:
-            self._queries += 1
-            self._probe_seconds += probe_seconds
-            if not warm:
-                self._build_seconds += built.build_seconds
-        result.parameters = {
-            **result.parameters,
-            "cache": "warm" if warm else "cold",
-            "build_seconds": built.build_seconds,
-            "epsilon": epsilon,
-        }
-        if geometry == "exact":
-            result = self._refine(
-                result, source.refine_side(), probe, epsilon, config.get("backend")
-            )
-        if plan is not None:
-            result.stats.extra["plan"] = plan.as_dict()
-        return result
+        return self.refine(query, self.candidates(query))
 
     def explain(
         self,
@@ -283,23 +296,30 @@ class SpatialQueryService:
         the one an actual ``probe(algorithm="auto")`` records in
         ``stats.extra["plan"]`` — both run through the same resolution.
         """
-        probe, epsilon, geometry, budget, source, config = self._normalize(
-            dataset, probe, epsilon, geometry, max_bytes, config
+        query = self.resolve(
+            dataset, probe, epsilon, algorithm, max_bytes, geometry, **config
         )
-        return self._plan(
-            source, probe, epsilon, algorithm, config, geometry, budget
-        )
+        return query.plan if query.plan is not None else query.make_plan()
 
-    def _normalize(
-        self, dataset, probe, epsilon, geometry, max_bytes, config
-    ) -> tuple:
-        """Shared argument resolution for :meth:`probe` / :meth:`explain`.
+    def resolve(
+        self,
+        dataset: "str | Sequence[SpatialObject]",
+        probe: "MBR | Iterable[MBR] | Sequence[SpatialObject] | CoordinateTable",
+        epsilon: float,
+        algorithm: str = "TOUCH",
+        max_bytes: int | None = None,
+        geometry: str | None = None,
+        **config,
+    ) -> "ProbeQuery":
+        """A :meth:`probe` call's arguments resolved, without running it.
 
         Normalises the probe payload (single MBR / MBR batch / object
         sequence), validates ε, geometry and the byte budget, resolves
         the dataset and folds the service-default backend into
-        ``config`` — one code path, so a plan explained and a plan
-        executed can never disagree on the resolved inputs.
+        ``config``.  ``algorithm="auto"`` is planned here: the query
+        carries the chosen variant, its backend (unless ``config`` names
+        one) and the plan.  :meth:`explain` resolves the same way, so a
+        plan explained and a plan executed never disagree on the inputs.
         """
         if isinstance(probe, MBR):
             probe = CoordinateTable.from_mbrs([probe])
@@ -318,165 +338,107 @@ class SpatialQueryService:
         if max_bytes is not None:
             validate_max_bytes(max_bytes)
         budget = max_bytes if max_bytes is not None else self.max_bytes
-        source = self._resolve(dataset)
+        source = self._source(dataset)
         if "backend" not in config and self.default_backend is not None:
             config = {**config, "backend": self.default_backend}
-        return probe, epsilon, geometry, budget, source, config
+        query = ProbeQuery(source, probe, epsilon, algorithm, config, geometry, budget)
+        if algorithm != "auto":
+            return query
+        plan = query.make_plan()
+        if "backend" not in config:
+            config = {**config, "backend": plan.backend}
+        return query._replace(algorithm=plan.algorithm, config=config, plan=plan)
 
-    def _plan(
-        self, source, probe, epsilon, algorithm, config, geometry, budget
-    ) -> "Plan":
-        """One optimizer call shared by :meth:`probe` and :meth:`explain`.
+    def candidates(self, query: "ProbeQuery") -> JoinResult:
+        """The filter phase of a probe: its MBR candidates.
 
-        The service always probes sequentially, so ``workers`` is pinned
-        to 0; ``reuse_index=True`` marks the index cache as in play.
+        Probes the cached index over the ε-inflated build side, built on
+        first use.  An object probe whose priced footprint exceeds the
+        byte budget skips the cache: caching that index would defeat the
+        budget, so it runs the one-shot join under the memory governor,
+        whose spill counters feed the service-wide
+        :class:`~repro.memory.budget.SpillMetrics`.
         """
-        from repro.optimizer import choose_plan, sketch_dataset
-
-        sketch_a = sketch_dataset(source.objects, source.fingerprint)
-        sketch_b = sketch_dataset(
-            list(probe) if isinstance(probe, Dataset) else probe
-        )
-        return choose_plan(
-            sketch_a,
-            sketch_b,
-            epsilon,
-            algorithm=None if algorithm == "auto" else algorithm,
-            backend=config.get("backend"),
-            workers=0,
-            geometry=geometry,
-            reuse_index=True,
-            max_bytes=budget,
-        )
-
-    def _refine(
-        self,
-        result: JoinResult,
-        build: Dataset,
-        probe: "Dataset | list[SpatialObject] | CoordinateTable",
-        epsilon: float,
-        backend: str | None,
-    ) -> JoinResult:
-        """Refine MBR candidates against exact shapes (``geometry="exact"``).
-
-        The build side is the *registered* objects — never the inflated
-        copies the index was built from — so the exact predicate sees
-        original extents; its refine view is cached with the
-        registration, so a warm exact probe builds only the probe side's
-        — and not even that when the probe is a :class:`Dataset`, whose
-        own cached view is read.
-        MBR-batch probes (columnar tables) refine as position-numbered
-        solid boxes, matching their pair numbering.
-        """
-        from repro.refine import RefinePipeline
-
-        if isinstance(probe, CoordinateTable):
-            probe = probe.to_objects()
-        stats = result.stats
-        start = time.perf_counter()
-        refined = RefinePipeline(epsilon, backend=backend or "auto").refine(
-            result.pairs, build, probe, stats=stats
-        )
-        refine_seconds = time.perf_counter() - start
-        stats.join_seconds += refine_seconds
-        stats.total_seconds += refine_seconds
-        stats.extra["refine_seconds"] = refine_seconds
-        stats.result_pairs = len(refined)
-        with self._lock:
-            self._probe_seconds += refine_seconds
-        return JoinResult(
-            result.algorithm,
-            refined,
-            stats,
-            {**result.parameters, "geometry": "exact"},
-        )
-
-    def _budgeted_probe(
-        self,
-        source: _Source,
-        probe_objects: "list[SpatialObject]",
-        epsilon: float,
-        algorithm: str,
-        budget: int,
-        config: dict,
-        geometry: str = "mbr",
-    ) -> JoinResult:
-        """One-shot spilling join for a probe that exceeds the budget.
-
-        Caching the built index would defeat the budget (the index alone
-        is over it), so the query runs the full ε-reduced join under the
-        memory governor instead: partitions spill to disk, counters feed
-        the service-wide :class:`~repro.memory.budget.SpillMetrics`.
-        """
-        from repro.memory.budgeted import BudgetedSpatialJoin
-
-        joiner = BudgetedSpatialJoin(
-            lambda: make_algorithm(algorithm, **config),
-            max_bytes=budget,
-            metrics=self._spill,
-        )
-        build_side = [obj.inflated(epsilon) for obj in source.objects]
-        start = time.perf_counter()
-        result = joiner.join(build_side, probe_objects)
+        source, probe, epsilon = query.source, query.probe, query.epsilon
+        algorithm, config, objects = query.algorithm, query.config, source.objects
+        algo = make_algorithm(algorithm, **config)
+        cold_build_seconds = 0.0
+        if (
+            query.budget is not None
+            and not isinstance(probe, CoordinateTable)
+            and objects
+            and len(probe)
+            and algo.estimate_bytes(
+                len(objects), len(probe), dimensionality(objects, probe)
+            ) > query.budget
+        ):
+            joiner = execute.executor(
+                algorithm, config, max_bytes=query.budget, metrics=self._spill
+            )
+            start = time.perf_counter()
+            result = execute.join(joiner, objects, probe, epsilon)
+            parameters = {
+                "cache": "spilled",
+                "epsilon": epsilon,
+                "max_bytes": query.budget,
+                "spill_dir": joiner.last_spill_dir,
+            }
+        else:
+            key = IndexKey.create(
+                source.fingerprint,
+                algorithm,
+                config,
+                config.get("backend"),
+                epsilon,
+                geometry=query.geometry,
+            )
+            built, warm = self.cache.get_or_build(
+                key, lambda: algo.prepare(inflate(objects, epsilon))
+            )
+            if not warm:
+                cold_build_seconds = built.build_seconds
+            start = time.perf_counter()
+            result = algo.probe(built, probe)
+            parameters = {
+                "cache": "warm" if warm else "cold",
+                "build_seconds": built.build_seconds,
+                "epsilon": epsilon,
+            }
         probe_seconds = time.perf_counter() - start
         with self._lock:
             self._queries += 1
             self._probe_seconds += probe_seconds
-        result.parameters = {
-            **result.parameters,
-            "cache": "spilled",
-            "epsilon": epsilon,
-            "max_bytes": budget,
-            "spill_dir": joiner.last_spill_dir,
-        }
-        if geometry == "exact":
-            result = self._refine(
-                result,
-                source.refine_side(),
-                probe_objects,
-                epsilon,
-                config.get("backend"),
-            )
+            self._build_seconds += cold_build_seconds
+        result.parameters = {**result.parameters, **parameters}
+        if query.plan is not None:
+            result.stats.extra["plan"] = query.plan.as_dict()
         return result
 
-    # -- historical spellings (thin aliases over probe()) --------------
-    def query(
-        self,
-        dataset: "str | Sequence[SpatialObject]",
-        probe: "Sequence[SpatialObject] | CoordinateTable",
-        epsilon: float,
-        algorithm: str = "TOUCH",
-        max_bytes: int | None = None,
-        geometry: str | None = None,
-        **config,
-    ) -> JoinResult:
-        """Alias for :meth:`probe` with a probe dataset (historical name)."""
-        return self.probe(
-            dataset,
-            probe,
-            epsilon,
-            algorithm=algorithm,
-            max_bytes=max_bytes,
-            geometry=geometry,
-            **config,
-        )
+    def refine(self, query: "ProbeQuery", result: JoinResult) -> JoinResult:
+        """The refine phase of a probe: ``result`` refined if it is exact.
 
-    def probe_mbrs(
-        self,
-        dataset: "str | Sequence[SpatialObject]",
-        mbrs: Iterable[MBR],
-        epsilon: float,
-        algorithm: str = "TOUCH",
-        geometry: str | None = None,
-        **config,
-    ) -> JoinResult:
-        """Alias for :meth:`probe` with a raw MBR batch (historical name)."""
-        boxes = list(mbrs)
-        if not boxes:
-            raise ValueError("probe_mbrs requires at least one query MBR")
-        return self.probe(
-            dataset, boxes, epsilon, algorithm=algorithm, geometry=geometry, **config
+        The build side is the *registered* objects — never the inflated
+        copies the index was built from — so the exact predicate sees
+        original extents; its refine view is cached with the
+        registration, so a warm exact probe builds only the probe
+        side's — and not even that when the probe is a
+        :class:`Dataset`, whose own cached view is read.  MBR-batch
+        probes (columnar tables) refine as position-numbered solid
+        boxes, matching their pair numbering.  MBR queries return
+        ``result`` as is.
+        """
+        if query.geometry != "exact":
+            return result
+        result = execute.refine(
+            result,
+            query.source.refine_side(),
+            query.probe,
+            query.epsilon,
+            query.config.get("backend"),
         )
+        with self._lock:
+            self._probe_seconds += result.stats.extra["refine_seconds"]
+        return result
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:

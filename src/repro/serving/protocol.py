@@ -20,7 +20,7 @@ probe     ``dataset``, ``epsilon``, ``algorithm``, ``config``,
           ``geometry`` (``"exact"`` refines against registered
           shapes) and ``shapes`` (exact probe payloads parallel to
           ``boxes``, ``null`` for box-only entries)
-explain   same fields as ``probe`` minus ``masks``/``full_mask``;
+explain   same fields as ``probe`` (``masks``/``full_mask`` unused);
           returns the optimizer :class:`~repro.optimizer.plan.Plan`
           the identical probe would execute (``plan`` from a shard
           worker, per-shard ``plans`` from the router front-end)
@@ -50,6 +50,7 @@ import json
 import socket
 
 from repro.geometry.mbr import MBR
+from repro.geometry.objects import SpatialObject
 from repro.geometry.shapes import Shape, shape_from_payload, shape_to_payload
 
 __all__ = [
@@ -59,6 +60,7 @@ __all__ = [
     "decode_message",
     "encode_boxes",
     "decode_boxes",
+    "decode_probe",
     "encode_shapes",
     "decode_shapes",
     "send_message",
@@ -141,6 +143,32 @@ def decode_shapes(rows: list, ids: "list[int] | None" = None) -> "list[Shape | N
         except (ValueError, TypeError, KeyError, IndexError) as exc:
             raise ProtocolError(f"bad shape payload: {exc}") from None
     return out
+
+
+def decode_probe(request: dict) -> "tuple[list, list[MBR]]":
+    """A ``probe`` / ``explain`` frame's payload and its boxes.
+
+    The payload is the boxes themselves, or — when exact ``shapes`` ride
+    parallel to them — position-numbered objects carrying those shapes
+    (``null`` entries refine as solid boxes).  Numbering by batch
+    position keeps the pair ids of raw MBR batches, so one
+    ``ids[position]`` mapping serves both.
+    """
+    boxes = decode_boxes(request["boxes"])
+    ids = request.get("ids")
+    shape_rows = request.get("shapes")
+    for name, rows in (("ids", ids), ("shapes", shape_rows)):
+        if rows is not None and len(rows) != len(boxes):
+            raise ProtocolError(
+                f"probe arity mismatch: {len(boxes)} boxes, {len(rows)} {name}"
+            )
+    if shape_rows is None:
+        return boxes, boxes
+    shapes = decode_shapes(shape_rows, ids=ids)
+    return [
+        SpatialObject(position, box, shape)
+        for position, (box, shape) in enumerate(zip(boxes, shapes))
+    ], boxes
 
 
 async def send_message(writer: asyncio.StreamWriter, message: dict) -> None:

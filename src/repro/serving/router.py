@@ -30,16 +30,17 @@ import threading
 from typing import Iterable, Sequence
 
 from repro.bench.config import GEOMETRY_MODES
-from repro.datasets.base import Dataset
 from repro.geometry.columnar import CoordinateTable
 from repro.geometry.mbr import MBR, check_epsilon
 from repro.geometry.objects import SpatialObject
 from repro.geometry.shapes import Shape
 from repro.joins.base import JoinResult, Pair
+from repro.service.service import ProbeAliases
 from repro.serving.cluster import ServingCluster
 from repro.serving.protocol import (
     MAX_LINE_BYTES,
     RemoteError,
+    decode_probe,
     encode_boxes,
     encode_shapes,
     recv_message,
@@ -256,18 +257,23 @@ class ShardRouter:
             shapes = None
         return [obj.oid for obj in items], [obj.mbr for obj in items], shapes
 
-    def _scatter(
+    def _frames(
         self,
+        op: str,
         dataset: str,
         probe,
         epsilon: float,
+        algorithm: str,
         geometry: str | None,
-    ) -> "tuple[float, list[Shape | None] | None, dict[int, dict], list[int]]":
-        """Validate a probe call and bucket it per covering shard.
+        config: dict,
+    ) -> "tuple[float, dict[int, dict]]":
+        """Validate a probe call and build one ``op`` frame per covering shard.
 
         Shared by :meth:`probe` and :meth:`explain` so both route the
         identical per-shard slices — the precondition for a plan
         explained over the wire matching the plan a probe executes.
+        Returns the validated ε and the frames keyed by shard, in shard
+        order.
         """
         if dataset not in self._datasets:
             known = ", ".join(sorted(self._datasets)) or "(none)"
@@ -293,7 +299,28 @@ class ShardRouter:
                 bucket["masks"].append(mask)
                 if shapes is not None:
                     bucket["shapes"].append(shapes[position])
-        return epsilon, shapes, scatter, sorted(scatter)
+        frames = {}
+        for shard in sorted(scatter):
+            bucket = scatter[shard]
+            frame = {
+                "op": op,
+                "dataset": dataset,
+                "epsilon": epsilon,
+                "algorithm": algorithm,
+                "config": config,
+                "ids": bucket["ids"],
+                "boxes": encode_boxes(bucket["boxes"]),
+                "masks": bucket["masks"],
+                "full_mask": self.shard_map.full_mask,
+            }
+            # Only opted-in probes grow fields, keeping plain MBR
+            # frames byte-identical to the pre-refinement protocol.
+            if geometry is not None:
+                frame["geometry"] = geometry
+            if shapes is not None:
+                frame["shapes"] = encode_shapes(bucket["shapes"])
+            frames[shard] = frame
+        return epsilon, frames
 
     async def probe(
         self,
@@ -316,35 +343,14 @@ class ShardRouter:
         aggregate ``cache`` (``"warm"`` only when every contacted shard
         probed warm) and the summed ``build_seconds``.
         """
-        epsilon, shapes, scatter, contacted = self._scatter(
-            dataset, probe, epsilon, geometry
+        epsilon, frames = self._frames(
+            "probe", dataset, probe, epsilon, algorithm, geometry, config
         )
-
-        def _frame(shard: int) -> dict:
-            frame = {
-                "op": "probe",
-                "dataset": dataset,
-                "epsilon": epsilon,
-                "algorithm": algorithm,
-                "config": config,
-                "ids": scatter[shard]["ids"],
-                "boxes": encode_boxes(scatter[shard]["boxes"]),
-                "masks": scatter[shard]["masks"],
-                "full_mask": self.shard_map.full_mask,
-            }
-            # Only opted-in probes grow fields, keeping plain MBR
-            # frames byte-identical to the pre-refinement protocol.
-            if geometry is not None:
-                frame["geometry"] = geometry
-            if shapes is not None:
-                frame["shapes"] = encode_shapes(scatter[shard]["shapes"])
-            return frame
-
         responses = await asyncio.gather(
-            *(self._request(shard, _frame(shard)) for shard in contacted)
+            *(self._request(shard, frame) for shard, frame in frames.items())
         )
         self._probes += 1
-        self._subprobes += len(contacted)
+        self._subprobes += len(frames)
         pairs: list[Pair] = []
         stats = JoinStatistics()
         build_seconds = 0.0
@@ -362,7 +368,7 @@ class ShardRouter:
             "cache": "warm" if all_warm else "cold",
             "build_seconds": build_seconds,
             "epsilon": epsilon,
-            "shards_contacted": len(contacted),
+            "shards_contacted": len(frames),
             "shards": len(self.endpoints),
         }
         if plans:
@@ -391,28 +397,11 @@ class ShardRouter:
         """
         from repro.optimizer import Plan
 
-        epsilon, shapes, scatter, contacted = self._scatter(
-            dataset, probe, epsilon, geometry
+        _epsilon, frames = self._frames(
+            "explain", dataset, probe, epsilon, algorithm, geometry, config
         )
-
-        def _frame(shard: int) -> dict:
-            frame = {
-                "op": "explain",
-                "dataset": dataset,
-                "epsilon": epsilon,
-                "algorithm": algorithm,
-                "config": config,
-                "ids": scatter[shard]["ids"],
-                "boxes": encode_boxes(scatter[shard]["boxes"]),
-            }
-            if geometry is not None:
-                frame["geometry"] = geometry
-            if shapes is not None:
-                frame["shapes"] = encode_shapes(scatter[shard]["shapes"])
-            return frame
-
         responses = await asyncio.gather(
-            *(self._request(shard, _frame(shard)) for shard in contacted)
+            *(self._request(shard, frame) for shard, frame in frames.items())
         )
         return {
             response["shard"]: Plan.from_dict(response["plan"])
@@ -468,7 +457,7 @@ class ShardRouter:
         ]
 
 
-class ShardedQueryService:
+class ShardedQueryService(ProbeAliases):
     """Synchronous sharded drop-in for :class:`SpatialQueryService`.
 
     Owns the whole topology: a :class:`ServingCluster` of worker
@@ -552,8 +541,6 @@ class ShardedQueryService:
     def register(self, name: str, dataset: Sequence[SpatialObject]) -> dict:
         """Shard a dataset across the workers; returns the replica map."""
         self.start()
-        if isinstance(dataset, Dataset):
-            dataset = list(dataset)
         return self._call(self.router.register(name, dataset))
 
     def probe(
@@ -566,8 +553,6 @@ class ShardedQueryService:
         **config,
     ) -> JoinResult:
         """Scatter-gather probe; same shapes and pairs as the 1-process tier."""
-        if isinstance(probe, Dataset):
-            probe = list(probe)
         return self._call(
             self.router.probe(
                 dataset,
@@ -589,8 +574,6 @@ class ShardedQueryService:
         **config,
     ) -> dict:
         """Per-shard ``{shard: Plan}`` for a probe, without executing it."""
-        if isinstance(probe, Dataset):
-            probe = list(probe)
         return self._call(
             self.router.explain(
                 dataset,
@@ -600,37 +583,6 @@ class ShardedQueryService:
                 geometry=geometry,
                 **config,
             )
-        )
-
-    def query(
-        self,
-        dataset: str,
-        probe: "Sequence[SpatialObject] | CoordinateTable",
-        epsilon: float,
-        algorithm: str = "TOUCH",
-        geometry: str | None = None,
-        **config,
-    ) -> JoinResult:
-        """Alias for :meth:`probe` (historical single-process name)."""
-        return self.probe(
-            dataset, probe, epsilon, algorithm=algorithm, geometry=geometry, **config
-        )
-
-    def probe_mbrs(
-        self,
-        dataset: str,
-        mbrs: Iterable[MBR],
-        epsilon: float,
-        algorithm: str = "TOUCH",
-        geometry: str | None = None,
-        **config,
-    ) -> JoinResult:
-        """Alias for :meth:`probe` with a raw MBR batch (historical name)."""
-        boxes = list(mbrs)
-        if not boxes:
-            raise ValueError("probe_mbrs requires at least one query MBR")
-        return self.probe(
-            dataset, boxes, epsilon, algorithm=algorithm, geometry=geometry, **config
         )
 
     def stats(self) -> dict:
@@ -671,28 +623,9 @@ async def serve_front(
                 try:
                     op = request.get("op")
                     if op == "probe":
-                        from repro.serving.protocol import (
-                            decode_boxes,
-                            decode_shapes,
-                        )
-
-                        probe = decode_boxes(request["boxes"])
-                        shape_rows = request.get("shapes")
-                        if shape_rows is not None:
-                            # Exact probes arrive as vertex payloads
-                            # parallel to the boxes; rebuild position-
-                            # numbered objects so pair ids keep the raw
-                            # MBR-batch numbering.
-                            shapes = decode_shapes(shape_rows)
-                            probe = [
-                                SpatialObject(position, box, shape)
-                                for position, (box, shape) in enumerate(
-                                    zip(probe, shapes)
-                                )
-                            ]
                         result = await router.probe(
                             request["dataset"],
-                            probe,
+                            decode_probe(request)[0],
                             request["epsilon"],
                             algorithm=request.get("algorithm", "TOUCH"),
                             geometry=request.get("geometry"),
@@ -711,11 +644,9 @@ async def serve_front(
                             "parameters": result.parameters,
                         }
                     elif op == "explain":
-                        from repro.serving.protocol import decode_boxes
-
                         plans = await router.explain(
                             request["dataset"],
-                            decode_boxes(request["boxes"]),
+                            decode_probe(request)[0],
                             request["epsilon"],
                             algorithm=request.get("algorithm", "auto"),
                             geometry=request.get("geometry"),

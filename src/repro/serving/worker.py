@@ -37,7 +37,7 @@ from repro.service.service import SpatialQueryService
 from repro.serving.protocol import (
     MAX_LINE_BYTES,
     ProtocolError,
-    decode_boxes,
+    decode_probe,
     decode_shapes,
     recv_message,
     send_message,
@@ -83,41 +83,10 @@ class ShardWorker:
         self.masks[name] = {member[0]: member[3] for member in members}
         return {"ok": True, "shard": self.shard_index, "count": len(objects)}
 
-    def _decode_probe(self, request: dict):
-        """The request's probe payload as the service consumes it.
-
-        Shared by ``op_probe`` and ``op_explain`` so a plan explained
-        over the wire sees exactly the probe the executed probe sees
-        (same boxes, same shape attachment, same position numbering).
-        """
-        boxes = decode_boxes(request["boxes"])
-        ids = request["ids"]
-        if len(boxes) != len(ids):
-            raise ProtocolError(
-                f"probe arity mismatch: {len(boxes)} boxes, {len(ids)} ids"
-            )
-        probe = boxes
-        shape_rows = request.get("shapes")
-        if shape_rows is not None:
-            # Exact probe payloads ride parallel to the boxes; entries
-            # without one (null) refine as solid boxes.  Probe objects
-            # take their batch *position* as oid so result pairs keep
-            # the same ``ids[position]`` mapping as raw MBR batches.
-            if len(shape_rows) != len(boxes):
-                raise ProtocolError(
-                    f"probe arity mismatch: {len(boxes)} boxes, "
-                    f"{len(shape_rows)} shapes"
-                )
-            shapes = decode_shapes(shape_rows, ids=ids)
-            probe = [
-                SpatialObject(position, box, shape)
-                for position, (box, shape) in enumerate(zip(boxes, shapes))
-            ]
-        return probe, boxes, ids
-
     def op_probe(self, request: dict) -> dict:
         name = request["dataset"]
-        probe, boxes, ids = self._decode_probe(request)
+        ids = request["ids"]
+        probe, boxes = decode_probe(request)
         probe_masks = request["masks"]
         full_mask = request["full_mask"]
         if len(boxes) != len(probe_masks):
@@ -125,24 +94,38 @@ class ShardWorker:
                 f"probe arity mismatch: {len(boxes)} boxes, "
                 f"{len(probe_masks)} masks"
             )
-        result = self.service.probe(
-            name,
-            probe,
-            request["epsilon"],
+        build_masks = self.masks[name]
+        arguments = (name, probe, request["epsilon"])
+        options = dict(
             algorithm=request.get("algorithm", "TOUCH"),
             geometry=request.get("geometry"),
             **request.get("config", {}),
         )
-        build_masks = self.masks[name]
-        # The ownership filter: local positions map back to the caller's
-        # probe ids, and only pairs whose mask union is full survive —
-        # every other replica pair is owned by (and reported from) a
-        # different shard.
-        pairs = [
-            [oid_a, ids[position]]
-            for oid_a, position in result.pairs
-            if build_masks[oid_a] | probe_masks[position] == full_mask
-        ]
+        if options["geometry"] == "exact":
+            # The ownership filter runs on the MBR candidates, before the
+            # refine: a replica pair another shard reports is never
+            # exact-tested here, and the merged refine counters count
+            # each pair once.
+            query = self.service.resolve(*arguments, **options)
+            result = self.service.candidates(query)
+            result.pairs = [
+                (oid_a, position)
+                for oid_a, position in result.pairs
+                if build_masks[oid_a] | probe_masks[position] == full_mask
+            ]
+            result = self.service.refine(query, result)
+            pairs = [[oid_a, ids[position]] for oid_a, position in result.pairs]
+        else:
+            result = self.service.probe(*arguments, **options)
+            # The ownership filter: local positions map back to the
+            # caller's probe ids, and only pairs whose mask union is full
+            # survive — every other replica pair is owned by (and
+            # reported from) a different shard.
+            pairs = [
+                [oid_a, ids[position]]
+                for oid_a, position in result.pairs
+                if build_masks[oid_a] | probe_masks[position] == full_mask
+            ]
         response = {
             "ok": True,
             "shard": self.shard_index,
@@ -159,8 +142,12 @@ class ShardWorker:
         return response
 
     def op_explain(self, request: dict) -> dict:
-        """The shard-local plan an identical ``probe`` frame would execute."""
-        probe, _boxes, _ids = self._decode_probe(request)
+        """The shard-local plan an identical ``probe`` frame would execute.
+
+        The probe decodes as in ``op_probe`` (same boxes, same shape
+        attachment, same position numbering).
+        """
+        probe, _boxes = decode_probe(request)
         plan = self.service.explain(
             request["dataset"],
             probe,
