@@ -269,15 +269,11 @@ class RunOptions:
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.max_bytes is not None and (
-            isinstance(self.max_bytes, bool)
-            or not isinstance(self.max_bytes, int)
-            or self.max_bytes <= 0
-        ):
-            raise ValueError(
-                f"max_bytes must be a positive integer byte count, "
-                f"got {self.max_bytes!r}"
-            )
+        if self.max_bytes is not None:
+            # Imported lazily: config stays importable without numpy.
+            from repro.memory.budget import validate_max_bytes
+
+            validate_max_bytes(self.max_bytes)
         if self.decompose is not None and self.decompose not in _decompose_kinds():
             raise ValueError(
                 f"unknown decompose kind {self.decompose!r}; expected one of "

@@ -121,7 +121,7 @@ def assign_table_b(
     """
     rows = np.arange(len(table_b), dtype=np.int64)
     nodes = np.zeros(len(rows), dtype=np.int64)  # flat index 0 is the root
-    keep = pairs_overlap_mask(flat.node_lo, flat.node_hi, nodes, table_b, rows)
+    keep = pairs_overlap_mask(flat.node_cols, nodes, table_b.cols, rows)
     node_tests = len(rows)
     filtered = len(rows) - int(keep.sum())
     nodes, rows = nodes[keep], rows[keep]

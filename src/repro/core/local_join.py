@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.tree import TouchTree
-from repro.geometry.columnar import CoordinateTable
+from repro.geometry.columnar import CoordinateTable, stable_argsort
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import Pair, PairArrays
 from repro.geometry.hierarchy import FlatHierarchy, descend_hierarchy
@@ -122,7 +122,7 @@ def join_assigned_nodes_columnar(
     if len(nodes) == 0:
         return PairArrays.empty()
     out_a, out_b = [], []
-    order = np.argsort(nodes, kind="stable")
+    order = stable_argsort(nodes)
     nodes, rows = nodes[order], rows[order]
     cuts = np.flatnonzero(np.diff(nodes)) + 1
     for node, b_rows in zip(nodes[np.r_[0, cuts]].tolist(), np.split(rows, cuts)):

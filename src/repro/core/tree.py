@@ -277,16 +277,18 @@ def _build_flat(table: CoordinateTable, leaf_capacity: int, fanout: int):
     subtrees of children ``j + 1, ...`` — an exclusive suffix sum within
     the group.
     """
-    lo, hi = table.lo, table.hi
-    leaf_order, leaf_starts = str_order((lo + hi) / 2.0, leaf_capacity)
+    dim = table.dim
+    # Corners stay (D, n) column blocks throughout, like table.cols.
+    lo, hi = table.cols[:dim], table.cols[dim:]
+    leaf_order, leaf_starts = str_order(((lo + hi) / 2.0).T, leaf_capacity)
     lo, hi = _group_bounds(lo, hi, leaf_order, leaf_starts)
     rows = _group_sizes(leaf_starts, len(leaf_order))
     # levels[k]: corners, subtree node counts and row counts of level k;
     # groupings[k]: the (order, starts) that group level k under k + 1.
-    levels = [(lo, hi, np.ones(len(lo), dtype=np.int64), rows)]
+    levels = [(lo, hi, np.ones(lo.shape[1], dtype=np.int64), rows)]
     groupings = []
-    while len(lo) > 1:
-        order, starts = str_order((lo + hi) / 2.0, fanout)
+    while lo.shape[1] > 1:
+        order, starts = str_order(((lo + hi) / 2.0).T, fanout)
         lo, hi = _group_bounds(lo, hi, order, starts)
         _, _, size, rows = levels[-1]
         levels.append((
@@ -298,8 +300,7 @@ def _build_flat(table: CoordinateTable, leaf_capacity: int, fanout: int):
         groupings.append((order, starts))
 
     count = int(levels[-1][2][0])
-    node_lo = np.empty((count, table.dim))
-    node_hi = np.empty((count, table.dim))
+    node_cols = np.empty((2 * dim, count))
     sub_start = np.empty(count, dtype=np.int64)
     sub_stop = np.empty(count, dtype=np.int64)
     fan = np.zeros(count, dtype=np.int64)
@@ -308,7 +309,7 @@ def _build_flat(table: CoordinateTable, leaf_capacity: int, fanout: int):
     off = np.zeros(1, dtype=np.int64)
     for k in range(len(levels) - 1, -1, -1):
         lo, hi, _, rows = levels[k]
-        node_lo[pos], node_hi[pos] = lo, hi
+        node_cols[:dim, pos], node_cols[dim:, pos] = lo, hi
         sub_start[pos], sub_stop[pos] = off, off + rows
         if k == 0:
             break
@@ -335,17 +336,16 @@ def _build_flat(table: CoordinateTable, leaf_capacity: int, fanout: int):
     leaf = np.repeat(np.arange(len(leaf_starts)), levels[0][3])
     leaf_rows = np.empty(len(leaf_order), dtype=np.int64)
     leaf_rows[off[leaf] + np.arange(len(leaf_order)) - leaf_starts[leaf]] = leaf_order
-    flat = FlatHierarchy(
-        node_lo, node_hi, children_ptr, children_idx, sub_start, sub_stop
-    )
+    flat = FlatHierarchy(node_cols, children_ptr, children_idx, sub_start, sub_stop)
     return flat, leaf_rows, len(levels)
 
 
 def _group_bounds(lo, hi, order, starts):
-    """Tight ``(lo, hi)`` bound of each group ``order[starts[g]:...]``."""
+    """Tight ``(lo, hi)`` ``(D, groups)`` bound of each group
+    ``order[starts[g]:...]`` of the ``(D, n)`` corner blocks."""
     return (
-        np.minimum.reduceat(lo[order], starts, axis=0),
-        np.maximum.reduceat(hi[order], starts, axis=0),
+        np.minimum.reduceat(lo.take(order, axis=1), starts, axis=1),
+        np.maximum.reduceat(hi.take(order, axis=1), starts, axis=1),
     )
 
 

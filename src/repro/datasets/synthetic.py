@@ -47,12 +47,11 @@ def _boxes_from_arrays(
 
     Row ``i`` is object ``i``; its objects are built only on demand.
     """
-    lows = np.clip(lows, 0.0, space - sides)
-    highs = lows + sides
     n, dim = lows.shape
-    table = CoordinateTable(
-        np.concatenate([lows, highs], axis=1), np.arange(n, dtype=np.int64)
-    )
+    cols = np.empty((2 * dim, n))
+    cols[:dim] = np.clip(lows, 0.0, space - sides).T
+    np.add(cols[:dim], sides.T, out=cols[dim:])
+    table = CoordinateTable.from_columns(cols, np.arange(n, dtype=np.int64))
     return Dataset.from_table(
         table, name=name, universe=_universe(space, dim), metadata=metadata
     )

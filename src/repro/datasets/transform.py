@@ -43,10 +43,10 @@ def inflate(dataset: "Dataset | Sequence", epsilon: float):
     table = dataset.to_table()
     if epsilon:
         dim = table.dim
-        coords = np.empty_like(table.coords)
-        np.subtract(table.coords[:, :dim], epsilon, out=coords[:, :dim])
-        np.add(table.coords[:, dim:], epsilon, out=coords[:, dim:])
-        table = CoordinateTable(coords, table.ids)
+        cols = np.empty(table.cols.shape)
+        np.subtract(table.cols[:dim], epsilon, out=cols[:dim])
+        np.add(table.cols[dim:], epsilon, out=cols[dim:])
+        table = CoordinateTable.from_columns(cols, table.ids)
     return Dataset.from_table(
         table,
         name=f"{dataset.name}+eps{epsilon:g}",
@@ -60,7 +60,9 @@ def reindexed(dataset: Dataset, start: int = 0) -> Dataset:
     """Table-backed dataset with sequential oids starting at ``start``."""
     table = dataset.to_table()
     return Dataset.from_table(
-        CoordinateTable(table.coords, np.arange(start, start + len(table), dtype=np.int64)),
+        CoordinateTable.from_columns(
+            table.cols, np.arange(start, start + len(table), dtype=np.int64)
+        ),
         name=dataset.name,
         universe=dataset._universe,
         metadata=dataset.metadata,
@@ -83,8 +85,8 @@ def concat(first: Dataset, second: Dataset, name: str | None = None) -> Dataset:
             geometries_b or [None] * len(table_b)
         )
     return Dataset.from_table(
-        CoordinateTable(
-            np.concatenate([table_a.coords, table_b.coords]),
+        CoordinateTable.from_columns(
+            np.concatenate([table_a.cols, table_b.cols], axis=1),
             np.concatenate([table_a.ids, table_b.ids]),
         ),
         name=name or f"{first.name}+{second.name}",

@@ -4,13 +4,13 @@ The object model (:class:`~repro.geometry.mbr.MBR` tuples wrapped in
 :class:`~repro.geometry.objects.SpatialObject`) is convenient but pays
 interpreter overhead on every intersection test.  The paper's point is
 that after TOUCH's partitioning the join is CPU-bound on exactly those
-tests, so this module stores a whole dataset as one contiguous
-``(N, 2 * D)`` float64 array — ``[:, :D]`` the minimum corners, ``[:, D:]``
-the maximum corners — plus an ``(N,)`` int64 id vector, and provides
-batch kernels over it:
+tests, so this module stores a whole dataset as one ``(2 * D, N)``
+float64 column block — rows ``[:D]`` the minimum corners, rows ``[D:]``
+the maximum corners, each row contiguous — plus an ``(N,)`` int64 id
+vector, and provides batch kernels over it:
 
 - :func:`intersects_many` — the full |A| × |B| boolean intersection
-  matrix, one broadcasted comparison instead of |A|·|B| Python calls;
+  matrix, one broadcast per dimension instead of |A|·|B| Python calls;
 - :func:`intersect_pairs` — the intersecting index pairs, computed in
   bounded-memory chunks (the batch nested-loop primitive);
 - :func:`sweep_pairs` — a vectorised forward plane-sweep along dimension
@@ -49,6 +49,8 @@ __all__ = [
     "axes_overlap_mask",
     "concat_ranges",
     "chunk_boundaries",
+    "read_only_view",
+    "stable_argsort",
     "DEFAULT_CANDIDATE_CHUNK",
 ]
 
@@ -91,33 +93,63 @@ class CoordinateTable:
     Parameters
     ----------
     coords:
-        ``(N, 2 * D)`` float64 array; row ``i`` holds the minimum corner
+        ``(N, 2 * D)`` float64 rows; row ``i`` holds the minimum corner
         of box ``i`` in columns ``[0, D)`` and the maximum corner in
-        columns ``[D, 2 * D)``.
+        columns ``[D, 2 * D)``.  The rows are stored transposed (see
+        below); :meth:`from_columns` takes the stored form directly.
     ids:
         ``(N,)`` int64 array of object identifiers (the ``oid`` reported
         in result pairs).
+
+    Storage is one ``(2 * D, N)`` float64 block, :attr:`cols`: row
+    ``d < D`` is the minimum corner along dimension ``d`` of every box,
+    row ``D + d`` the maximum.  Each row is contiguous, so a gather of
+    one coordinate for a batch of boxes (``cols[d].take(rows)``) reads
+    one column instead of copying a strided one whole first.
+    :attr:`coords`, :attr:`lo` and :attr:`hi` are read-only transposed
+    views of the block in the row layout.
 
     The table is the columnar twin of a list of
     :class:`~repro.geometry.objects.SpatialObject`; conversions preserve
     ids and coordinates exactly (float64 in, float64 out).
     """
 
-    __slots__ = ("coords", "ids")
+    __slots__ = ("cols", "ids", "coords")
 
     def __init__(self, coords, ids) -> None:
-        coords = np.ascontiguousarray(coords, dtype=np.float64)
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        if coords.ndim != 2 or coords.shape[1] % 2 != 0 or coords.shape[1] == 0:
+        coords = np.asarray(coords, dtype=np.float64)
+        if coords.ndim != 2:
             raise ValueError(
                 f"coords must have shape (N, 2*D) with D >= 1, got {coords.shape}"
             )
-        if ids.shape != (coords.shape[0],):
+        self._store(coords.T, ids)
+
+    @classmethod
+    def from_columns(cls, cols, ids) -> "CoordinateTable":
+        """A table over a ``(2 * D, N)`` column block, shared when its
+        rows are already contiguous float64 (copied otherwise)."""
+        table = cls.__new__(cls)
+        table._store(np.asarray(cols, dtype=np.float64), ids)
+        return table
+
+    def _store(self, cols, ids) -> None:
+        if cols.ndim == 2 and cols.shape[1] > 1 and cols.strides[1] != cols.itemsize:
+            cols = np.ascontiguousarray(cols)
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        if cols.ndim != 2 or cols.shape[0] % 2 != 0 or cols.shape[0] == 0:
             raise ValueError(
-                f"ids shape {ids.shape} does not match {coords.shape[0]} rows"
+                f"coords must have shape (N, 2*D) with D >= 1, got {cols.T.shape}"
             )
-        self.coords = coords
+        if ids.shape != (cols.shape[1],):
+            raise ValueError(
+                f"ids shape {ids.shape} does not match {cols.shape[1]} rows"
+            )
+        self.cols = cols
         self.ids = ids
+        self.coords = read_only_view(cols.T)
+
+    def __reduce__(self):
+        return (CoordinateTable.from_columns, (self.cols, self.ids))
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -132,11 +164,7 @@ class CoordinateTable:
         kernels instead of tripping a shape-inference error.
         """
         if not objects:
-            dim = DEFAULT_DIM if dim is None else dim
-            return cls(
-                np.empty((0, 2 * dim), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
+            return cls._empty(dim)
         mbrs = [obj.mbr for obj in objects]
         ids = np.fromiter(
             map(attrgetter("oid"), objects), dtype=np.int64, count=len(objects)
@@ -157,17 +185,20 @@ class CoordinateTable:
         """
         boxes = list(mbrs)
         if not boxes:
-            dim = DEFAULT_DIM if dim is None else dim
-            return cls(
-                np.empty((0, 2 * dim), dtype=np.float64),
-                np.empty(0, dtype=np.int64),
-            )
+            return cls._empty(dim)
         id_arr = np.arange(len(boxes), dtype=np.int64) if ids is None else ids
         return cls(_corner_rows(boxes, id_arr), id_arr)
 
+    @classmethod
+    def _empty(cls, dim: int | None) -> "CoordinateTable":
+        dim = DEFAULT_DIM if dim is None else dim
+        return cls.from_columns(
+            np.empty((2 * dim, 0), dtype=np.float64), np.empty(0, dtype=np.int64)
+        )
+
     # -- basic protocol ------------------------------------------------
     def __len__(self) -> int:
-        return self.coords.shape[0]
+        return self.cols.shape[1]
 
     def __repr__(self) -> str:
         return f"CoordinateTable(n={len(self)}, dim={self.dim})"
@@ -175,29 +206,29 @@ class CoordinateTable:
     @property
     def dim(self) -> int:
         """Number of spatial dimensions."""
-        return self.coords.shape[1] // 2
+        return self.cols.shape[0] // 2
 
     @property
     def lo(self):
-        """``(N, D)`` view of the minimum corners."""
-        return self.coords[:, : self.dim]
+        """``(N, D)`` read-only view of the minimum corners."""
+        return read_only_view(self.cols[: self.dim].T)
 
     @property
     def hi(self):
-        """``(N, D)`` view of the maximum corners."""
-        return self.coords[:, self.dim :]
+        """``(N, D)`` read-only view of the maximum corners."""
+        return read_only_view(self.cols[self.dim :].T)
 
     @property
     def nbytes(self) -> int:
         """Real memory footprint of the coordinate and id arrays."""
-        return int(self.coords.nbytes + self.ids.nbytes)
+        return int(self.cols.nbytes + self.ids.nbytes)
 
     # -- conversion ----------------------------------------------------
     def mbr(self, index: int) -> MBR:
         """The ``index``-th box as an object-model MBR."""
         dim = self.dim
-        row = self.coords[index]
-        return MBR(tuple(row[:dim]), tuple(row[dim:]))
+        column = self.cols[:, index]
+        return MBR(tuple(column[:dim]), tuple(column[dim:]))
 
     def to_objects(self, geometries: "Sequence | None" = None) -> "list[SpatialObject]":
         """Materialise the table as a list of spatial objects.
@@ -218,9 +249,19 @@ class CoordinateTable:
         ]
 
     def take(self, indices) -> "CoordinateTable":
-        """Row subset as a new table: a copy for an index array, a view
-        sharing this table's memory for a ``slice``."""
-        return CoordinateTable(self.coords[indices], self.ids[indices])
+        """Row subset as a new table: a copy for an index array or a
+        boolean mask, a view sharing this table's memory for a
+        ``slice``."""
+        ids = self.ids[indices]
+        if isinstance(indices, slice):
+            return CoordinateTable.from_columns(self.cols[:, indices], ids)
+        indices = np.asarray(indices)
+        if indices.dtype == bool:
+            indices = np.flatnonzero(indices)
+        # ``ids[indices]`` above rejected anything but integer positions;
+        # an empty list arrives as float64.
+        rows = indices.astype(np.intp, copy=False)
+        return CoordinateTable.from_columns(self.cols.take(rows, axis=1), ids)
 
     def bounds(self):
         """``(lo, hi)`` vectors of the tight bound over all rows.
@@ -233,7 +274,14 @@ class CoordinateTable:
         """
         if len(self) == 0:
             raise ValueError(f"bounds() of an empty table: {self!r} has no rows")
-        return self.lo.min(axis=0), self.hi.max(axis=0)
+        dim = self.dim
+        return self.cols[:dim].min(axis=1), self.cols[dim:].max(axis=1)
+
+
+def read_only_view(view):
+    """``view`` with writes switched off (it aliases a table's block)."""
+    view.flags.writeable = False
+    return view
 
 
 def _corner_rows(mbrs: Sequence[MBR], ids) -> "np.ndarray":
@@ -261,6 +309,42 @@ def _corner_rows(mbrs: Sequence[MBR], ids) -> "np.ndarray":
     )
 
 
+# -- sorting ------------------------------------------------------------
+#: Composite integer keys ``key * n + position`` stay below this bound,
+#: so they never overflow int64.
+_COMPOSITE_LIMIT = 1 << 62
+
+
+def stable_argsort(keys):
+    """Exactly ``np.argsort(keys, kind="stable")``, only faster.
+
+    - Integer keys in ``[0, bound)`` sort as the unique composite
+      ``key * n + position`` with the default ``np.sort`` and come back
+      as ``composite % n``: no two composites tie, so the unstable sort
+      has nothing to reorder.  A negative key, or ``bound * n`` reaching
+      ``2**62``, takes the stable sort.
+    - Float keys take the default ``argsort``, kept only when the sorted
+      keys hold no tie and no NaN (``NaN != NaN`` would hide a tie);
+      otherwise the stable sort runs.
+    - Any other dtype takes the stable sort.
+    """
+    keys = np.asarray(keys)
+    n = len(keys)
+    kind = keys.dtype.kind
+    if n > 1 and kind in "iu":
+        if int(keys.min()) >= 0 and (int(keys.max()) + 1) * n < _COMPOSITE_LIMIT:
+            composite = keys.astype(np.int64) * n
+            composite += np.arange(n, dtype=np.int64)
+            composite.sort()
+            return np.remainder(composite, n, out=composite)
+    elif n > 1 and kind == "f":
+        order = np.argsort(keys)
+        ordered = keys[order]
+        if not (np.isnan(ordered[-1]) or (ordered[1:] == ordered[:-1]).any()):
+            return order
+    return np.argsort(keys, kind="stable")
+
+
 # -- flat candidate-range machinery ------------------------------------
 def concat_ranges(starts, counts):
     """Vectorised ``concatenate([arange(s, s + c) for s, c in ...])``.
@@ -278,9 +362,12 @@ def concat_ranges(starts, counts):
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
     anchors = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    positions = np.arange(total, dtype=np.int64) - offsets[anchors]
-    return anchors, starts[anchors] + positions
+    # Element j of range i sits at flat position offset_i + j and takes
+    # the value start_i + j: the flat position plus start_i - offset_i.
+    shift = starts - np.cumsum(counts) + counts
+    values = shift.take(anchors)
+    values += np.arange(total, dtype=np.int64)
+    return anchors, values
 
 
 def chunk_boundaries(counts, chunk: int):
@@ -317,11 +404,19 @@ def intersects_many(table_a: CoordinateTable, table_b: CoordinateTable):
     """
     if table_a.dim != table_b.dim:
         raise ValueError(f"dimension mismatch: {table_a.dim} vs {table_b.dim}")
-    a_lo = table_a.lo[:, None, :]
-    a_hi = table_a.hi[:, None, :]
-    b_lo = table_b.lo[None, :, :]
-    b_hi = table_b.hi[None, :, :]
-    return ((a_lo <= b_hi) & (b_lo <= a_hi)).all(axis=2)
+    return _block_overlap(table_a.cols, table_b.cols)
+
+
+def _block_overlap(cols_a, cols_b):
+    """``(len(a), len(b))`` overlap matrix of two column blocks, built
+    one dimension at a time from contiguous rows of each block."""
+    dim = cols_a.shape[0] // 2
+    matrix = cols_a[0][:, None] <= cols_b[dim][None, :]
+    matrix &= cols_b[0][None, :] <= cols_a[dim][:, None]
+    for d in range(1, dim):
+        matrix &= cols_a[d][:, None] <= cols_b[dim + d][None, :]
+        matrix &= cols_b[d][None, :] <= cols_a[dim + d][:, None]
+    return matrix
 
 
 def overlap_mask(table: CoordinateTable, lo, hi):
@@ -331,21 +426,23 @@ def overlap_mask(table: CoordinateTable, lo, hi):
     return axes_overlap_mask(table, range(table.dim), lo, hi)
 
 
-def pairs_overlap_mask(box_lo, box_hi, boxes, table: CoordinateTable, rows):
-    """Mask of the pairs ``(box boxes[k], table row rows[k])`` that overlap.
+def pairs_overlap_mask(cols_a, rows_a, cols_b, rows_b):
+    """Mask of the pairs ``(box rows_a[k] of A, box rows_b[k] of B)`` that
+    overlap.
 
-    ``box_lo`` / ``box_hi`` are ``(M, D)`` corner arrays indexed by
-    ``boxes``.  Closed-box semantics.  The test runs one dimension at a
-    time on 1-D gathers of single coordinate columns, so no ``(K, D)``
-    temporaries are held.
+    ``cols_a`` / ``cols_b`` are ``(2 * D, N)`` column blocks
+    (:attr:`CoordinateTable.cols`, :attr:`FlatHierarchy.node_cols
+    <repro.geometry.hierarchy.FlatHierarchy>`).  Closed-box semantics.
+    The test runs one dimension at a time on 1-D gathers from contiguous
+    block rows, so no ``(K, D)`` temporaries are held and no column is
+    copied whole.
     """
-    dim = table.dim
-    cols = table.coords
-    mask = cols[:, 0].take(rows) <= box_hi[:, 0].take(boxes)
-    for d in range(dim):
-        if d:
-            mask &= cols[:, d].take(rows) <= box_hi[:, d].take(boxes)
-        mask &= cols[:, dim + d].take(rows) >= box_lo[:, d].take(boxes)
+    dim = cols_a.shape[0] // 2
+    mask = cols_a[0].take(rows_a) <= cols_b[dim].take(rows_b)
+    mask &= cols_b[0].take(rows_b) <= cols_a[dim].take(rows_a)
+    for d in range(1, dim):
+        mask &= cols_a[d].take(rows_a) <= cols_b[dim + d].take(rows_b)
+        mask &= cols_b[d].take(rows_b) <= cols_a[dim + d].take(rows_a)
     return mask
 
 
@@ -362,8 +459,8 @@ def axes_overlap_mask(table: CoordinateTable, axes, lows, highs):
     dim = table.dim
     mask = np.ones(len(table), dtype=bool)
     for axis, lo, hi in zip(axes, lows, highs):
-        mask &= table.coords[:, axis + dim] >= lo  # row hi >= interval lo
-        mask &= table.coords[:, axis] <= hi  # row lo <= interval hi
+        mask &= table.cols[axis + dim] >= lo  # row hi >= interval lo
+        mask &= table.cols[axis] <= hi  # row lo <= interval hi
     return mask
 
 
@@ -387,14 +484,9 @@ def intersect_pairs(
         return empty, empty
     rows_per_block = max(1, chunk // max(1, n_b))
     out_a, out_b = [], []
-    b_lo = table_b.lo[None, :, :]
-    b_hi = table_b.hi[None, :, :]
     for start in range(0, n_a, rows_per_block):
         stop = min(n_a, start + rows_per_block)
-        block = (
-            (table_a.lo[start:stop, None, :] <= b_hi)
-            & (b_lo <= table_a.hi[start:stop, None, :])
-        ).all(axis=2)
+        block = _block_overlap(table_a.cols[:, start:stop], table_b.cols)
         hit_a, hit_b = np.nonzero(block)
         out_a.append(hit_a.astype(np.int64) + start)
         out_b.append(hit_b.astype(np.int64))
@@ -435,8 +527,8 @@ def sweep_pairs(
     out_b: list = []
     candidates = 0
 
-    order_b = np.argsort(table_b.lo[:, 0], kind="stable")
-    order_a = np.argsort(table_a.lo[:, 0], kind="stable")
+    order_b = np.argsort(table_b.cols[0], kind="stable")
+    order_a = np.argsort(table_a.cols[0], kind="stable")
 
     candidates += _sweep_pass(
         table_a, table_b, order_b, out_a, out_b, anchor_is_a=True, chunk=chunk
@@ -466,10 +558,12 @@ def _sweep_pass(
     strictly-later A starts (``side='right'``), so every pair is generated
     by exactly one pass.
     """
-    other_lo0 = others.lo[order_other, 0]
+    dim = anchors.dim
+    anchor_cols, other_cols = anchors.cols, others.cols
+    other_lo0 = other_cols[0].take(order_other)
     side = "left" if anchor_is_a else "right"
-    starts = np.searchsorted(other_lo0, anchors.lo[:, 0], side=side)
-    ends = np.searchsorted(other_lo0, anchors.hi[:, 0], side="right")
+    starts = np.searchsorted(other_lo0, anchor_cols[0], side=side)
+    ends = np.searchsorted(other_lo0, anchor_cols[dim], side="right")
     counts = np.maximum(ends - starts, 0)
     total = 0
     for lo_i, hi_i in chunk_boundaries(counts, chunk):
@@ -480,11 +574,10 @@ def _sweep_pass(
         other_idx = order_other[window_pos]
         total += len(anchor_idx)
         # Dimension 0 already overlaps by construction; test the rest.
-        dim = anchors.dim
         keep = np.ones(len(anchor_idx), dtype=bool)
         for d in range(1, dim):
-            keep &= anchors.lo[anchor_idx, d] <= others.hi[other_idx, d]
-            keep &= anchors.hi[anchor_idx, d] >= others.lo[other_idx, d]
+            keep &= anchor_cols[d].take(anchor_idx) <= other_cols[dim + d].take(other_idx)
+            keep &= anchor_cols[dim + d].take(anchor_idx) >= other_cols[d].take(other_idx)
         out_anchor.append(anchor_idx[keep])
         out_other.append(other_idx[keep])
     return total

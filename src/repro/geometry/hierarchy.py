@@ -19,7 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.columnar import chunk_boundaries, concat_ranges, pairs_overlap_mask
+from repro.geometry.columnar import (
+    chunk_boundaries,
+    concat_ranges,
+    pairs_overlap_mask,
+    read_only_view,
+)
 
 __all__ = ["CHUNK_DESCENT_PAIRS", "FlatHierarchy", "descend_hierarchy", "expand_frontier"]
 
@@ -38,11 +43,15 @@ class FlatHierarchy:
     Node order is the tree's DFS pre-order, which makes every subtree's
     descendant leaves — and hence its A rows in the leaf-order table —
     one contiguous range ``[sub_start, sub_stop)``.
+
+    The node MBRs are one ``(2 * D, nodes)`` float64 column block,
+    ``node_cols``, laid out like :attr:`CoordinateTable.cols
+    <repro.geometry.columnar.CoordinateTable>`; ``node_lo`` and
+    ``node_hi`` are read-only ``(nodes, D)`` views of it.
     """
 
     __slots__ = (
-        "node_lo",
-        "node_hi",
+        "node_cols",
         "children_ptr",
         "children_idx",
         "sub_start",
@@ -51,29 +60,36 @@ class FlatHierarchy:
 
     def __init__(
         self,
-        node_lo,
-        node_hi,
+        node_cols,
         children_ptr,
         children_idx,
         sub_start,
         sub_stop,
     ) -> None:
-        self.node_lo = node_lo
-        self.node_hi = node_hi
+        self.node_cols = node_cols
         self.children_ptr = children_ptr
         self.children_idx = children_idx
         self.sub_start = sub_start
         self.sub_stop = sub_stop
 
     def __len__(self) -> int:
-        return self.node_lo.shape[0]
+        return self.node_cols.shape[1]
+
+    @property
+    def node_lo(self):
+        """``(nodes, D)`` read-only view of the node MBRs' minimum corners."""
+        return read_only_view(self.node_cols[: self.node_cols.shape[0] // 2].T)
+
+    @property
+    def node_hi(self):
+        """``(nodes, D)`` read-only view of the node MBRs' maximum corners."""
+        return read_only_view(self.node_cols[self.node_cols.shape[0] // 2 :].T)
 
     @property
     def nbytes(self) -> int:
         """Real memory footprint of the flat arrays."""
         return int(
-            self.node_lo.nbytes
-            + self.node_hi.nbytes
+            self.node_cols.nbytes
             + self.children_ptr.nbytes
             + self.children_idx.nbytes
             + self.sub_start.nbytes
@@ -148,7 +164,7 @@ def expand_frontier(flat: FlatHierarchy, table_b, nodes, rows):
     owner, slots = concat_ranges(first[inner], fan[inner])
     children = flat.children_idx[slots]
     hit = pairs_overlap_mask(
-        flat.node_lo, flat.node_hi, children, table_b, rows[inner][owner]
+        flat.node_cols, children, table_b.cols, rows[inner][owner]
     )
     return leaf, owner, children, hit
 
@@ -166,7 +182,7 @@ def _leaf_hits(flat: FlatHierarchy, table_a, table_b, leaves, rows, out_a, out_b
     for lo, hi in chunk_boundaries(span, CHUNK_DESCENT_PAIRS):
         entry, cand_a = concat_ranges(start[lo:hi], span[lo:hi])
         cand_b = rows[lo:hi][entry]
-        keep = pairs_overlap_mask(table_a.lo, table_a.hi, cand_a, table_b, cand_b)
+        keep = pairs_overlap_mask(table_a.cols, cand_a, table_b.cols, cand_b)
         out_a.append(cand_a[keep])
         out_b.append(cand_b[keep])
     return int(span.sum())

@@ -25,6 +25,7 @@ from repro.geometry.columnar import (
     chunk_boundaries,
     concat_ranges,
     pairs_overlap_mask,
+    stable_argsort,
 )
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
     "cells_spanned",
     "entry_join_candidates",
     "grid_join_pairs",
+    "grid_row_join",
+    "row_windows",
     "index_entries",
     "sort_entries",
     "probe_join_candidates",
@@ -178,7 +181,7 @@ class ColumnarGrid:
             # count, like the keys themselves.
             widest = spans.max(axis=0)
             shape_code = (spans - 1) @ _radix_of(widest)
-            by_shape = np.argsort(shape_code, kind="stable")
+            by_shape = stable_argsort(shape_code)
             cuts = np.flatnonzero(np.diff(shape_code[by_shape])) + 1
             for group in np.split(by_shape, cuts):
                 block_keys, block_masks = self._offset_block(spans[group[0]])
@@ -189,6 +192,26 @@ class ColumnarGrid:
         if masks is not None:
             return obj_idx, keys, masks
         return obj_idx, keys
+
+    def row_ranges(self, lo_idx, hi_idx):
+        """Per box, one key range per row of cells along the last axis.
+
+        Box ``i`` spans cells ``lo_idx[i]`` to ``hi_idx[i]`` (inclusive).
+        Its cells along the last axis have consecutive row-major keys, so
+        each row of them is the key range ``[first, last]``.  Returns
+        ``(obj, first, last, masks)``, box by box and each box's rows in
+        row-major order, the order :meth:`range_entries` lists the rows'
+        cells in.  ``masks`` are the class masks of the rows' cells
+        without the last-axis bit, which is set exactly in the row's
+        first cell.
+        """
+        axis = self.dim - 1
+        row_hi = hi_idx.copy()
+        row_hi[:, axis] = lo_idx[:, axis]
+        obj, first, masks = self.range_entries(lo_idx, row_hi, with_class_masks=True)
+        width = hi_idx[:, axis] - lo_idx[:, axis]
+        masks &= ~(1 << axis)
+        return obj, first, first + width[obj], masks
 
     def _offset_block(self, shape):
         """Key offsets and class masks of a box spanning ``shape`` cells.
@@ -234,6 +257,15 @@ class SortedEntries(NamedTuple):
         starts = self.cell_bounds[pos]
         return matched, starts, self.cell_bounds[pos + 1] - starts
 
+    def windows(self, first_keys, last_keys):
+        """``(starts, counts)``: per key range ``[first, last]``, its
+        window into ``order``.  Two binary searches per range."""
+        starts = self.cell_bounds[np.searchsorted(self.cell_keys, first_keys)]
+        stops = self.cell_bounds[
+            np.searchsorted(self.cell_keys, last_keys, side="right")
+        ]
+        return starts, stops - starts
+
 
 class CellDirectory(NamedTuple):
     """One entry set grouped by a dense per-cell directory
@@ -258,6 +290,11 @@ class CellDirectory(NamedTuple):
         matched = np.flatnonzero(per_anchor)
         return matched, self.starts[anchor_keys[matched]], per_anchor[matched]
 
+    def windows(self, first_keys, last_keys):
+        """Same contract as :meth:`SortedEntries.windows`."""
+        starts = self.starts[first_keys]
+        return starts, self.starts[last_keys] + self.counts[last_keys] - starts
+
 
 def sort_entries(keys) -> SortedEntries:
     """Key-sort one entry set once, for repeated probing.
@@ -269,7 +306,7 @@ def sort_entries(keys) -> SortedEntries:
     only pays one binary search per probe entry
     (:func:`probe_join_candidates`).
     """
-    order = np.argsort(keys, kind="stable")
+    order = stable_argsort(keys)
     sorted_keys = keys[order]
     if len(sorted_keys) == 0:
         return SortedEntries(order, sorted_keys, np.zeros(1, dtype=np.int64))
@@ -286,7 +323,7 @@ def cell_directory(keys, total_cells: int) -> CellDirectory:
     """
     counts = np.bincount(keys, minlength=total_cells)
     starts = np.cumsum(counts) - counts
-    return CellDirectory(np.argsort(keys, kind="stable"), starts, counts)
+    return CellDirectory(stable_argsort(keys), starts, counts)
 
 
 def index_entries(keys, total_cells: int, anchor_entries: int):
@@ -476,7 +513,7 @@ def _owned_hits(table_a, table_b, entries_a, entries_b, windows, stats):
         cand_a, cand_b = obj_a[ent_a], obj_b[ent_b]
         comparisons += len(cand_a)
         hits = np.flatnonzero(
-            pairs_overlap_mask(table_a.lo, table_a.hi, cand_a, table_b, cand_b)
+            pairs_overlap_mask(table_a.cols, cand_a, table_b.cols, cand_b)
         )
         owned = hits[(masks_a[ent_a[hits]] | masks_b[ent_b[hits]]) == full]
         dedup_checks += len(hits)
@@ -489,4 +526,86 @@ def _owned_hits(table_a, table_b, entries_a, entries_b, windows, stats):
     empty = np.empty(0, dtype=np.int64)
     if not out_a:
         return empty, empty
+    return np.concatenate(out_a), np.concatenate(out_b)
+
+
+def row_windows(grid: ColumnarGrid, index_b, lo_idx, hi_idx):
+    """The rows of cells of A's boxes that hold B entries, with their
+    windows into ``index_b.order``.
+
+    Box ``i`` of A spans cells ``lo_idx[i]`` to ``hi_idx[i]``; its rows
+    of cells along the last axis are :meth:`ColumnarGrid.row_ranges`.
+    In row-major keys a row of cells is one contiguous window of B's
+    key-sorted entries, so each costs one lookup in ``index_b`` (a
+    :class:`CellDirectory` or :class:`SortedEntries`) instead of one per
+    cell.  Returns ``(obj, first, masks, starts, counts)`` for the rows
+    whose window is not empty, in :meth:`~ColumnarGrid.row_ranges`
+    order; the rest are dropped here, so their arrays are freed before
+    any candidate is built.
+    """
+    obj, first, last, masks = grid.row_ranges(lo_idx, hi_idx)
+    starts, counts = index_b.windows(first, last)
+    live = np.flatnonzero(counts)
+    return obj[live], first[live], masks[live], starts[live], counts[live]
+
+
+def grid_row_join(
+    table_a: CoordinateTable,
+    table_b: CoordinateTable,
+    windows_a,
+    entries_b,
+    index_b,
+    stats,
+    chunk: int = DEFAULT_CANDIDATE_CHUNK,
+):
+    """:func:`grid_join_pairs` with A probing by rows of cells.
+
+    ``windows_a`` are ``(obj, first, masks, starts, counts)`` as
+    :func:`row_windows` returns them (``obj`` indexing ``table_a``);
+    ``entries_b`` are B's ``(obj, keys, masks)`` entries and ``index_b``
+    their :func:`index_entries`.  B's objects, keys, class masks and
+    coordinates are gathered into ``index_b``'s key order once, and
+    every candidate reads them by window position.
+
+    The candidates, their order and every counter are those of
+    :func:`grid_join_pairs` over A's per-cell entries: a window lists
+    its cells in key order and each cell's entries in B's stable order.
+    An A cell's class mask is the row's, plus the last-axis bit where the
+    B entry's key is the row's first key.  Returns the owned
+    ``(index_a, index_b)`` pair arrays.
+    """
+    # The partition package imports this module; import lazily.
+    from repro.partition.classes import full_mask
+
+    obj_a, first, masks_a, starts, counts = windows_a
+    order = index_b.order
+    obj_b = entries_b[0].take(order)
+    keys_b = entries_b[1].take(order)
+    masks_b = entries_b[2].take(order)
+    cols_b = table_b.cols.take(obj_b, axis=1)
+    full = full_mask(table_a.dim)
+    last_bit = 1 << (table_a.dim - 1)
+    comparisons = 0
+    duplicates = 0
+    dedup_checks = 0
+    out_a: list = []
+    out_b: list = []
+    for lo_i, hi_i in chunk_boundaries(counts, chunk):
+        ranges, pos = concat_ranges(starts[lo_i:hi_i], counts[lo_i:hi_i])
+        ranges += lo_i
+        cand_a = obj_a.take(ranges)
+        comparisons += len(pos)
+        hits = np.flatnonzero(pairs_overlap_mask(table_a.cols, cand_a, cols_b, pos))
+        hit_pos, hit_ranges = pos.take(hits), ranges.take(hits)
+        cell_masks = masks_b.take(hit_pos) | masks_a.take(hit_ranges)
+        cell_masks[keys_b.take(hit_pos) == first.take(hit_ranges)] |= last_bit
+        owned = cell_masks == full
+        dedup_checks += len(hits)
+        duplicates += len(hits) - int(np.count_nonzero(owned))
+        out_a.append(cand_a.take(hits[owned]))
+        out_b.append(obj_b.take(hit_pos[owned]))
+    stats.comparisons += comparisons
+    stats.duplicates_suppressed += duplicates
+    stats.dedup_checks += dedup_checks
+    # chunk_boundaries yields at least one (possibly empty) chunk.
     return np.concatenate(out_a), np.concatenate(out_b)

@@ -25,8 +25,9 @@ from repro.grid.columnar import (
     ColumnarGrid,
     box_entry_counts,
     cells_spanned,
-    grid_join_pairs,
+    grid_row_join,
     index_entries,
+    row_windows,
 )
 from repro.grid.uniform import UniformGrid
 from repro.stats import memory as memmodel
@@ -247,12 +248,15 @@ def grid_kernel_columnar(
 
     Builds the same grid geometry as :func:`grid_kernel` (cells sized a
     multiple of the average object side, capped per dimension, over the
-    union of both extents), enumerates (object, cell) entries for both
-    sides without a Python loop, joins them by cell key and applies the
-    reference-point rule to the intersecting candidates in one shot.
-    When B is indexed by a dense cell directory, A rows whose cell box
-    holds no B entry are dropped before their entries are built: they
-    have no candidate, so the candidates and their order are unchanged.
+    union of both extents), enumerates B's (object, cell) entries
+    without a Python loop and indexes them by cell key.  Each A row
+    probes that index once per row of cells along the last axis (one
+    window of B's key-sorted entries, :func:`row_windows`), and
+    :func:`grid_row_join` applies the reference-point rule to the
+    intersecting candidates in one shot.  The candidates, their order
+    and the counters are those of a join of A's per-cell entries.  When B is indexed by a dense cell
+    directory, A rows whose cell box holds no B entry are dropped before
+    their ranges are built: they have no candidate.
     """
     n_a, n_b = len(table_a), len(table_b)
     empty = np.empty(0, dtype=np.int64)
@@ -282,12 +286,9 @@ def grid_kernel_columnar(
         rows_a = np.flatnonzero(
             box_entry_counts(index_b.counts, grid.resolution, lo_a, hi_a)
         )
-    obj_a, keys_a, masks_a = grid.range_entries(
-        lo_a[rows_a], hi_a[rows_a], with_class_masks=True
-    )
-    entries_a = (rows_a[obj_a], keys_a, masks_a)
-    idx_a, idx_b = grid_join_pairs(
-        grid, table_a, table_b, entries_a, entries_b, stats, index_b
+    obj_a, *windows_a = row_windows(grid, index_b, lo_a[rows_a], hi_a[rows_a])
+    idx_a, idx_b = grid_row_join(
+        table_a, table_b, (rows_a[obj_a], *windows_a), entries_b, index_b, stats
     )
 
     # Same analytic accounting as the object grid kernel: populated

@@ -40,14 +40,21 @@ SPILL_COUNTER_KEYS = (
 
 
 def validate_max_bytes(max_bytes: object, argument: str = "max_bytes") -> int:
-    """A strictly-positive integer byte budget, or ``ValueError`` naming it."""
-    if isinstance(max_bytes, bool) or not isinstance(max_bytes, int):
+    """A strictly-positive integer byte budget, or ``ValueError`` naming it.
+
+    Every bad value (a bool, a non-integer, zero or a negative count)
+    gets the same message, so each entry point that takes a budget
+    reports it alike.
+    """
+    if (
+        isinstance(max_bytes, bool)
+        or not isinstance(max_bytes, int)
+        or max_bytes <= 0
+    ):
         raise ValueError(
             f"{argument} must be a positive integer byte count, "
             f"got {max_bytes!r}"
         )
-    if max_bytes <= 0:
-        raise ValueError(f"{argument} must be positive, got {max_bytes}")
     return max_bytes
 
 

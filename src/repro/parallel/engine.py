@@ -8,8 +8,8 @@ tables from end to end:
    by the shared :class:`~repro.parallel.decompose.Decomposition`
    (slabs or tiles).  Region membership is one array pass per region
    (:func:`~repro.geometry.columnar.axes_overlap_mask`, closed boxes),
-   and each region ships the pickled ``coords[member]`` /
-   ``ids[member]`` slices of both sides;
+   and each region ships the pickled ``table.take(member)`` slices of
+   both sides (column block and ids);
 2. **worker_join** — each worker wraps its slices as table-backed
    :class:`~repro.datasets.base.Dataset`\\ s and joins them with a fresh
    algorithm from a picklable
@@ -63,6 +63,7 @@ from repro.geometry.mbr import MBR
 from repro.geometry.objects import SpatialObject
 from repro.joins.base import PairArrays, SpatialJoinAlgorithm
 from repro.joins.registry import AlgorithmSpec
+from repro.memory.budget import validate_max_bytes
 from repro.parallel.decompose import (
     DECOMPOSE_KINDS,
     Decomposition,
@@ -220,15 +221,8 @@ class ParallelChunkedJoin(SpatialJoinAlgorithm):
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if max_bytes is not None and (
-            isinstance(max_bytes, bool)
-            or not isinstance(max_bytes, int)
-            or max_bytes <= 0
-        ):
-            raise ValueError(
-                f"max_bytes must be a positive integer byte count, "
-                f"got {max_bytes!r}"
-            )
+        if max_bytes is not None:
+            validate_max_bytes(max_bytes)
         if n_chunks is not None and n_chunks < 1:
             raise ValueError(f"n_chunks must be >= 1, got {n_chunks}")
         if axis < 0:

@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.geometry.columnar import (
     CoordinateTable,
+    pairs_overlap_mask,
     resolve_backend,
     validate_backend,
 )
@@ -289,16 +290,12 @@ class TwoLayerJoin(SpatialJoinAlgorithm):
         comparisons = 0
         out_a: list = []
         out_b: list = []
-        a_lo, a_hi = table_a.lo, table_a.hi
-        b_lo, b_hi = table_b.lo, table_b.hi
         for ent_a, ent_b in candidates:
             allowed = (a_masks[ent_a] | b_masks[ent_b]) == full
             ent_a, ent_b = ent_a[allowed], ent_b[allowed]
             comparisons += len(ent_a)
             cand_a, cand_b = a_obj[ent_a], b_obj[ent_b]
-            hit = (
-                (a_lo[cand_a] <= b_hi[cand_b]) & (b_lo[cand_b] <= a_hi[cand_a])
-            ).all(axis=1)
+            hit = pairs_overlap_mask(table_a.cols, cand_a, table_b.cols, cand_b)
             out_a.append(cand_a[hit])
             out_b.append(cand_b[hit])
         stats.comparisons += comparisons

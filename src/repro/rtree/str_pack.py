@@ -20,6 +20,8 @@ from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from repro.geometry.columnar import stable_argsort
+
 __all__ = ["str_partition", "str_order", "slices_of"]
 
 T = TypeVar("T")
@@ -77,15 +79,17 @@ def str_order(centers, capacity: int):
 
     Returns ``(order, starts)``: ``order`` lists the rows in tile order
     and group ``g`` is ``order[starts[g]:starts[g + 1]]`` (the last one
-    runs to the end).  Every sort is a stable ``argsort`` of the float64
-    keys, so ties keep their input order, exactly as a stable sort of
+    runs to the end).  Every sort orders the float64 keys exactly as a
+    stable ``argsort`` (:func:`~repro.geometry.columnar.stable_argsort`), so ties keep their input order, exactly as a stable sort of
     the items by ``center[axis]`` would.
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
     centers = np.asarray(centers, dtype=np.float64)
+    # One contiguous row per axis: each tiling step gathers one of them.
+    columns = np.ascontiguousarray(centers.T)
     runs: list = []
-    _tile(centers, np.arange(len(centers)), capacity, 0, centers.shape[1], runs)
+    _tile(columns, np.arange(len(centers)), capacity, 0, centers.shape[1], runs)
     if not runs:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty
@@ -99,14 +103,17 @@ def str_order(centers, capacity: int):
     return np.concatenate(runs), np.concatenate(starts)
 
 
-def _tile(centers, rows, capacity: int, axis: int, dims_left: int, runs: list) -> None:
-    """Recursive tiling step of STR along ``axis``; appends sorted runs."""
+def _tile(columns, rows, capacity: int, axis: int, dims_left: int, runs: list) -> None:
+    """Recursive tiling step of STR along ``axis``; appends sorted runs.
+
+    ``columns`` holds the centers as one ``(D, N)`` row per axis.
+    """
     n = len(rows)
     if n <= capacity:
         if n:
             runs.append(rows)
         return
-    rows = rows[np.argsort(centers[rows, axis], kind="stable")]
+    rows = rows[stable_argsort(columns[axis].take(rows))]
     if dims_left <= 1:
         runs.append(rows)
         return
@@ -115,6 +122,6 @@ def _tile(centers, rows, capacity: int, axis: int, dims_left: int, runs: list) -
     slab_size = math.ceil(n / slab_count)
     for start in range(0, n, slab_size):
         _tile(
-            centers, rows[start : start + slab_size], capacity, axis + 1,
+            columns, rows[start : start + slab_size], capacity, axis + 1,
             dims_left - 1, runs,
         )

@@ -22,6 +22,7 @@ from repro.geometry.columnar import (
     intersect_pairs,
     intersects_many,
     overlap_mask,
+    pairs_overlap_mask,
     resolve_backend,
     sweep_pairs,
 )
@@ -417,3 +418,210 @@ class TestAxesOverlapMask:
         )
         mask = axes_overlap_mask(table, (0,), (0.0,), (2.0,))
         assert mask.tolist() == [True, False]  # axis 1 never consulted
+
+
+# -- the column block layout -------------------------------------------
+def _row_reference(objects):
+    """The row layout the table used to store: ``(N, 2 * D)`` rows of
+    low corners then high corners, and the oids."""
+    rows = np.array(
+        [list(obj.mbr.lo) + list(obj.mbr.hi) for obj in objects], dtype=np.float64
+    )
+    return rows, np.array([obj.oid for obj in objects], dtype=np.int64)
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestPairsOverlapMaskOnColumns:
+    """``pairs_overlap_mask`` on column blocks equals a row-by-row test."""
+
+    @staticmethod
+    def _reference(table_a, rows_a, table_b, rows_b):
+        return [
+            table_a.mbr(i).intersects(table_b.mbr(j))
+            for i, j in zip(rows_a.tolist(), rows_b.tolist())
+        ]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @given(data=st.data())
+    def test_matches_rows(self, dim, data):
+        table_a = _table(data.draw(_boxes(dim, max_n=15)))
+        table_b = _table(data.draw(_boxes(dim, max_n=15)))
+        pairs = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(table_a) - 1), st.integers(0, len(table_b) - 1)
+                ),
+                max_size=60,
+            )
+        )
+        rows_a = np.array([i for i, _ in pairs], dtype=np.int64)
+        rows_b = np.array([j for _, j in pairs], dtype=np.int64)
+        got = pairs_overlap_mask(table_a.cols, rows_a, table_b.cols, rows_b)
+        assert got.dtype == bool
+        assert got.tolist() == self._reference(table_a, rows_a, table_b, rows_b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_touching_edges_and_corners_overlap(self, dim):
+        unit = MBR((0.0,) * dim, (1.0,) * dim)
+        # Shares one face, one corner, and misses by one ulp-sized gap.
+        face = MBR((1.0,) + (0.0,) * (dim - 1), (2.0,) + (1.0,) * (dim - 1))
+        corner = MBR((1.0,) * dim, (2.0,) * dim)
+        apart = MBR((np.nextafter(1.0, 2.0),) * dim, (2.0,) * dim)
+        table_a = _table([unit])
+        table_b = _table([face, corner, apart])
+        rows_a = np.zeros(3, dtype=np.int64)
+        rows_b = np.arange(3, dtype=np.int64)
+        got = pairs_overlap_mask(table_a.cols, rows_a, table_b.cols, rows_b)
+        assert got.tolist() == [True, True, False]
+        # The test is symmetric.
+        back = pairs_overlap_mask(table_b.cols, rows_b, table_a.cols, rows_a)
+        assert back.tolist() == got.tolist()
+
+    def test_empty_batch(self):
+        table = _random_table(10, seed=1)
+        empty = np.empty(0, dtype=np.int64)
+        got = pairs_overlap_mask(table.cols, empty, table.cols, empty)
+        assert got.shape == (0,) and got.dtype == bool
+
+    def test_one_row_tables(self):
+        one = _table([MBR((0.0, 0.0), (1.0, 1.0))])
+        other = _table([MBR((1.0, 1.0), (3.0, 3.0))])
+        rows = np.zeros(4, dtype=np.int64)
+        got = pairs_overlap_mask(one.cols, rows, other.cols, rows)
+        assert got.tolist() == [True] * 4
+
+    def test_one_row_batch_against_a_large_table(self):
+        large = _random_table(128_000, seed=5)
+        probe = _random_table(1, seed=6)
+        rows_large = np.array([127_999], dtype=np.int64)
+        rows_probe = np.zeros(1, dtype=np.int64)
+        got = pairs_overlap_mask(large.cols, rows_large, probe.cols, rows_probe)
+        assert got.tolist() == self._reference(large, rows_large, probe, rows_probe)
+        # Every row of the large table against the one probe box.
+        every = np.arange(len(large), dtype=np.int64)
+        got = pairs_overlap_mask(
+            large.cols, every, probe.cols, np.zeros(len(large), dtype=np.int64)
+        )
+        assert np.array_equal(
+            got, overlap_mask(large, probe.lo[0], probe.hi[0])
+        )
+
+
+class TestColumnBlockParity:
+    """The column block returns what the row layout returned."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def objects(self, request):
+        return list(uniform_boxes(57, dim=request.param, seed=20 + request.param))
+
+    def test_from_objects_and_from_mbrs(self, objects):
+        rows, ids = _row_reference(objects)
+        dim = objects[0].mbr.dim
+        for table in (
+            CoordinateTable.from_objects(objects),
+            CoordinateTable.from_mbrs([obj.mbr for obj in objects], ids=ids),
+            CoordinateTable(rows, ids),
+        ):
+            assert table.cols.shape == (2 * dim, len(objects))
+            assert table.cols.flags.c_contiguous
+            assert table.coords.shape == rows.shape
+            assert _bits(table.coords) == _bits(rows)
+            assert _bits(table.lo) == _bits(rows[:, :dim])
+            assert _bits(table.hi) == _bits(rows[:, dim:])
+            assert _bits(table.ids) == _bits(ids)
+            assert table.nbytes == rows.nbytes + ids.nbytes
+
+    def test_views_are_read_only(self, objects):
+        table = CoordinateTable.from_objects(objects)
+        for view in (table.coords, table.lo, table.hi):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "select",
+        [
+            slice(3, 40),
+            slice(None, None, 2),
+            np.array([5, 0, 5, 56, 11]),
+            np.array([], dtype=np.int64),
+            "mask",
+        ],
+    )
+    def test_take(self, objects, select):
+        table = CoordinateTable.from_objects(objects)
+        rows, ids = _row_reference(objects)
+        if isinstance(select, str):
+            select = np.arange(len(objects)) % 3 == 1
+        sub = table.take(select)
+        assert _bits(sub.coords) == _bits(rows[select])
+        assert _bits(sub.ids) == _bits(ids[select])
+        assert all(sub.cols[d].flags.c_contiguous for d in range(2 * table.dim))
+
+    def test_take_slice_shares_memory(self, objects):
+        table = CoordinateTable.from_objects(objects)
+        sub = table.take(slice(10, 30))
+        assert np.shares_memory(sub.cols, table.cols)
+        assert not np.shares_memory(table.take(np.arange(5)).cols, table.cols)
+
+    def test_to_objects_mbr_and_bounds(self, objects):
+        table = CoordinateTable.from_objects(objects)
+        rows, _ids = _row_reference(objects)
+        dim = table.dim
+        rebuilt = table.to_objects()
+        assert [o.oid for o in rebuilt] == [o.oid for o in objects]
+        assert [o.mbr for o in rebuilt] == [o.mbr for o in objects]
+        for index in (0, 17, len(objects) - 1, -1):
+            row = rows[index]
+            assert table.mbr(index) == MBR(tuple(row[:dim]), tuple(row[dim:]))
+        lo, hi = table.bounds()
+        assert _bits(lo) == _bits(rows[:, :dim].min(axis=0))
+        assert _bits(hi) == _bits(rows[:, dim:].max(axis=0))
+
+    def test_pickle_round_trip(self, objects):
+        import pickle
+
+        table = CoordinateTable.from_objects(objects)
+        for source in (table, table.take(slice(5, 25)), table.take(np.arange(3))):
+            copy = pickle.loads(pickle.dumps(source))
+            assert _bits(copy.coords) == _bits(source.coords)
+            assert _bits(copy.ids) == _bits(source.ids)
+            assert copy.cols.shape == source.cols.shape
+        # A slice pickles its own rows only, not the block it views.
+        large = _random_table(10_000, seed=9)
+        whole = len(pickle.dumps(large))
+        assert len(pickle.dumps(large.take(slice(0, 100)))) < whole / 50
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 3.25])
+    def test_inflate(self, objects, epsilon):
+        from repro.datasets.transform import inflate
+
+        dataset = Dataset.from_table(CoordinateTable.from_objects(objects))
+        rows, ids = _row_reference(objects)
+        dim = objects[0].mbr.dim
+        expected = rows.copy()
+        expected[:, :dim] -= epsilon
+        expected[:, dim:] += epsilon
+        table = inflate(dataset, epsilon).to_table()
+        assert _bits(table.coords) == _bits(expected)
+        assert _bits(table.ids) == _bits(ids)
+        assert table.cols.shape == (2 * dim, len(objects))
+
+    def test_fingerprint_pinned(self):
+        # Digests from the row layout: ``coords.tobytes()`` is C order of
+        # the (N, 2 * D) view, so the column block hashes the same bytes.
+        from repro.service.fingerprint import dataset_fingerprint
+
+        boxes_3d = list(uniform_boxes(40, dim=3, seed=2013))
+        boxes_2d = list(uniform_boxes(40, dim=2, seed=7))
+        digest_3d = "9212436c9a74723c698c03224266ecf6ddd92ff3a49c18a79fc983a3105992fd"
+        assert dataset_fingerprint(boxes_3d) == digest_3d
+        assert (
+            dataset_fingerprint(boxes_3d, table=CoordinateTable.from_objects(boxes_3d))
+            == digest_3d
+        )
+        assert dataset_fingerprint(boxes_2d) == (
+            "41c93452d14e6e9d08b838b4ab6ad1bc444fb64c5ef2cfdb963386c52abb7f44"
+        )

@@ -28,6 +28,7 @@ from repro.memory import (
     SpillStore,
     validate_max_bytes,
 )
+from repro.parallel import ParallelChunkedJoin
 from repro.service import SpatialQueryService
 
 EPS = 0.5
@@ -319,6 +320,34 @@ class TestRunOptionsPlumbing:
     def test_run_options_validation(self, bad):
         with pytest.raises(ValueError, match="max_bytes"):
             RunOptions(max_bytes=bad)
+
+
+class TestMaxBytesValidation:
+    """One check and one message behind every entry point of a budget."""
+
+    ENTRY_POINTS = {
+        "validate_max_bytes": validate_max_bytes,
+        "RunOptions": lambda value: RunOptions(max_bytes=value),
+        "ParallelChunkedJoin": lambda value: ParallelChunkedJoin(
+            "TOUCH", workers=2, max_bytes=value
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [0, -1, True, 1.5, "8"])
+    def test_same_message_everywhere(self, entry, bad):
+        expected = f"max_bytes must be a positive integer byte count, got {bad!r}"
+        with pytest.raises(ValueError) as raised:
+            self.ENTRY_POINTS[entry](bad)
+        assert str(raised.value) == expected
+
+    def test_names_the_argument(self):
+        with pytest.raises(ValueError, match="^budget must be a positive"):
+            validate_max_bytes(0, argument="budget")
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_accepts_a_positive_count(self, entry):
+        self.ENTRY_POINTS[entry](1)
 
 
 class TestServiceAcceptance:
